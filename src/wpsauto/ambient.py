@@ -111,10 +111,6 @@ class MonomialSystem:
     def __iter__(self) -> Iterator[Monomial]:
         return iter(self.monomials)
 
-    def restrict(self, indices: Sequence[int]) -> list[tuple[int, ...]]:
-        """Project the exponent vectors onto the given variable indices."""
-        return [tuple(e[i] for i in indices) for e in self.monomials]
-
 
 def well_formed(fam: WeightedFamily) -> bool:
     """Whether every n+1 of the n+2 weights have gcd 1."""

@@ -299,7 +299,8 @@ def _scan_families(args) -> list[WeightedFamily]:
     return fams
 
 
-def _scan_record(payload) -> str:
+def _scan_record(payload) -> tuple[str, bool]:
+    """The family's JSON line, and whether any of its verdicts is unresolved."""
     fam, seed, max_order, oracle_budget, cycle_budget = payload
     report = base_report(fam, seed)
     report["flags"] = family_flags(fam)
@@ -310,10 +311,12 @@ def _scan_record(payload) -> str:
         results = admissible_orders(fam, effective_max, oracle_budget, cycle_budget)
         report["max_order"] = effective_max
         report["verdicts"] = [verdict_json(v) for _, v in results]
+        unresolved = any(v.status == "unresolved" for _, v in results)
     except (WpsautoError, _UsageError) as exc:
         report["error"] = str(exc)
         report["verdicts"] = []
-    return dumps(report)
+        unresolved = False
+    return dumps(report), unresolved
 
 
 def _family_key(fam: WeightedFamily) -> list:
@@ -361,18 +364,16 @@ def _cmd_scan(args) -> int:
 
     budget_hit = False
 
-    def consume(handle, lines) -> None:
+    def consume(handle, records) -> None:
         nonlocal budget_hit
-        for payload, line in zip(pending, lines):
-            if '"unresolved"' in line:
-                budget_hit = True
+        for payload, (line, unresolved) in zip(pending, records):
+            budget_hit = budget_hit or unresolved
             emit(handle, line, payload[0])
 
     if out_path is None:
         for payload in pending:
-            line = _scan_record(payload)
-            if '"unresolved"' in line:
-                budget_hit = True
+            line, unresolved = _scan_record(payload)
+            budget_hit = budget_hit or unresolved
             sys.stdout.write(line + "\n")
         return EXIT_BUDGET if budget_hit else EXIT_OK
 

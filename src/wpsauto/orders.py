@@ -16,7 +16,8 @@ for the diagonal map x_i -> zeta^(sigma_i) x_i with zeta a primitive q-th
 root of unity.  Two signatures induce the same projective automorphism when
 they differ by a multiple of (a mod q), and generate the same cyclic group
 when they differ by a unit factor; the oracle enumerates one canonical
-representative per equivalence class.
+representative per equivalence class, the lexicographically least member of
+its unit orbit, recognised in closed form (see `oracle_exists_order`).
 """
 
 from __future__ import annotations
@@ -580,6 +581,24 @@ def _canonical_full_signature(
     return best
 
 
+def _canonical_mask(S: np.ndarray, q: int, p: int, r: int, radix: np.ndarray) -> np.ndarray:
+    """Rows of S (entries mod q = p**r, ranked by `radix`) that are
+    lexicographically least in their unit orbit, by the closed-form rule of
+    `oracle_exists_order`; the zero row is its own orbit."""
+    s0 = S[np.arange(len(S)), (S != 0).argmax(axis=1)]
+    mask = s0 == 0
+    for k in range(r):
+        pk = p**k
+        rows = np.flatnonzero(s0 == pk)
+        for t in range(1, pk):
+            if not rows.size:
+                break
+            sub = S[rows]
+            rows = rows[sub @ radix <= ((1 + t * (q // pk)) * sub % q) @ radix]
+        mask[rows] = True
+    return mask
+
+
 def oracle_exists_order(
     fam: WeightedFamily,
     q: "int | PrimePowerOrder",
@@ -591,11 +610,16 @@ def oracle_exists_order(
     Signatures are enumerated modulo translation by (a mod q) and unit
     scaling: representatives are the vectors vanishing at the first
     coordinate whose weight is prime to p, kept only when lexicographically
-    least within their unit orbit.  A class certifies q when its induced
-    order is exactly q and some eigenvalue bucket of invariant monomials
-    passes the subset criterion; q is refuted only after every class is
-    exhausted.  Budget exhaustion yields an unresolved verdict, never a
-    refutation.
+    least within their unit orbit.  No minimum over all units is taken: if
+    the first nonzero entry s0 has gcd(s0, q) = p**k, units keep its p-adic
+    valuation, so min_u u*s0 = p**k and a least vector has s0 = p**k; the
+    units fixing p**k are u = 1 + t*q/p**k, every other one makes s0 larger,
+    so the vector is compared with those p**k - 1 multiples alone (none for
+    prime q).  A class certifies q when its induced order is exactly q and
+    some eigenvalue bucket h, holding an anchor monomial of every variable,
+    passes the subset criterion; buckets are tried in increasing h.  q is
+    refuted only after every class is exhausted.  Budget exhaustion yields
+    an unresolved verdict, never a refutation.
     """
     pp = as_prime_power(q)
     qq, p = pp.q, pp.p
@@ -651,7 +675,6 @@ def oracle_exists_order(
     anchor_cols = {
         v: [k for k, av in enumerate(tables.anchor_vars) if av == v] for v in range(nv)
     }
-    use_bitmask = qq <= 62
 
     examined = 0
     exhausted = False
@@ -663,11 +686,7 @@ def oracle_exists_order(
             S[:, v] = ranks % qq
             ranks = ranks // qq
         full_order = (S % p != 0).any(axis=1)
-        keys = S @ radix
-        min_keys = keys.copy()
-        for u in units[1:]:
-            np.minimum(min_keys, (u * S % qq) @ radix, out=min_keys)
-        sel = full_order & (keys == min_keys)
+        sel = full_order & _canonical_mask(S, qq, p, pp.r, radix)
         rows = np.flatnonzero(sel)
         if budget is not None and examined + rows.size > budget:
             rows = rows[: budget - examined]
@@ -676,38 +695,17 @@ def oracle_exists_order(
         if rows.size:
             Ssel = S[rows]
             dots = Ssel @ anchors_E.T % qq  # (classes, anchors)
-            if use_bitmask:
-                cand = np.full(rows.size, -1, dtype=np.int64)
-                for v in range(nv):
-                    shifted = np.left_shift(np.int64(1), dots[:, anchor_cols[v]])
-                    cand &= np.bitwise_or.reduce(shifted, axis=1)
-                candidate_rows = np.flatnonzero(cand != 0)
-            else:
-                cand_sets = []
-                for cidx in range(rows.size):
-                    hs: Optional[set] = None
-                    for v in range(nv):
-                        vs = set(int(x) for x in dots[cidx, anchor_cols[v]])
-                        hs = vs if hs is None else hs & vs
-                        if not hs:
-                            break
-                    cand_sets.append(hs or set())
-                candidate_rows = np.array(
-                    [i for i, hs in enumerate(cand_sets) if hs], dtype=np.int64
-                )
-            for cidx in candidate_rows:
+            # hits[c, h]: every variable has an anchor in bucket h of class c
+            hits = np.ones((rows.size, qq), dtype=bool)
+            class_idx = np.arange(rows.size)[:, None]
+            for v in range(nv):
+                hit_v = np.zeros_like(hits)
+                hit_v[class_idx, dots[:, anchor_cols[v]]] = True
+                hits &= hit_v
+            for cidx in np.flatnonzero(hits.any(axis=1)):
                 sigma = tuple(int(x) for x in Ssel[cidx])
-                if use_bitmask:
-                    bits = int(cand[cidx])
-                    hs_iter = []
-                    while bits:
-                        low = bits & -bits
-                        hs_iter.append(low.bit_length() - 1)
-                        bits ^= low
-                else:
-                    hs_iter = sorted(cand_sets[int(cidx)])
                 all_dots = tables.E @ np.array(sigma, dtype=np.int64) % qq
-                for h in hs_iter:
+                for h in np.flatnonzero(hits[cidx]):
                     bucket = np.flatnonzero(all_dots == h)
                     exps = [tables.system.monomials[int(r)] for r in bucket]
                     if not subset_criterion(exps, nv):

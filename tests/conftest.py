@@ -6,6 +6,8 @@ import math
 from itertools import combinations_with_replacement, product
 from typing import Iterator
 
+import numpy as np
+
 from wpsauto import WeightedFamily
 from wpsauto.ambient import well_formed
 from wpsauto.arith import gcd_all
@@ -73,3 +75,18 @@ def brute_monomials(weights, degree: int) -> set[tuple[int, ...]]:
         for e in product(*ranges)
         if sum(w * x for w, x in zip(weights, e)) == degree
     }
+
+
+def brute_canonical_mask(S: np.ndarray, q: int) -> np.ndarray:
+    """Rows of S (entries mod q) that are lexicographically least in their
+    unit orbit, by comparing each row with u*S mod q for every unit u.  A row
+    drops out at the first unit that makes it smaller."""
+    radix = np.array([q ** (S.shape[1] - 1 - k) for k in range(S.shape[1])], dtype=np.int64)
+    keys = S @ radix
+    least = np.arange(len(S))
+    for u in range(2, q):
+        if math.gcd(u, q) == 1:
+            least = least[keys[least] <= (u * S[least] % q) @ radix]
+    mask = np.zeros(len(S), dtype=bool)
+    mask[least] = True
+    return mask

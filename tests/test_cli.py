@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 import jsonschema
+import pytest
 
 from wpsauto.cli import main
 
@@ -154,6 +155,20 @@ def test_scan_resume_discards_torn_tail(tmp_path, capsys):
 
     run_cli(capsys, *args, "--out", str(part), "--resume")
     assert part.read_bytes() == full.read_bytes()
+
+
+@pytest.mark.parametrize("to_file", [False, True])
+@pytest.mark.parametrize("budget, expected_code", [("1", 2), ("2000000", 0)])
+def test_scan_exit_code_follows_unresolved_verdicts(tmp_path, capsys, to_file, budget, expected_code):
+    out_file = tmp_path / "scan.jsonl"
+    args = ["scan", "--dim", "1", "--max-weight", "1", "--degree", "4..4", "--oracle-budget", budget]
+    if to_file:
+        args += ["--out", str(out_file)]
+    code, out, _ = run_cli(capsys, *args)
+    (record,) = [json.loads(l) for l in (out_file.read_text() if to_file else out).splitlines()]
+    statuses = {v["status"] for v in record["verdicts"]}
+    assert code == expected_code
+    assert ("unresolved" in statuses) == (expected_code == 2)
 
 
 def test_scan_empty_range(capsys):

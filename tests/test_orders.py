@@ -1,14 +1,17 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from conftest import brute_canonical_mask
 
 from wpsauto.ambient import WeightedFamily, enumerate_monomials
-from wpsauto.arith import effective_order
+from wpsauto.arith import effective_order, prime_powers_up_to
 from wpsauto.errors import HypothesisViolated
 from wpsauto.orders import (
     CycleChain,
     Signature,
+    _canonical_mask,
     admissible_orders,
     bound_coprime,
     bound_divides_d,
@@ -261,6 +264,32 @@ class TestOracle:
         verdict = oracle_exists_order(COUNTEREXAMPLE, 23, budget=10)
         assert verdict.status == "unresolved"
 
+    # q = 61 and q = 64 lie on either side of q = 62, where the oracle once
+    # switched from an int64 bitmask to Python sets to find candidate
+    # buckets; the expected counts and certificate were recorded then.
+    def test_refutations_across_former_bitmask_limit(self):
+        fam = WeightedFamily((1, 2, 3, 5), 17)
+        for q, classes in ((61, 3783), (64, 7168)):
+            verdict = oracle_exists_order(fam, q)
+            assert (verdict.status, verdict.provenance, verdict.notes) == (
+                "refuted",
+                "oracle",
+                (f"exhausted all {classes} signature classes",),
+            )
+
+    def test_certificate_above_former_bitmask_limit(self):
+        fam = WeightedFamily((1, 1, 1, 1), 5)
+        verdict = oracle_exists_order(fam, 64)
+        assert verdict.status == "certified"
+        assert verdict.signature == Signature(64, (0, 1, 4, 52))
+        assert verdict.witness_system.monomials == (
+            (0, 0, 0, 5),
+            (0, 0, 4, 1),
+            (1, 4, 0, 0),
+            (4, 0, 1, 0),
+        )
+        assert verdict.notes == ("classes examined: 6880",)
+
 
 class TestAdmissibleOrders:
     def test_cubic_threefold_table(self):
@@ -350,6 +379,25 @@ class TestOracleClassReduction:
                 assert (verdict.status == "certified") == expected, (fam, q)
                 compared += 1
         assert compared >= 6
+
+
+def _pinned_slice(q, nv, pinned):
+    """Every vector mod q with a zero at position `pinned`."""
+    free = [v for v in range(nv) if v != pinned]
+    S = np.zeros((q ** len(free), nv), dtype=np.int64)
+    S[:, free] = np.indices((q,) * len(free)).reshape(len(free), -1).T
+    return S
+
+
+class TestCanonicalMask:
+    def test_matches_minimum_over_all_units(self):
+        for nv in (3, 4):
+            for pp in prime_powers_up_to(int(50_000 ** (1 / (nv - 1)))):
+                radix = np.array([pp.q ** (nv - 1 - k) for k in range(nv)], dtype=np.int64)
+                for pinned in range(nv):
+                    S = _pinned_slice(pp.q, nv, pinned)
+                    fast = _canonical_mask(S, pp.q, pp.p, pp.r, radix)
+                    assert np.array_equal(fast, brute_canonical_mask(S, pp.q)), (pp.q, nv, pinned)
 
 
 class TestChainValidation:
