@@ -117,7 +117,7 @@ def _build_parser() -> _Parser:
             "--monomial-budget",
             type=int,
             default=None,
-            help="cap on enumerated monomials per family (process-wide)",
+            help="cap on enumerated monomials per family, for this run",
         )
 
     p_orders = sub.add_parser("orders", help="sweep all prime powers up to a bound")
@@ -416,6 +416,7 @@ def _cmd_verify(args) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
+    default_monomial_budget = ambient.MONOMIAL_BUDGET
     try:
         args = parser.parse_args(argv)
         if getattr(args, "monomial_budget", None):
@@ -437,6 +438,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (WpsautoError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
+    finally:
+        ambient.MONOMIAL_BUDGET = default_monomial_budget
 
 
 if __name__ == "__main__":

@@ -17,7 +17,11 @@ root of unity.  Two signatures induce the same projective automorphism when
 they differ by a multiple of (a mod q), and generate the same cyclic group
 when they differ by a unit factor; the oracle enumerates one canonical
 representative per equivalence class, the lexicographically least member of
-its unit orbit, recognised in closed form (see `oracle_exists_order`).
+its unit orbit.  Only a vector whose first nonzero entry is a power of p can
+be least, so the oracle builds those candidates alone, in increasing rank,
+and compares each with the few unit multiples that fix that entry (see
+`oracle_exists_order`).  The monomial table of a family is enumerated once
+and shared by the oracle and the sufficient condition across all q.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import ambient
 from .ambient import (
     MonomialSystem,
     WeightedFamily,
@@ -72,9 +77,14 @@ __all__ = [
 #: Default cap on the number of signature classes the oracle examines.
 ORACLE_CLASS_BUDGET = 2_000_000
 
-#: Hard cap on raw signature-slice rows scanned per oracle call; above this
-#: the run is reported unresolved without scanning.
+#: Hard cap on raw signature-slice rows per oracle call; above this the run
+#: is reported unresolved without scanning.
 _SLICE_LIMIT = 1 << 24
+
+#: Ranks per block: the most candidate rows `_canonical_rows` builds at once,
+#: and the block of the slice behind the "classes examined" count of a
+#: certificate.
+_CHUNK = 1 << 16
 
 CERTIFIED = "certified"
 REFUTED = "refuted"
@@ -317,7 +327,7 @@ def sufficient_condition(
     adj = chain_digraph(fam, pp)
     targets = {i: sorted(out) for i, out in adj.items()}
     nv = fam.nvars
-    full = enumerate_monomials(fam)
+    full = _family_tables(fam).system
     for cyc in simple_cycles(targets, 2, nv, budget):
         chain = chain_from_cycle(fam, cyc)
         if not _cycle_qualifies(chain, qq):
@@ -511,10 +521,11 @@ def bound_coprime(fam: WeightedFamily) -> BoundReport:
 
 
 class _FamilyTables:
-    """Per-family numpy tables shared by oracle runs across moduli."""
+    """Per-family monomial table and numpy arrays, shared across moduli by
+    the oracle and the sufficient condition."""
 
-    def __init__(self, fam: WeightedFamily):
-        self.system = enumerate_monomials(fam)
+    def __init__(self, fam: WeightedFamily, monomial_budget: int):
+        self.system = enumerate_monomials(fam, monomial_budget)
         monos = self.system.monomials
         nv = fam.nvars
         self.E = np.array(monos, dtype=np.int64).reshape(len(monos), nv)
@@ -538,9 +549,16 @@ class _FamilyTables:
         self.vars_with_anchor = set(anchor_vars)
 
 
-@lru_cache(maxsize=512)
 def _family_tables(fam: WeightedFamily) -> _FamilyTables:
-    return _FamilyTables(fam)
+    """The tables of `fam` under the current monomial budget; keying the
+    cache on the budget keeps a table built under a larger one from
+    bypassing a smaller one."""
+    return _tables_under_budget(fam, ambient.MONOMIAL_BUDGET)
+
+
+@lru_cache(maxsize=512)
+def _tables_under_budget(fam: WeightedFamily, monomial_budget: int) -> _FamilyTables:
+    return _FamilyTables(fam, monomial_budget)
 
 
 def _check_oracle_hypotheses(fam: WeightedFamily) -> tuple[str, ...]:
@@ -581,45 +599,95 @@ def _canonical_full_signature(
     return best
 
 
-def _canonical_mask(S: np.ndarray, q: int, p: int, r: int, radix: np.ndarray) -> np.ndarray:
-    """Rows of S (entries mod q = p**r, ranked by `radix`) that are
-    lexicographically least in their unit orbit, by the closed-form rule of
-    `oracle_exists_order`; the zero row is its own orbit."""
-    s0 = S[np.arange(len(S)), (S != 0).argmax(axis=1)]
-    mask = s0 == 0
-    for k in range(r):
-        pk = p**k
-        rows = np.flatnonzero(s0 == pk)
-        for t in range(1, pk):
-            if not rows.size:
-                break
-            sub = S[rows]
-            rows = rows[sub @ radix <= ((1 + t * (q // pk)) * sub % q) @ radix]
-        mask[rows] = True
-    return mask
+def _candidate_segments(q: int, p: int, r: int, m: int):
+    """Lists of (start, stop, p**k) rank ranges, in increasing rank, covering
+    the vectors of length m over Z/q whose first nonzero entry is p**k with
+    k < r; no list spans more than `_CHUNK` ranks.  With L entries after it,
+    such an entry holds the ranks p**k * q**L up to (p**k + 1) * q**L."""
+    segments: list[tuple[int, int, int]] = []
+    room = _CHUNK
+    for length in range(m):
+        size = q**length
+        for k in range(r):
+            lo = p**k * size
+            hi = lo + size
+            while lo < hi:
+                take = min(hi - lo, room)
+                segments.append((lo, lo + take, p**k))
+                lo += take
+                room -= take
+                if not room:
+                    yield segments
+                    segments, room = [], _CHUNK
+    if segments:
+        yield segments
+
+
+def _canonical_rows(q: int, p: int, r: int, nv: int, pinned: int):
+    """Yield (ranks, rows) blocks holding, in increasing rank, exactly the
+    rows of the slice {S mod q = p**r : S[pinned] = 0} that have full order
+    and are lexicographically least in their unit orbit; a row's rank is its
+    index in the slice, read over the free positions, most significant first.
+
+    Only rows whose first nonzero entry is some p**k are built, at most
+    `_CHUNK` at a time.  A row with k >= 1 also needs an entry prime to p, and
+    must not exceed its multiple by any unit 1 + t*q/p**k (these fix p**k);
+    it drops at the first one that makes it smaller.
+    """
+    free = [v for v in range(nv) if v != pinned]
+    radix = q ** np.arange(len(free) - 1, -1, -1, dtype=np.int64)
+    for segments in _candidate_segments(q, p, r, len(free)):
+        ranks = np.concatenate([np.arange(lo, hi, dtype=np.int64) for lo, hi, _ in segments])
+        lead = np.repeat([pk for _, _, pk in segments], [hi - lo for lo, hi, _ in segments])
+        S = ranks[:, None] // radix % q
+        keep = (S % p != 0).any(axis=1)
+        for k in range(1, r):
+            pk = p**k
+            rows = np.flatnonzero(keep & (lead == pk))
+            for t in range(1, pk):
+                if not rows.size:
+                    break
+                smaller = ranks[rows] > (1 + t * (q // pk)) * S[rows] % q @ radix
+                keep[rows[smaller]] = False
+                rows = rows[~smaller]
+        if keep.any():
+            out = np.zeros((np.count_nonzero(keep), nv), dtype=np.int64)
+            out[:, free] = S[keep]
+            yield ranks[keep], out
 
 
 def oracle_exists_order(
     fam: WeightedFamily,
     q: "int | PrimePowerOrder",
     budget: int = ORACLE_CLASS_BUDGET,
-    chunk: int = 1 << 16,
 ) -> OrderVerdict:
-    """Decide order q by exhausting diagonal signature classes.
+    """Decide order q = p**r by exhausting diagonal signature classes.
 
     Signatures are enumerated modulo translation by (a mod q) and unit
     scaling: representatives are the vectors vanishing at the first
-    coordinate whose weight is prime to p, kept only when lexicographically
-    least within their unit orbit.  No minimum over all units is taken: if
-    the first nonzero entry s0 has gcd(s0, q) = p**k, units keep its p-adic
-    valuation, so min_u u*s0 = p**k and a least vector has s0 = p**k; the
-    units fixing p**k are u = 1 + t*q/p**k, every other one makes s0 larger,
-    so the vector is compared with those p**k - 1 multiples alone (none for
-    prime q).  A class certifies q when its induced order is exactly q and
-    some eigenvalue bucket h, holding an anchor monomial of every variable,
-    passes the subset criterion; buckets are tried in increasing h.  q is
-    refuted only after every class is exhausted.  Budget exhaustion yields
-    an unresolved verdict, never a refutation.
+    coordinate i* whose weight is prime to p, kept only when they have full
+    order and are lexicographically least within their unit orbit.  Units
+    keep the p-adic valuation, so if the first nonzero entry s0 has
+    gcd(s0, q) = p**k then min_u u*s0 = p**k, and a least vector has
+    s0 = p**k with k < r.  The units fixing p**k are u = 1 + t*q/p**k, every
+    other one makes s0 larger, so such a vector is compared with those
+    p**k - 1 multiples alone (none for k = 0, hence none for prime q).
+    `_canonical_rows` builds only these candidates, in increasing rank.
+
+    A class certifies q when its induced order is exactly q and some
+    eigenvalue bucket h, holding an anchor monomial of every variable,
+    passes the subset criterion; buckets are tried in increasing h, classes
+    in increasing rank.  The note "classes examined: N" counts the classes
+    whose rank lies below the end of the `_CHUNK`-row block of the slice
+    that holds the certifying class.  q is refuted only after every class is
+    exhausted.
+
+    A full-order vector has a unit entry, so no unit other than 1 fixes it:
+    the unit orbits in the slice all have phi(q) members and the slice holds
+    exactly (q**m - (q/p)**m) / phi(q) classes, m = nvars - 1.  That count is
+    compared with the budget before anything is scanned, and the scan
+    examines no more: above the budget the verdict is unresolved, never a
+    refutation.
     """
     pp = as_prime_power(q)
     qq, p = pp.q, pp.p
@@ -646,22 +714,15 @@ def oracle_exists_order(
 
     units = [u for u in range(1, qq) if u % p != 0]
     i_star = _first_unit_weight_index(fam, p)
-    free_pos = [v for v in range(nv) if v != i_star]  # most significant first
-    slice_size = qq ** len(free_pos)
-    # Abort cheaply when exhaustion is out of reach: each unit orbit has at
-    # most phi(q) members, so the canonical class count is at least the
-    # full-order count divided by phi(q).
-    full_order_count = slice_size - (qq // p) ** len(free_pos)
-    if budget is not None and full_order_count // len(units) > budget:
+    slice_size = qq ** (nv - 1)
+    class_count = (slice_size - (qq // p) ** (nv - 1)) // len(units)
+    if budget is not None and class_count > budget:
         return OrderVerdict(
             status=UNRESOLVED,
             q=qq,
             provenance="oracle",
             notes=hyp_notes
-            + (
-                f"at least {full_order_count // len(units)} signature classes exceed "
-                f"the budget of {budget}",
-            ),
+            + (f"at least {class_count} signature classes exceed the budget of {budget}",),
         )
     if slice_size > _SLICE_LIMIT:
         return OrderVerdict(
@@ -670,67 +731,49 @@ def oracle_exists_order(
             provenance="oracle",
             notes=hyp_notes + (f"signature slice of {slice_size} rows exceeds the scan limit",),
         )
-    radix = np.array([qq ** (nv - 1 - k) for k in range(nv)], dtype=np.int64)
     anchors_E = tables.E[tables.anchor_rows]
     anchor_cols = {
         v: [k for k, av in enumerate(tables.anchor_vars) if av == v] for v in range(nv)
     }
 
     examined = 0
-    exhausted = False
-    for start in range(0, slice_size, chunk):
-        stop = min(start + chunk, slice_size)
-        ranks = np.arange(start, stop, dtype=np.int64)
-        S = np.zeros((stop - start, nv), dtype=np.int64)
-        for v in reversed(free_pos):
-            S[:, v] = ranks % qq
-            ranks = ranks // qq
-        full_order = (S % p != 0).any(axis=1)
-        sel = full_order & _canonical_mask(S, qq, p, pp.r, radix)
-        rows = np.flatnonzero(sel)
-        if budget is not None and examined + rows.size > budget:
-            rows = rows[: budget - examined]
-            exhausted = True
-        examined += rows.size
-        if rows.size:
-            Ssel = S[rows]
-            dots = Ssel @ anchors_E.T % qq  # (classes, anchors)
-            # hits[c, h]: every variable has an anchor in bucket h of class c
-            hits = np.ones((rows.size, qq), dtype=bool)
-            class_idx = np.arange(rows.size)[:, None]
-            for v in range(nv):
-                hit_v = np.zeros_like(hits)
-                hit_v[class_idx, dots[:, anchor_cols[v]]] = True
-                hits &= hit_v
-            for cidx in np.flatnonzero(hits.any(axis=1)):
-                sigma = tuple(int(x) for x in Ssel[cidx])
-                all_dots = tables.E @ np.array(sigma, dtype=np.int64) % qq
-                for h in np.flatnonzero(hits[cidx]):
-                    bucket = np.flatnonzero(all_dots == h)
-                    exps = [tables.system.monomials[int(r)] for r in bucket]
-                    if not subset_criterion(exps, nv):
-                        continue
-                    canon = _canonical_full_signature(fam, sigma, qq, units)
-                    if effective_order(canon, fam.weights, qq) != qq:
-                        raise AssertionError("oracle certificate has the wrong induced order")
-                    return OrderVerdict(
-                        status=CERTIFIED,
-                        q=qq,
-                        provenance="oracle",
-                        signature=Signature(qq, canon),
-                        witness_system=MonomialSystem(fam, tuple(sorted(exps))),
-                        notes=hyp_notes + (f"classes examined: {examined}",),
-                    )
-        if exhausted:
-            break
+    blocks = _canonical_rows(qq, p, pp.r, nv, i_star)
+    for ranks, S in blocks:
+        dots = S @ anchors_E.T % qq  # (classes, anchors)
+        # hits[c, h]: every variable has an anchor in bucket h of class c
+        hits = np.ones((len(S), qq), dtype=bool)
+        class_idx = np.arange(len(S))[:, None]
+        for v in range(nv):
+            hit_v = np.zeros_like(hits)
+            hit_v[class_idx, dots[:, anchor_cols[v]]] = True
+            hits &= hit_v
+        for cidx in np.flatnonzero(hits.any(axis=1)):
+            sigma = tuple(int(x) for x in S[cidx])
+            all_dots = tables.E @ S[cidx] % qq
+            for h in np.flatnonzero(hits[cidx]):
+                bucket = np.flatnonzero(all_dots == h)
+                exps = [tables.system.monomials[int(r)] for r in bucket]
+                if not subset_criterion(exps, nv):
+                    continue
+                canon = _canonical_full_signature(fam, sigma, qq, units)
+                if effective_order(canon, fam.weights, qq) != qq:
+                    raise AssertionError("oracle certificate has the wrong induced order")
+                end = min((int(ranks[cidx]) // _CHUNK + 1) * _CHUNK, slice_size)
+                examined += int(np.searchsorted(ranks, end))
+                for later, _ in blocks:
+                    if later[0] >= end:
+                        break
+                    examined += int(np.searchsorted(later, end))
+                return OrderVerdict(
+                    status=CERTIFIED,
+                    q=qq,
+                    provenance="oracle",
+                    signature=Signature(qq, canon),
+                    witness_system=MonomialSystem(fam, tuple(sorted(exps))),
+                    notes=hyp_notes + (f"classes examined: {examined}",),
+                )
+        examined += len(S)
 
-    if exhausted:
-        return OrderVerdict(
-            status=UNRESOLVED,
-            q=qq,
-            provenance="oracle",
-            notes=hyp_notes + (f"budget of {budget} classes exhausted after {examined}",),
-        )
     return OrderVerdict(
         status=REFUTED,
         q=qq,

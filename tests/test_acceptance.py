@@ -227,6 +227,27 @@ def test_criterion_5_oracle_equivalence(corpus):
     )
 
 
+def test_oracle_refutations_count_every_class(corpus):
+    # A full-order signature has a unit entry, so only the unit 1 fixes it:
+    # every unit orbit in the pinned slice has phi(q) members, and a
+    # refutation by exhaustion counts exactly (q^m - (q/p)^m) / phi(q)
+    # classes, m = nvars - 1.
+    records, _ = corpus
+    exhausted = 0
+    for rec in records:
+        if rec.oracle.status != "refuted":
+            continue
+        note = rec.oracle.notes[-1]
+        if note.startswith("no pure-power or near-power monomial"):
+            continue
+        p = prime_power_decompose(rec.q).p
+        m = rec.fam.nvars - 1
+        classes = (rec.q**m - (rec.q // p) ** m) // (rec.q - rec.q // p)
+        assert note == f"exhausted all {classes} signature classes", (rec.fam, rec.q)
+        exhausted += 1
+    assert exhausted >= 1000
+
+
 def test_criterion_6_bound_properties(corpus):
     records, _ = corpus
     t0 = time.monotonic()

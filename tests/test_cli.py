@@ -57,6 +57,25 @@ def test_orders_byte_identical(capsys):
     assert out1 == out2
 
 
+def test_monomial_budget_applies_to_its_own_call_only(capsys):
+    code, _, err = run_cli(
+        capsys, "orders", "--weights", "1,1,2,3", "--degree", "7", "--max-order", "8",
+        "--monomial-budget", "3",
+    )
+    assert code == 2
+    assert "more than 3 monomials" in err
+    family = ("orders", "--weights", "1,1,2,5", "--degree", "11", "--max-order", "8")
+    code, out, _ = run_cli(capsys, *family)
+    assert code == 0
+    statuses = sorted(v["status"] for v in json.loads(out)["verdicts"])
+    assert statuses == ["certified"] * 5 + ["refuted"]
+    # the family's tables are cached now, and must not bypass a smaller budget
+    code, out, _ = run_cli(capsys, *family, "--monomial-budget", "3")
+    assert code == 2
+    notes = {tuple(v["notes"]) for v in json.loads(out)["verdicts"]}
+    assert notes == {("more than 3 monomials",)}
+
+
 def test_check_explain_contradiction(capsys):
     code, out, _ = run_cli(
         capsys,

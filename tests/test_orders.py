@@ -9,9 +9,10 @@ from wpsauto.ambient import WeightedFamily, enumerate_monomials
 from wpsauto.arith import effective_order, prime_powers_up_to
 from wpsauto.errors import HypothesisViolated
 from wpsauto.orders import (
+    ORACLE_CLASS_BUDGET,
     CycleChain,
     Signature,
-    _canonical_mask,
+    _canonical_rows,
     admissible_orders,
     bound_coprime,
     bound_divides_d,
@@ -290,6 +291,31 @@ class TestOracle:
         )
         assert verdict.notes == ("classes examined: 6880",)
 
+    # "classes examined" counts the classes below the end of the 65 536-row
+    # block of the slice that holds the certifying class; recorded when the
+    # oracle still scanned the slice block by block.
+    @pytest.mark.parametrize(
+        "weights, degree, budget, status, sigma, note",
+        [
+            ((1, 1, 1, 3), 13, ORACLE_CLASS_BUDGET, "certified", (0, 4, 16, 15), "classes examined: 6880"),
+            ((1, 1, 2, 3), 32, ORACLE_CLASS_BUDGET, "certified", (0, 32, 2, 3), "classes examined: 7168"),
+            ((1, 1, 2, 3), 32, 7168, "certified", (0, 32, 2, 3), "classes examined: 7168"),
+            (
+                (1, 1, 2, 3),
+                32,
+                7167,
+                "unresolved",
+                None,
+                "at least 7168 signature classes exceed the budget of 7167",
+            ),
+        ],
+    )
+    def test_class_counts_at_64(self, weights, degree, budget, status, sigma, note):
+        verdict = oracle_exists_order(WeightedFamily(weights, degree), 64, budget=budget)
+        assert verdict.status == status
+        assert (verdict.signature and verdict.signature.sigma) == sigma
+        assert verdict.notes == (note,)
+
 
 class TestAdmissibleOrders:
     def test_cubic_threefold_table(self):
@@ -389,15 +415,19 @@ def _pinned_slice(q, nv, pinned):
     return S
 
 
-class TestCanonicalMask:
+class TestCanonicalRows:
     def test_matches_minimum_over_all_units(self):
         for nv in (3, 4):
             for pp in prime_powers_up_to(int(50_000 ** (1 / (nv - 1)))):
-                radix = np.array([pp.q ** (nv - 1 - k) for k in range(nv)], dtype=np.int64)
                 for pinned in range(nv):
                     S = _pinned_slice(pp.q, nv, pinned)
-                    fast = _canonical_mask(S, pp.q, pp.p, pp.r, radix)
-                    assert np.array_equal(fast, brute_canonical_mask(S, pp.q)), (pp.q, nv, pinned)
+                    full_order = (S % pp.p != 0).any(axis=1)
+                    want = np.flatnonzero(full_order & brute_canonical_mask(S, pp.q))
+                    blocks = list(_canonical_rows(pp.q, pp.p, pp.r, nv, pinned))
+                    ranks = np.concatenate([ranks for ranks, _ in blocks])
+                    rows = np.concatenate([rows for _, rows in blocks])
+                    assert np.array_equal(ranks, want), (pp.q, nv, pinned)
+                    assert np.array_equal(rows, S[want]), (pp.q, nv, pinned)
 
 
 class TestChainValidation:
