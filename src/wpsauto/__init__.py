@@ -38,6 +38,7 @@ from .quasismooth import (
 from .orders import (
     BoundReport,
     CycleChain,
+    FamilyAnalysis,
     OrderVerdict,
     Signature,
     admissible_orders,
@@ -46,8 +47,10 @@ from .orders import (
     chain_digraph,
     chain_invariance_check,
     divides_d_criterion,
+    family_analysis,
     necessary_condition,
     oracle_exists_order,
+    order_verdict,
     signature_from_chain,
     sufficient_condition,
 )
@@ -73,6 +76,7 @@ __all__ = [
     "Signature",
     "OrderVerdict",
     "BoundReport",
+    "FamilyAnalysis",
     "KleinData",
     "is_prime",
     "prime_power_decompose",
@@ -98,7 +102,9 @@ __all__ = [
     "divides_d_criterion",
     "bound_divides_d",
     "bound_coprime",
+    "family_analysis",
     "oracle_exists_order",
+    "order_verdict",
     "admissible_orders",
     "klein_exists",
     "klein_quasismooth",

@@ -15,33 +15,28 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from fractions import Fraction
 from itertools import combinations_with_replacement
 from pathlib import Path
 from typing import Optional, Sequence
 
-from . import ambient
-from .ambient import WeightedFamily, mm_hypothesis
+from .ambient import MONOMIAL_BUDGET, WeightedFamily
 from .arith import as_prime_power, gcd_all
 from .checks import CHECK_NAMES, run_checks
-from .cycles import CYCLE_BUDGET, simple_cycles
+from .cycles import CYCLE_BUDGET
 from .errors import BudgetExceeded, HypothesisViolated, WpsautoError
 from .orders import (
     ORACLE_CLASS_BUDGET,
+    FamilyAnalysis,
     OrderVerdict,
-    _cycle_qualifies,
-    _family_tables,
-    _verdict_for,
     admissible_orders,
-    bound_coprime,
-    bound_divides_d,
-    chain_digraph,
-    chain_from_cycle,
+    as_analysis,
+    family_analysis,
     necessary_condition,
+    order_verdict,
     signature_from_chain,
 )
 from .quasismooth import random_member, singular_point_search
-from .report import base_report, bounds_section, dumps, family_flags, klein_section, verdict_json
+from .report import base_report, bounds_section, dumps, klein_section, verdict_json
 
 EXIT_OK = 0
 EXIT_HYPOTHESIS = 1
@@ -76,16 +71,26 @@ def _parse_degree_range(text: str) -> tuple[int, int]:
     return value, value
 
 
-def _default_max_order(fam: WeightedFamily, explicit: Optional[int]) -> int:
+def _budget(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"a budget must be nonnegative, got {value}")
+    return value
+
+
+def _analysis(args) -> FamilyAnalysis:
+    fam = WeightedFamily(_parse_weights(args.weights), args.degree)
+    return family_analysis(fam, args.monomial_budget, args.cycle_budget)
+
+
+def _default_max_order(an: FamilyAnalysis, explicit: Optional[int]) -> int:
     if explicit is not None:
         return explicit
-    if all(fam.degree % w == 0 for w in fam.weights):
-        return int(bound_divides_d(fam).bound)
-    if all(math.gcd(w, fam.degree) == 1 for w in fam.weights) and fam.degree > max(fam.weights):
-        return max(fam.degree, math.ceil(bound_coprime(fam).bound))
-    raise _UsageError(
-        "no intrinsic bound applies to this family; pass --max-order explicitly"
-    )
+    if an.default_max_order is None:
+        raise _UsageError(
+            "no intrinsic bound applies to this family; pass --max-order explicitly"
+        )
+    return an.default_max_order
 
 
 def _exit_code_for(verdicts: Sequence[OrderVerdict]) -> int:
@@ -111,12 +116,12 @@ def _build_parser() -> _Parser:
         p.add_argument("--degree", required=True, type=int)
 
     def budget_args(p: _Parser) -> None:
-        p.add_argument("--oracle-budget", type=int, default=ORACLE_CLASS_BUDGET)
-        p.add_argument("--cycle-budget", type=int, default=CYCLE_BUDGET)
+        p.add_argument("--oracle-budget", type=_budget, default=ORACLE_CLASS_BUDGET)
+        p.add_argument("--cycle-budget", type=_budget, default=CYCLE_BUDGET)
         p.add_argument(
             "--monomial-budget",
-            type=int,
-            default=None,
+            type=_budget,
+            default=MONOMIAL_BUDGET,
             help="cap on enumerated monomials per family, for this run",
         )
 
@@ -132,7 +137,7 @@ def _build_parser() -> _Parser:
     p_check.add_argument("--order", required=True, type=int)
     p_check.add_argument("--explain", action="store_true", help="off-chain constraint analysis")
     p_check.add_argument("--all", action="store_true", help="list every qualifying chain")
-    p_check.add_argument("--falsifier-budget", type=int, default=20_000)
+    p_check.add_argument("--falsifier-budget", type=_budget, default=20_000)
 
     p_klein = sub.add_parser("klein", help="cyclic hypersurface analysis")
     family_args(p_klein)
@@ -158,14 +163,14 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_orders(args) -> int:
-    fam = WeightedFamily(_parse_weights(args.weights), args.degree)
+    an = _analysis(args)
     started = time.monotonic()
-    max_order = _default_max_order(fam, args.max_order)
-    results = admissible_orders(fam, max_order, args.oracle_budget, args.cycle_budget)
-    report = base_report(fam, args.seed)
+    max_order = _default_max_order(an, args.max_order)
+    results = admissible_orders(an, max_order, args.oracle_budget)
+    report = base_report(an, args.seed)
     report["max_order"] = max_order
-    report["bounds"] = bounds_section(fam)
-    report["klein"] = klein_section(fam)
+    report["bounds"] = bounds_section(an)
+    report["klein"] = klein_section(an)
     report["verdicts"] = [verdict_json(v) for _, v in results]
     if args.timings:
         report["timings"] = {"total_s": round(time.monotonic() - started, 3)}
@@ -173,7 +178,7 @@ def _cmd_orders(args) -> int:
     return _exit_code_for([v for _, v in results])
 
 
-def _explain_offchain(fam: WeightedFamily, q: int, chain) -> dict:
+def _explain_offchain(an: FamilyAnalysis, q: int, chain) -> dict:
     """Anchor-monomial congruences for variables the chain leaves free.
 
     With the chain signature normalized (first entry 1, invariance target 0),
@@ -181,18 +186,17 @@ def _explain_offchain(fam: WeightedFamily, q: int, chain) -> dict:
     linear congruence on its residue; the per-monomial solution sets expose
     contradictions directly.
     """
-    sig = signature_from_chain(fam, chain, q).sigma
-    tables = _family_tables(fam)
+    sig = signature_from_chain(an.family, chain, q).sigma
     on_chain = set(chain.indices)
     entries = []
-    for v in range(fam.nvars):
+    for v in range(an.family.nvars):
         if v in on_chain:
             continue
         anchors = []
-        for row, var in zip(tables.anchor_rows, tables.anchor_vars):
+        for row, var in zip(*an.anchors):
             if var != v:
                 continue
-            mono = tables.system.monomials[int(row)]
+            mono = an.system.monomials[int(row)]
             other_off = [
                 u
                 for u, e in enumerate(mono)
@@ -212,32 +216,21 @@ def _explain_offchain(fam: WeightedFamily, q: int, chain) -> dict:
 
 
 def _cmd_check(args) -> int:
-    fam = WeightedFamily(_parse_weights(args.weights), args.degree)
+    an = _analysis(args)
     pp = as_prime_power(args.order)
-    mm_ok = mm_hypothesis(fam)
-    divides = mm_ok and all(fam.degree % w == 0 for w in fam.weights)
-    div_bound = bound_divides_d(fam).bound if divides else None
-    coprime = mm_ok and all(math.gcd(w, fam.degree) == 1 for w in fam.weights)
-    cop_bound = (
-        Fraction(bound_coprime(fam).bound)
-        if coprime and fam.degree > max(fam.weights)
-        else None
-    )
-    verdict = _verdict_for(
-        fam, pp, divides, div_bound, cop_bound, args.oracle_budget, args.cycle_budget
-    )
-    report = base_report(fam, args.seed)
-    report["bounds"] = bounds_section(fam)
+    verdict = order_verdict(an, pp, args.oracle_budget)
+    report = base_report(an, args.seed)
+    report["bounds"] = bounds_section(an)
     report["verdicts"] = [verdict_json(verdict)]
     if args.explain or args.all:
         try:
-            chain = necessary_condition(fam, pp, args.cycle_budget)
+            chain = necessary_condition(an, pp)
         except (HypothesisViolated, BudgetExceeded):
             chain = None
         if chain is not None and args.explain:
-            report["explain"] = _explain_offchain(fam, pp.q, chain)
+            report["explain"] = _explain_offchain(an, pp.q, chain)
         if args.all:
-            report["all_chains"] = _all_qualifying_chains(fam, pp, args.cycle_budget)
+            report["all_chains"] = _all_qualifying_chains(an, pp)
     if verdict.status == "certified":
         member = random_member(verdict.witness_system, args.seed)
         summary = []
@@ -256,23 +249,18 @@ def _cmd_check(args) -> int:
     return _exit_code_for([verdict])
 
 
-def _all_qualifying_chains(fam: WeightedFamily, pp, budget: int) -> list[dict]:
+def _all_qualifying_chains(an: FamilyAnalysis, pp) -> list[dict]:
     try:
-        adj = chain_digraph(fam, pp)
+        chains = an.qualifying_chains(pp)
     except HypothesisViolated:
         return []
-    out = []
-    for cyc in simple_cycles({i: sorted(t) for i, t in adj.items()}, 2, fam.nvars, budget):
-        chain = chain_from_cycle(fam, cyc)
-        if _cycle_qualifies(chain, pp.q):
-            out.append({"indices": list(chain.indices), "exponents": list(chain.exponents)})
-    return out
+    return [{"indices": list(c.indices), "exponents": list(c.exponents)} for c in chains]
 
 
 def _cmd_klein(args) -> int:
-    fam = WeightedFamily(_parse_weights(args.weights), args.degree)
-    report = base_report(fam, args.seed)
-    report["klein"] = klein_section(fam)
+    an = as_analysis(WeightedFamily(_parse_weights(args.weights), args.degree))
+    report = base_report(an, args.seed)
+    report["klein"] = klein_section(an)
     print(dumps(report))
     return EXIT_OK
 
@@ -301,14 +289,14 @@ def _scan_families(args) -> list[WeightedFamily]:
 
 def _scan_record(payload) -> tuple[str, bool]:
     """The family's JSON line, and whether any of its verdicts is unresolved."""
-    fam, seed, max_order, oracle_budget, cycle_budget = payload
-    report = base_report(fam, seed)
-    report["flags"] = family_flags(fam)
-    report["bounds"] = bounds_section(fam)
-    report["klein"] = klein_section(fam)
+    fam, seed, max_order, oracle_budget, cycle_budget, monomial_budget = payload
+    an = family_analysis(fam, monomial_budget, cycle_budget)
+    report = base_report(an, seed)
+    report["bounds"] = bounds_section(an)
+    report["klein"] = klein_section(an)
     try:
-        effective_max = max_order if max_order is not None else _default_max_order(fam, None)
-        results = admissible_orders(fam, effective_max, oracle_budget, cycle_budget)
+        effective_max = _default_max_order(an, max_order)
+        results = admissible_orders(an, effective_max, oracle_budget)
         report["max_order"] = effective_max
         report["verdicts"] = [verdict_json(v) for _, v in results]
         unresolved = any(v.status == "unresolved" for _, v in results)
@@ -325,10 +313,8 @@ def _family_key(fam: WeightedFamily) -> list:
 
 def _cmd_scan(args) -> int:
     fams = _scan_families(args)
-    payloads = [
-        (fam, args.seed, args.max_order, args.oracle_budget, args.cycle_budget)
-        for fam in fams
-    ]
+    budgets = (args.oracle_budget, args.cycle_budget, args.monomial_budget)
+    payloads = [(fam, args.seed, args.max_order, *budgets) for fam in fams]
     out_path = Path(args.out) if args.out else None
     cursor_path = out_path.with_suffix(out_path.suffix + ".cursor") if out_path else None
 
@@ -416,11 +402,8 @@ def _cmd_verify(args) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
-    default_monomial_budget = ambient.MONOMIAL_BUDGET
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "monomial_budget", None):
-            ambient.MONOMIAL_BUDGET = args.monomial_budget
         handlers = {
             "orders": _cmd_orders,
             "check": _cmd_check,
@@ -438,8 +421,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (WpsautoError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
-    finally:
-        ambient.MONOMIAL_BUDGET = default_monomial_budget
 
 
 if __name__ == "__main__":

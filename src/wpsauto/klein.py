@@ -11,6 +11,11 @@ candidate value of that prime is (prod(m_i) + (-1)^(n+1)) / d.
 
 Degree d = 2 is admitted in this module only; the order criteria elsewhere
 require d >= 3.
+
+Every function here takes a family or its `FamilyAnalysis`: the Klein data
+is computed once per analysis (`FamilyAnalysis.klein`) from the analysis'
+weight digraph, and the eigenspace counts read the analysis' monomial table,
+so they honour its monomial budget.
 """
 
 from __future__ import annotations
@@ -19,11 +24,11 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .ambient import WeightedFamily, enumerate_monomials
+from .ambient import WeightedFamily
 from .arith import is_prime
 from .cycles import CYCLE_BUDGET, simple_cycles
 from .errors import HypothesisViolated, NoKleinHypersurface
-from .orders import CycleChain, chain_from_cycle, signature_from_chain, weight_digraph
+from .orders import CycleChain, FamilyAnalysis, as_analysis, chain_from_cycle, signature_from_chain
 
 __all__ = [
     "KleinData",
@@ -50,15 +55,7 @@ class KleinData:
 
     @property
     def monomials(self) -> list[tuple[int, ...]]:
-        nv = self.family.nvars
-        out = []
-        k = len(self.ordering)
-        for j in range(k):
-            e = [0] * nv
-            e[self.ordering[j]] += self.exponents[j]
-            e[self.ordering[(j + 1) % k]] += 1
-            out.append(tuple(e))
-        return out
+        return CycleChain(self.ordering, self.exponents).monomials(self.family.nvars)
 
 
 @dataclass(frozen=True)
@@ -79,18 +76,21 @@ def _singularity_R(exponents: tuple[int, ...], n: int) -> int:
     return total
 
 
-def klein_exists(fam: WeightedFamily, budget: int = CYCLE_BUDGET) -> Optional[KleinData]:
+def klein_exists(
+    fam: "WeightedFamily | FamilyAnalysis", budget: int = CYCLE_BUDGET
+) -> Optional[KleinData]:
     """The lexicographically first full cyclic ordering of all variables, if any.
 
     Orderings are Hamiltonian cycles of the weight digraph (edge i -> j iff
     a_i divides d - a_j with positive quotient); no primality hypotheses are
     imposed here.  The number of distinct cycles found is reported.
     """
+    an = as_analysis(fam)
+    fam = an.family
     nv = fam.nvars
-    adj = {i: sorted(out) for i, out in weight_digraph(fam).items()}
     first: Optional[tuple[int, ...]] = None
     count = 0
-    for cyc in simple_cycles(adj, nv, nv, budget):
+    for cyc in simple_cycles(an.digraph, nv, nv, budget):
         count += 1
         if first is None:
             first = cyc
@@ -111,14 +111,16 @@ def klein_exists(fam: WeightedFamily, budget: int = CYCLE_BUDGET) -> Optional[Kl
     )
 
 
-def klein_quasismooth(fam: WeightedFamily) -> bool:
+def klein_quasismooth(fam: "WeightedFamily | FamilyAnalysis") -> bool:
     """Quasi-smoothness of the Klein hypersurface itself (coefficients all 1).
 
     False exactly for a = (1, ..., 1), d = 2, n = 2 mod 4; true otherwise.
     """
+    an = as_analysis(fam)
+    fam = an.family
     if fam.degree < 2:
         raise HypothesisViolated("degree must be at least 2")
-    if klein_exists(fam) is None:
+    if an.klein is None:
         raise NoKleinHypersurface(f"no full cyclic ordering for {fam}")
     degenerate = (
         all(w == 1 for w in fam.weights) and fam.degree == 2 and fam.n % 4 == 2
@@ -133,16 +135,18 @@ def klein_singularity_R(data: KleinData) -> int:
     return _singularity_R(data.exponents, data.family.n)
 
 
-def klein_max_prime(fam: WeightedFamily) -> MaxPrimeResult:
+def klein_max_prime(fam: "WeightedFamily | FamilyAnalysis") -> MaxPrimeResult:
     """The largest prime order candidate (prod(m) + (-1)^(n+1)) / d.
 
     Requires a Klein ordering and weights coprime to the degree.  Returns
     the value only when the division is exact and the result is a prime
     exceeding d; otherwise the reason code tells which test failed.
     """
+    an = as_analysis(fam)
+    fam = an.family
     if any(math.gcd(w, fam.degree) != 1 for w in fam.weights):
         raise HypothesisViolated("every weight must be coprime to the degree")
-    data = klein_exists(fam)
+    data = an.klein
     if data is None:
         raise NoKleinHypersurface(f"no full cyclic ordering for {fam}")
     n = fam.n
@@ -157,7 +161,7 @@ def klein_max_prime(fam: WeightedFamily) -> MaxPrimeResult:
     return MaxPrimeResult(candidate, None, candidate)
 
 
-def klein_eigenspace_check(fam: WeightedFamily) -> bool:
+def klein_eigenspace_check(fam: "WeightedFamily | FamilyAnalysis") -> bool:
     """Verify that the invariant degree-d monomials are exactly the cycle.
 
     Builds the full-length chain along the Klein ordering, takes its residue
@@ -165,35 +169,26 @@ def klein_eigenspace_check(fam: WeightedFamily) -> bool:
     with sigma . e = 0 mod p.  True iff the filtered set equals the n+2
     Klein monomials exactly.
     """
-    result = klein_max_prime(fam)
+    an = as_analysis(fam)
+    result = klein_max_prime(an)
     if result.value is None:
         raise HypothesisViolated(f"maximal prime unavailable: {result.reason}")
-    p = result.value
-    data = klein_exists(fam)
-    assert data is not None
-    chain = CycleChain(data.ordering, data.exponents)
-    sig = signature_from_chain(fam, chain, p)
-    assert sig.complete
-    invariant = set(_invariant_monomials(fam, sig.sigma, p))
-    return invariant == set(data.monomials)
+    invariant = set(_invariant_monomials(an, result.value))
+    return invariant == set(an.klein.monomials)
 
 
-def eigenspace_filter(fam: WeightedFamily, p: int) -> tuple[int, int]:
+def eigenspace_filter(fam: "WeightedFamily | FamilyAnalysis", p: int) -> tuple[int, int]:
     """(invariant count, total count) of degree-d monomials for the Klein
     signature mod p; the counts reported alongside the eigenspace check."""
-    data = klein_exists(fam)
+    an = as_analysis(fam)
+    invariant = _invariant_monomials(an, p)
+    return len(invariant), len(an.system)
+
+
+def _invariant_monomials(an: FamilyAnalysis, p: int) -> list[tuple[int, ...]]:
+    """The table monomials fixed by the Klein chain's signature mod p."""
+    data = an.klein
     if data is None:
-        raise NoKleinHypersurface(f"no full cyclic ordering for {fam}")
-    chain = CycleChain(data.ordering, data.exponents)
-    sig = signature_from_chain(fam, chain, p)
-    total = enumerate_monomials(fam)
-    invariant = _invariant_monomials(fam, sig.sigma, p)
-    return len(invariant), len(total)
-
-
-def _invariant_monomials(fam: WeightedFamily, sigma, p: int) -> list[tuple[int, ...]]:
-    out = []
-    for e in enumerate_monomials(fam).monomials:
-        if sum(s * x for s, x in zip(sigma, e)) % p == 0:
-            out.append(e)
-    return out
+        raise NoKleinHypersurface(f"no full cyclic ordering for {an.family}")
+    sigma = signature_from_chain(an.family, CycleChain(data.ordering, data.exponents), p).sigma
+    return [e for e in an.system.monomials if sum(s * x for s, x in zip(sigma, e)) % p == 0]

@@ -20,22 +20,29 @@ representative per equivalence class, the lexicographically least member of
 its unit orbit.  Only a vector whose first nonzero entry is a power of p can
 be least, so the oracle builds those candidates alone, in increasing rank,
 and compares each with the few unit multiples that fix that entry (see
-`oracle_exists_order`).  The monomial table of a family is enumerated once
-and shared by the oracle and the sufficient condition across all q.
+`oracle_exists_order`).
+
+Everything that depends on (a, d) alone lives in one `FamilyAnalysis` per
+family and pair of budgets (`family_analysis`): the hypothesis flags, the
+bounds and the prime routing they decide, the monomial table, the weight
+digraph with its cycle chains, and the Klein data.  Budgets are arguments,
+never process-wide settings.  Functions taking a family also accept its
+analysis, and then use the analysis' budgets.  `order_verdict` is the one
+routing path from (analysis, q) to a verdict.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
-from typing import Optional, Sequence
+from functools import cached_property, lru_cache
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from . import ambient
 from .ambient import (
+    MONOMIAL_BUDGET,
     MonomialSystem,
     WeightedFamily,
     enumerate_monomials,
@@ -60,7 +67,10 @@ __all__ = [
     "Signature",
     "OrderVerdict",
     "BoundReport",
+    "FamilyAnalysis",
     "ORACLE_CLASS_BUDGET",
+    "family_analysis",
+    "as_analysis",
     "chain_digraph",
     "chain_from_cycle",
     "necessary_condition",
@@ -71,6 +81,7 @@ __all__ = [
     "bound_divides_d",
     "bound_coprime",
     "oracle_exists_order",
+    "order_verdict",
     "admissible_orders",
 ]
 
@@ -212,10 +223,10 @@ def _check_chain_hypotheses(fam: WeightedFamily, pp: PrimePowerOrder) -> None:
             raise HypothesisViolated(f"p={pp.p} divides d - a_{i} = {fam.degree - w}")
 
 
-def _check_degree_and_linearity(fam: WeightedFamily) -> None:
-    if fam.degree < 3:
+def _check_degree_and_linearity(an: "FamilyAnalysis") -> None:
+    if an.family.degree < 3:
         raise HypothesisViolated("degree must be at least 3")
-    if not mm_hypothesis(fam):
+    if not an.flags["mm_hypothesis"]:
         raise HypothesisViolated(
             "linearity hypothesis fails: need n >= 3, or n = 2 with weight sum != degree"
         )
@@ -247,13 +258,8 @@ def weight_digraph(fam: WeightedFamily) -> dict[int, dict[int, int]]:
     return adj
 
 
-def _cycle_qualifies(chain: CycleChain, q: int) -> bool:
-    signed = chain.product() if (chain.ell + 1) % 2 == 0 else -chain.product()
-    return signed % q == 1
-
-
 def necessary_condition(
-    fam: WeightedFamily,
+    fam: "WeightedFamily | FamilyAnalysis",
     q: "int | PrimePowerOrder",
     budget: int = CYCLE_BUDGET,
 ) -> Optional[CycleChain]:
@@ -264,14 +270,9 @@ def necessary_condition(
     necessary.  Cycles are visited in lexicographic order of index tuples.
     """
     pp = as_prime_power(q)
-    _check_degree_and_linearity(fam)
-    adj = chain_digraph(fam, pp)
-    targets = {i: sorted(out) for i, out in adj.items()}
-    for cyc in simple_cycles(targets, 2, fam.nvars, budget):
-        chain = chain_from_cycle(fam, cyc)
-        if _cycle_qualifies(chain, pp.q):
-            return chain
-    return None
+    an = as_analysis(fam, budget)
+    _check_degree_and_linearity(an)
+    return next(an.qualifying_chains(pp), None)
 
 
 def signature_from_chain(
@@ -308,7 +309,7 @@ def chain_invariance_check(
 
 
 def sufficient_condition(
-    fam: WeightedFamily,
+    fam: "WeightedFamily | FamilyAnalysis",
     q: "int | PrimePowerOrder",
     budget: int = CYCLE_BUDGET,
 ) -> Optional[OrderVerdict]:
@@ -321,17 +322,24 @@ def sufficient_condition(
     the complement is.  The reported signature is the chain signature padded
     with zeroes, and its induced order is verified to equal q exactly.
     """
-    pp = as_prime_power(q)
+    return _chain_criteria(as_analysis(fam, budget), as_prime_power(q))[0]
+
+
+def _chain_criteria(
+    an: "FamilyAnalysis", pp: PrimePowerOrder
+) -> tuple[Optional[OrderVerdict], Optional[CycleChain]]:
+    """Both chain criteria in one pass over the chains qualifying for q: the
+    sufficient condition's certificate (or None), and the first qualifying
+    chain (None refutes q by the necessary condition)."""
     qq = pp.q
-    _check_degree_and_linearity(fam)
-    adj = chain_digraph(fam, pp)
-    targets = {i: sorted(out) for i, out in adj.items()}
+    fam = an.family
+    _check_degree_and_linearity(an)
+    chains = an.qualifying_chains(pp)
     nv = fam.nvars
-    full = _family_tables(fam).system
-    for cyc in simple_cycles(targets, 2, nv, budget):
-        chain = chain_from_cycle(fam, cyc)
-        if not _cycle_qualifies(chain, qq):
-            continue
+    full = an.system
+    first = None
+    for chain in chains:
+        first = first or chain
         on_chain = set(chain.indices)
         comp = [i for i in range(nv) if i not in on_chain]
         cycle_monos = chain.monomials(nv)
@@ -340,10 +348,7 @@ def sufficient_condition(
             continue
         comp_monos: list[tuple[int, ...]] = []
         if comp:
-            comp_set = set(comp)
-            comp_monos = [
-                e for e in full.monomials if all(e[i] == 0 for i in range(nv) if i not in comp_set)
-            ]
+            comp_monos = [e for e in full.monomials if all(e[i] == 0 for i in on_chain)]
             comp_part = [tuple(e[i] for i in comp) for e in comp_monos]
             if not comp_monos or not subset_criterion(comp_part, len(comp)):
                 continue
@@ -351,15 +356,8 @@ def sufficient_condition(
         if effective_order(sig.sigma, fam.weights, qq) != qq:
             continue
         witness = MonomialSystem(fam, tuple(sorted(set(cycle_monos) | set(comp_monos))))
-        return OrderVerdict(
-            status=CERTIFIED,
-            q=qq,
-            provenance="sufficient-condition",
-            chain=chain,
-            signature=sig,
-            witness_system=witness,
-        )
-    return None
+        return OrderVerdict(CERTIFIED, qq, "sufficient-condition", chain, sig, witness), chain
+    return None, first
 
 
 def _first_unit_weight_index(fam: WeightedFamily, p: int) -> int:
@@ -394,15 +392,7 @@ def _verified_certificate(
         raise AssertionError(f"constructed signature for q={q} has the wrong induced order")
     sig = Signature(q, tuple(s % q for s in sigma))
     witness = MonomialSystem(fam, tuple(sorted(set(monomials))))
-    return OrderVerdict(
-        status=CERTIFIED,
-        q=q,
-        provenance=provenance,
-        chain=chain,
-        signature=sig,
-        witness_system=witness,
-        notes=notes,
-    )
+    return OrderVerdict(CERTIFIED, q, provenance, chain, sig, witness, notes)
 
 
 def divides_d_criterion(fam: WeightedFamily, p: int) -> OrderVerdict:
@@ -421,7 +411,7 @@ def divides_d_criterion(fam: WeightedFamily, p: int) -> OrderVerdict:
     d = fam.degree
     if any(d % w != 0 for w in a):
         raise HypothesisViolated("every weight must divide the degree")
-    _check_degree_and_linearity(fam)
+    _check_degree_and_linearity(as_analysis(fam))
     if not well_formed(fam):
         raise HypothesisViolated(f"{fam} is not well-formed")
     nv = fam.nvars
@@ -480,12 +470,7 @@ def divides_d_criterion(fam: WeightedFamily, p: int) -> OrderVerdict:
                 notes=(f"case (c): weight {w}, cycle length {length}",),
             )
 
-    return OrderVerdict(
-        status=REFUTED,
-        q=p,
-        provenance="divides-d-criterion",
-        notes=("cases (a), (b), (c) all fail",),
-    )
+    return OrderVerdict(REFUTED, p, "divides-d-criterion", notes=("cases (a), (b), (c) all fail",))
 
 
 def _multiplicities(fam: WeightedFamily) -> tuple[tuple[int, int], ...]:
@@ -520,79 +505,188 @@ def bound_coprime(fam: WeightedFamily) -> BoundReport:
     return BoundReport(bound, "coprime", _multiplicities(fam), mx)
 
 
-class _FamilyTables:
-    """Per-family monomial table and numpy arrays, shared across moduli by
-    the oracle and the sufficient condition."""
+class FamilyAnalysis:
+    """Everything about a family (a, d) that does not depend on the order q.
 
-    def __init__(self, fam: WeightedFamily, monomial_budget: int):
-        self.system = enumerate_monomials(fam, monomial_budget)
+    Each field is computed on first use and kept, except one that raises (a
+    budget exceeded, a hypothesis violated): it raises again when used again.
+    Get instances from `family_analysis`.
+    """
+
+    def __init__(self, fam: WeightedFamily, monomial_budget: int, cycle_budget: int):
+        self.family = fam
+        self.monomial_budget = monomial_budget
+        self.cycle_budget = cycle_budget
+
+    @cached_property
+    def flags(self) -> dict[str, bool]:
+        fam = self.family
+        return {
+            "well_formed": well_formed(fam),
+            "mm_hypothesis": mm_hypothesis(fam),
+            "lin_finite": lin_finite(fam),
+            "linear_cone": is_linear_cone(fam),
+        }
+
+    @cached_property
+    def bounds(self) -> tuple[Optional[BoundReport], Optional[BoundReport]]:
+        """The divides-d and the coprime bound, each None where its hypothesis
+        fails (the coprime one also needs d > max(a))."""
+        fam = self.family
+        d, a = fam.degree, fam.weights
+        divides = bound_divides_d(fam) if all(d % w == 0 for w in a) else None
+        coprime = None
+        if all(math.gcd(w, d) == 1 for w in a) and d > max(a):
+            coprime = bound_coprime(fam)
+        return divides, coprime
+
+    @property
+    def prime_route(self) -> Optional[BoundReport]:
+        """The bound that routes prime orders, divides-d first; None without
+        the linearity hypothesis, which both routes assume."""
+        divides, coprime = self.bounds
+        return (divides or coprime) if self.flags["mm_hypothesis"] else None
+
+    @property
+    def default_max_order(self) -> Optional[int]:
+        """The sweep limit the bounds imply; None when neither applies."""
+        divides, coprime = self.bounds
+        if divides is not None:
+            return int(divides.bound)
+        return None if coprime is None else max(self.family.degree, math.ceil(coprime.bound))
+
+    def oracle_hypotheses(self) -> tuple[str, ...]:
+        """Raise on the oracle's hard preconditions; return notes for the soft one.
+
+        Without the linearity hypothesis the enumeration still decides existence
+        of diagonal automorphisms exactly, but no longer rules out nonlinear
+        ones, so refutations are annotated rather than blocked.
+        """
+        flags = self.flags
+        if self.family.degree < 3:
+            raise HypothesisViolated("degree must be at least 3")
+        if not flags["well_formed"]:
+            raise HypothesisViolated(f"{self.family} is not well-formed")
+        if not flags["lin_finite"]:
+            raise HypothesisViolated("the linear automorphism group is not finite")
+        if flags["linear_cone"]:
+            raise HypothesisViolated("linear cones are excluded")
+        if not flags["mm_hypothesis"]:
+            return (
+                "linearity hypothesis fails (need n >= 3, or n = 2 with weight sum != "
+                "degree); verdicts cover diagonal automorphisms only",
+            )
+        return ()
+
+    @cached_property
+    def system(self) -> MonomialSystem:
+        return enumerate_monomials(self.family, self.monomial_budget)
+
+    @cached_property
+    def exponents(self) -> np.ndarray:
         monos = self.system.monomials
-        nv = fam.nvars
-        self.E = np.array(monos, dtype=np.int64).reshape(len(monos), nv)
-        anchor_rows: list[int] = []
-        anchor_vars: list[int] = []
-        for ridx, e in enumerate(monos):
+        return np.array(monos, dtype=np.int64).reshape(len(monos), self.family.nvars)
+
+    @cached_property
+    def anchors(self) -> tuple[np.ndarray, list[int]]:
+        """(rows, variables): the table rows that are a pure power x_v^k or a
+        near-power x_v^k * x_j, each paired with the variable v it anchors."""
+        rows: list[int] = []
+        variables: list[int] = []
+        for ridx, e in enumerate(self.system.monomials):
             pos = [j for j, x in enumerate(e) if x > 0]
             if len(pos) == 1:
-                anchor_rows.append(ridx)
-                anchor_vars.append(pos[0])
+                rows.append(ridx)
+                variables.append(pos[0])
             elif len(pos) == 2:
                 j, k = pos
                 if e[k] == 1:
-                    anchor_rows.append(ridx)
-                    anchor_vars.append(j)
+                    rows.append(ridx)
+                    variables.append(j)
                 if e[j] == 1:
-                    anchor_rows.append(ridx)
-                    anchor_vars.append(k)
-        self.anchor_rows = np.array(anchor_rows, dtype=np.int64)
-        self.anchor_vars = anchor_vars
-        self.vars_with_anchor = set(anchor_vars)
+                    rows.append(ridx)
+                    variables.append(k)
+        return np.array(rows, dtype=np.int64), variables
 
+    @cached_property
+    def digraph(self) -> dict[int, dict[int, int]]:
+        return weight_digraph(self.family)
 
-def _family_tables(fam: WeightedFamily) -> _FamilyTables:
-    """The tables of `fam` under the current monomial budget; keying the
-    cache on the budget keeps a table built under a larger one from
-    bypassing a smaller one."""
-    return _tables_under_budget(fam, ambient.MONOMIAL_BUDGET)
+    @cached_property
+    def _chains(self) -> tuple[list[CycleChain], bool]:
+        """The chains of the first `cycle_budget` cycles, and whether more exist."""
+        chains: list[CycleChain] = []
+        try:
+            for cyc in simple_cycles(self.digraph, 2, self.family.nvars, self.cycle_budget):
+                chains.append(chain_from_cycle(self.family, cyc))
+        except BudgetExceeded:
+            return chains, True
+        return chains, False
+
+    def qualifying_chains(self, pp: PrimePowerOrder) -> Iterator[CycleChain]:
+        """The chains whose signed exponent product is 1 mod q, lexicographically.
+        Raises HypothesisViolated at once if p divides d or some d - a_i, and
+        BudgetExceeded (as the cycle walk would) at the end of a truncated list."""
+        _check_chain_hypotheses(self.family, pp)
+        return self._qualifying(pp.q)
+
+    def _qualifying(self, q: int) -> Iterator[CycleChain]:
+        chains, truncated = self._chains
+        for chain in chains:
+            signed = chain.product() if len(chain.indices) % 2 == 0 else -chain.product()
+            if signed % q == 1:
+                yield chain
+        if truncated:
+            raise BudgetExceeded(f"more than {self.cycle_budget} cycles")
+
+    @cached_property
+    def klein(self):
+        from .klein import klein_exists  # the klein module builds on this one
+
+        return klein_exists(self)
 
 
 @lru_cache(maxsize=512)
-def _tables_under_budget(fam: WeightedFamily, monomial_budget: int) -> _FamilyTables:
-    return _FamilyTables(fam, monomial_budget)
+def family_analysis(
+    fam: WeightedFamily, monomial_budget: int, cycle_budget: int
+) -> FamilyAnalysis:
+    """The analysis of `fam` under these budgets, shared by every caller
+    passing the same three; a smaller budget is never bypassed."""
+    return FamilyAnalysis(fam, monomial_budget, cycle_budget)
 
 
-def _check_oracle_hypotheses(fam: WeightedFamily) -> tuple[str, ...]:
-    """Raise on the hard preconditions; return notes for the soft one.
-
-    Without the linearity hypothesis the enumeration still decides existence
-    of diagonal automorphisms exactly, but no longer rules out nonlinear
-    ones, so refutations are annotated rather than blocked.
-    """
-    if fam.degree < 3:
-        raise HypothesisViolated("degree must be at least 3")
-    if not well_formed(fam):
-        raise HypothesisViolated(f"{fam} is not well-formed")
-    if not lin_finite(fam):
-        raise HypothesisViolated("the linear automorphism group is not finite")
-    if is_linear_cone(fam):
-        raise HypothesisViolated("linear cones are excluded")
-    if not mm_hypothesis(fam):
-        return (
-            "linearity hypothesis fails (need n >= 3, or n = 2 with weight sum != "
-            "degree); verdicts cover diagonal automorphisms only",
-        )
-    return ()
+def as_analysis(
+    fam: "WeightedFamily | FamilyAnalysis", cycle_budget: int = CYCLE_BUDGET
+) -> FamilyAnalysis:
+    """`fam` itself if it is an analysis, whose budgets then apply; else the
+    family's analysis under the default monomial budget and `cycle_budget`."""
+    if isinstance(fam, FamilyAnalysis):
+        return fam
+    return family_analysis(fam, MONOMIAL_BUDGET, cycle_budget)
 
 
 def _canonical_full_signature(
-    fam: WeightedFamily, sigma: Sequence[int], q: int, units: Sequence[int]
+    weights: Sequence[int], sigma: Sequence[int], q: int
 ) -> tuple[int, ...]:
-    """Lexicographically least element of {u*sigma + c*a mod q}."""
+    """Lexicographically least element of {u*sigma + c*a mod q : u a unit}.
+
+    That set is the union of the unit orbits of the q translates sigma + c*a.
+    In the orbit of a translate with first nonzero entry s0 = p**k * w, w a
+    unit, the least member has p**k there: it is the multiple by one of the
+    p**k units u = w^-1 + t*q/p**k, so only those are compared.
+    """
     best: Optional[tuple[int, ...]] = None
-    for u in units:
-        base = [u * s % q for s in sigma]
-        for c in range(q):
-            cand = tuple((b + c * w) % q for b, w in zip(base, fam.weights))
+    for c in range(q):
+        tau = [(s + c * w) % q for s, w in zip(sigma, weights)]
+        s0 = next((s for s in tau if s), 0)
+        if s0 == 0:
+            return tuple(tau)
+        pk = math.gcd(s0, q)
+        step = q // pk
+        inverse = pow(s0 // pk, -1, step)
+        for t in range(pk):
+            u = inverse + t * step
+            cand = tuple(u * s % q for s in tau)
             if best is None or cand < best:
                 best = cand
     assert best is not None
@@ -657,7 +751,7 @@ def _canonical_rows(q: int, p: int, r: int, nv: int, pinned: int):
 
 
 def oracle_exists_order(
-    fam: WeightedFamily,
+    fam: "WeightedFamily | FamilyAnalysis",
     q: "int | PrimePowerOrder",
     budget: int = ORACLE_CLASS_BUDGET,
 ) -> OrderVerdict:
@@ -691,50 +785,33 @@ def oracle_exists_order(
     """
     pp = as_prime_power(q)
     qq, p = pp.q, pp.p
-    hyp_notes = _check_oracle_hypotheses(fam)
+    an = as_analysis(fam)
+    fam = an.family
+    hyp_notes = an.oracle_hypotheses()
     nv = fam.nvars
-    tables = _family_tables(fam)
+    anchor_rows, anchor_vars = an.anchors
 
-    if len(tables.vars_with_anchor) < nv:
-        missing = sorted(set(range(nv)) - tables.vars_with_anchor)
-        return OrderVerdict(
-            status=REFUTED,
-            q=qq,
-            provenance="oracle",
-            notes=hyp_notes + (f"no pure-power or near-power monomial for variables {missing}",),
-        )
+    if len(set(anchor_vars)) < nv:
+        missing = sorted(set(range(nv)) - set(anchor_vars))
+        note = f"no pure-power or near-power monomial for variables {missing}"
+        return OrderVerdict(REFUTED, qq, "oracle", notes=hyp_notes + (note,))
 
     if qq ** nv >= 2**62:
-        return OrderVerdict(
-            status=UNRESOLVED,
-            q=qq,
-            provenance="oracle",
-            notes=hyp_notes + (f"modulus {qq} too large for exact vectorized enumeration",),
-        )
+        note = f"modulus {qq} too large for exact vectorized enumeration"
+        return OrderVerdict(UNRESOLVED, qq, "oracle", notes=hyp_notes + (note,))
 
-    units = [u for u in range(1, qq) if u % p != 0]
     i_star = _first_unit_weight_index(fam, p)
     slice_size = qq ** (nv - 1)
-    class_count = (slice_size - (qq // p) ** (nv - 1)) // len(units)
+    class_count = (slice_size - (qq // p) ** (nv - 1)) // (qq - qq // p)
     if budget is not None and class_count > budget:
-        return OrderVerdict(
-            status=UNRESOLVED,
-            q=qq,
-            provenance="oracle",
-            notes=hyp_notes
-            + (f"at least {class_count} signature classes exceed the budget of {budget}",),
-        )
+        note = f"at least {class_count} signature classes exceed the budget of {budget}"
+        return OrderVerdict(UNRESOLVED, qq, "oracle", notes=hyp_notes + (note,))
     if slice_size > _SLICE_LIMIT:
-        return OrderVerdict(
-            status=UNRESOLVED,
-            q=qq,
-            provenance="oracle",
-            notes=hyp_notes + (f"signature slice of {slice_size} rows exceeds the scan limit",),
-        )
-    anchors_E = tables.E[tables.anchor_rows]
-    anchor_cols = {
-        v: [k for k, av in enumerate(tables.anchor_vars) if av == v] for v in range(nv)
-    }
+        note = f"signature slice of {slice_size} rows exceeds the scan limit"
+        return OrderVerdict(UNRESOLVED, qq, "oracle", notes=hyp_notes + (note,))
+    E = an.exponents
+    anchors_E = E[anchor_rows]
+    anchor_cols = {v: [k for k, av in enumerate(anchor_vars) if av == v] for v in range(nv)}
 
     examined = 0
     blocks = _canonical_rows(qq, p, pp.r, nv, i_star)
@@ -749,13 +826,13 @@ def oracle_exists_order(
             hits &= hit_v
         for cidx in np.flatnonzero(hits.any(axis=1)):
             sigma = tuple(int(x) for x in S[cidx])
-            all_dots = tables.E @ S[cidx] % qq
+            all_dots = E @ S[cidx] % qq
             for h in np.flatnonzero(hits[cidx]):
                 bucket = np.flatnonzero(all_dots == h)
-                exps = [tables.system.monomials[int(r)] for r in bucket]
+                exps = [an.system.monomials[int(r)] for r in bucket]
                 if not subset_criterion(exps, nv):
                     continue
-                canon = _canonical_full_signature(fam, sigma, qq, units)
+                canon = _canonical_full_signature(fam.weights, sigma, qq)
                 if effective_order(canon, fam.weights, qq) != qq:
                     raise AssertionError("oracle certificate has the wrong induced order")
                 end = min((int(ranks[cidx]) // _CHUNK + 1) * _CHUNK, slice_size)
@@ -774,108 +851,63 @@ def oracle_exists_order(
                 )
         examined += len(S)
 
-    return OrderVerdict(
-        status=REFUTED,
-        q=qq,
-        provenance="oracle",
-        notes=hyp_notes + (f"exhausted all {examined} signature classes",),
-    )
+    note = f"exhausted all {examined} signature classes"
+    return OrderVerdict(REFUTED, qq, "oracle", notes=hyp_notes + (note,))
 
 
 def admissible_orders(
-    fam: WeightedFamily,
+    fam: "WeightedFamily | FamilyAnalysis",
     max_q: int,
     oracle_budget: int = ORACLE_CLASS_BUDGET,
     cycle_budget: int = CYCLE_BUDGET,
 ) -> list[tuple[PrimePowerOrder, OrderVerdict]]:
-    """Tri-state verdict for every prime power q <= max_q.
-
-    Routing: prime orders go through the divides-d criterion when every
-    weight divides the degree; otherwise the bounds prune large primes,
-    the sufficiency/necessity chain criteria run where their hypotheses
-    hold, and the oracle settles whatever remains.  A failure for one q is
-    recorded in its verdict and never aborts the sweep.
-    """
-    _check_oracle_hypotheses(fam)
-    d = fam.degree
-    a = fam.weights
-    # the criterion and bound routes assume the linearity hypothesis;
-    # without it everything falls through to the oracle
-    mm_ok = mm_hypothesis(fam)
-    divides = mm_ok and all(d % w == 0 for w in a)
-    coprime = mm_ok and all(math.gcd(w, d) == 1 for w in a)
-    div_bound = bound_divides_d(fam).bound if divides else None
-    cop_bound: Optional[Fraction] = None
-    if coprime and d > max(a):
-        cop_bound = Fraction(bound_coprime(fam).bound)
-
-    results: list[tuple[PrimePowerOrder, OrderVerdict]] = []
-    for pp in prime_powers_up_to(max_q):
-        results.append((pp, _verdict_for(fam, pp, divides, div_bound, cop_bound, oracle_budget, cycle_budget)))
-    return results
+    """Tri-state verdict (`order_verdict`) for every prime power q <= max_q,
+    after checking the oracle's hard preconditions once."""
+    an = as_analysis(fam, cycle_budget)
+    an.oracle_hypotheses()
+    return [(pp, order_verdict(an, pp, oracle_budget)) for pp in prime_powers_up_to(max_q)]
 
 
-def _verdict_for(
-    fam: WeightedFamily,
-    pp: PrimePowerOrder,
-    divides: bool,
-    div_bound,
-    cop_bound: Optional[Fraction],
-    oracle_budget: int,
-    cycle_budget: int,
+def order_verdict(
+    analysis: FamilyAnalysis,
+    q: "int | PrimePowerOrder",
+    oracle_budget: int = ORACLE_CLASS_BUDGET,
 ) -> OrderVerdict:
+    """Tri-state verdict for order q, by the one routing path.
+
+    Prime orders go through the divides-d criterion when every weight
+    divides the degree; otherwise the coprime bound prunes large primes,
+    one pass over the qualifying cycle chains certifies (sufficient
+    condition) or refutes (necessary condition) where their hypotheses hold,
+    and the oracle settles whatever remains.  Budget exhaustion and violated
+    hypotheses are recorded in the verdict, never raised.
+    """
+    an = analysis
+    pp = as_prime_power(q)
     try:
-        if pp.r == 1 and divides:
-            if pp.p > div_bound:
-                return OrderVerdict(
-                    status=REFUTED,
-                    q=pp.q,
-                    provenance="bound-divides-d",
-                    notes=(f"prime {pp.p} exceeds the bound {div_bound}",),
-                )
-            return divides_d_criterion(fam, pp.p)
-        if pp.r == 1 and cop_bound is not None and pp.p > fam.degree and pp.p >= cop_bound:
-            return OrderVerdict(
-                status=REFUTED,
-                q=pp.q,
-                provenance="bound-coprime",
-                notes=(f"prime {pp.p} is not below the bound {cop_bound}",),
-            )
-        notes: tuple[str, ...] = ()
+        route = an.prime_route
+        if pp.r == 1 and route is not None:
+            if route.kind == "divides-d":
+                if pp.p > route.bound:
+                    note = f"prime {pp.p} exceeds the bound {route.bound}"
+                    return OrderVerdict(REFUTED, pp.q, "bound-divides-d", notes=(note,))
+                return divides_d_criterion(an.family, pp.p)
+            if pp.p > an.family.degree and pp.p >= route.bound:
+                note = f"prime {pp.p} is not below the bound {route.bound}"
+                return OrderVerdict(REFUTED, pp.q, "bound-coprime", notes=(note,))
         try:
-            verdict = sufficient_condition(fam, pp, cycle_budget)
+            verdict, chain = _chain_criteria(an, pp)
             if verdict is not None:
                 return verdict
-            chain = necessary_condition(fam, pp, cycle_budget)
             if chain is None:
-                return OrderVerdict(
-                    status=REFUTED,
-                    q=pp.q,
-                    provenance="necessary-condition",
-                    notes=("no cycle chain satisfies the signed product congruence",),
-                )
-            notes = (
-                "a qualifying chain exists but no split witness was found; oracle decides",
-            )
+                note = "no cycle chain satisfies the signed product congruence"
+                return OrderVerdict(REFUTED, pp.q, "necessary-condition", notes=(note,))
+            notes = ("a qualifying chain exists but no split witness was found; oracle decides",)
         except HypothesisViolated as exc:
             notes = (f"chain criteria not applicable: {exc}",)
-        verdict = oracle_exists_order(fam, pp, oracle_budget)
-        if notes:
-            verdict = OrderVerdict(
-                status=verdict.status,
-                q=verdict.q,
-                provenance=verdict.provenance,
-                chain=verdict.chain,
-                signature=verdict.signature,
-                witness_system=verdict.witness_system,
-                notes=notes + verdict.notes,
-            )
-        return verdict
+        verdict = oracle_exists_order(an, pp, oracle_budget)
+        return replace(verdict, notes=notes + verdict.notes)
     except BudgetExceeded as exc:
-        return OrderVerdict(
-            status=UNRESOLVED, q=pp.q, provenance="budget", notes=(str(exc),)
-        )
+        return OrderVerdict(UNRESOLVED, pp.q, "budget", notes=(str(exc),))
     except HypothesisViolated as exc:
-        return OrderVerdict(
-            status=HYPOTHESIS_VIOLATED, q=pp.q, provenance="hypotheses", notes=(str(exc),)
-        )
+        return OrderVerdict(HYPOTHESIS_VIOLATED, pp.q, "hypotheses", notes=(str(exc),))

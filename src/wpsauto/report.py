@@ -3,29 +3,23 @@
 Reports are plain dicts serialized with sorted keys and fixed separators,
 so identical (arguments, seed, budget) produce byte-identical output.
 Exact rationals are rendered as strings to avoid any float round-trip.
+Every family section is read from the request's `FamilyAnalysis`, so the
+flags, bounds and Klein data are computed once and the Klein eigenspace
+counts honour the request's monomial budget.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from fractions import Fraction
-from typing import Any
+from typing import Any, Optional
 
 from . import __version__
-from .ambient import WeightedFamily, is_linear_cone, lin_finite, mm_hypothesis, well_formed
 from .errors import HypothesisViolated
-from .klein import (
-    eigenspace_filter,
-    klein_eigenspace_check,
-    klein_exists,
-    klein_max_prime,
-    klein_quasismooth,
-)
-from .orders import BoundReport, OrderVerdict, bound_coprime, bound_divides_d
+from .klein import eigenspace_filter, klein_eigenspace_check, klein_max_prime, klein_quasismooth
+from .orders import BoundReport, FamilyAnalysis, OrderVerdict
 
 __all__ = [
-    "family_flags",
     "bounds_section",
     "klein_section",
     "verdict_json",
@@ -44,16 +38,9 @@ def _exact(value: "int | Fraction") -> "int | str":
     return int(value)
 
 
-def family_flags(fam: WeightedFamily) -> dict[str, bool]:
-    return {
-        "well_formed": well_formed(fam),
-        "mm_hypothesis": mm_hypothesis(fam),
-        "lin_finite": lin_finite(fam),
-        "linear_cone": is_linear_cone(fam),
-    }
-
-
-def _bound_json(report: BoundReport) -> dict[str, Any]:
+def _bound_json(report: Optional[BoundReport]) -> Optional[dict[str, Any]]:
+    if report is None:
+        return None
     return {
         "bound": _exact(report.bound),
         "kind": report.kind,
@@ -62,17 +49,13 @@ def _bound_json(report: BoundReport) -> dict[str, Any]:
     }
 
 
-def bounds_section(fam: WeightedFamily) -> dict[str, Any]:
-    out: dict[str, Any] = {"divides_d": None, "coprime": None}
-    if all(fam.degree % w == 0 for w in fam.weights):
-        out["divides_d"] = _bound_json(bound_divides_d(fam))
-    if all(math.gcd(w, fam.degree) == 1 for w in fam.weights) and fam.degree > max(fam.weights):
-        out["coprime"] = _bound_json(bound_coprime(fam))
-    return out
+def bounds_section(an: FamilyAnalysis) -> dict[str, Any]:
+    divides, coprime = an.bounds
+    return {"divides_d": _bound_json(divides), "coprime": _bound_json(coprime)}
 
 
-def klein_section(fam: WeightedFamily) -> dict[str, Any]:
-    data = klein_exists(fam)
+def klein_section(an: FamilyAnalysis) -> dict[str, Any]:
+    data = an.klein
     if data is None:
         return {"exists": False}
     out: dict[str, Any] = {
@@ -81,20 +64,20 @@ def klein_section(fam: WeightedFamily) -> dict[str, Any]:
         "exponents": list(data.exponents),
         "cycle_count": data.cycle_count,
         "R": data.R,
-        "quasi_smooth": klein_quasismooth(fam),
+        "quasi_smooth": klein_quasismooth(an),
         "max_prime": None,
         "eigenspace": None,
     }
     try:
-        result = klein_max_prime(fam)
+        result = klein_max_prime(an)
     except HypothesisViolated as exc:
         out["max_prime"] = {"value": None, "reason": f"hypothesis: {exc}"}
         return out
     out["max_prime"] = {"value": result.value, "reason": result.reason}
     if result.value is not None:
-        invariant, total = eigenspace_filter(fam, result.value)
+        invariant, total = eigenspace_filter(an, result.value)
         out["eigenspace"] = {
-            "check": klein_eigenspace_check(fam),
+            "check": klein_eigenspace_check(an),
             "invariant_monomials": invariant,
             "total_monomials": total,
         }
@@ -125,11 +108,11 @@ def verdict_json(verdict: OrderVerdict) -> dict[str, Any]:
     }
 
 
-def base_report(fam: WeightedFamily, seed: int) -> dict[str, Any]:
+def base_report(an: FamilyAnalysis, seed: int) -> dict[str, Any]:
     return {
         "version": __version__,
         "seed": seed,
-        "weights": list(fam.weights),
-        "degree": fam.degree,
-        "flags": family_flags(fam),
+        "weights": list(an.family.weights),
+        "degree": an.family.degree,
+        "flags": dict(an.flags),
     }

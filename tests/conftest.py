@@ -90,3 +90,18 @@ def brute_canonical_mask(S: np.ndarray, q: int) -> np.ndarray:
     mask = np.zeros(len(S), dtype=bool)
     mask[least] = True
     return mask
+
+
+def brute_canonical_full_signature(weights, sigma, q: int) -> tuple[int, ...]:
+    """Lexicographically least element of {u*sigma + c*a mod q}, by trying
+    every unit u and every translation c."""
+    best = None
+    for u in range(1, q):
+        if math.gcd(u, q) != 1:
+            continue
+        base = [u * s % q for s in sigma]
+        for c in range(q):
+            cand = tuple((b + c * w) % q for b, w in zip(base, weights))
+            if best is None or cand < best:
+                best = cand
+    return best

@@ -1,10 +1,16 @@
+import ast
+import hashlib
 import json
+import sys
+from collections import Counter
 from pathlib import Path
 
 import jsonschema
 import pytest
 
+import wpsauto.cli
 from wpsauto.cli import main
+from wpsauto.orders import family_analysis
 
 SCHEMA = json.loads((Path(__file__).parent.parent / "docs" / "report_schema.json").read_text())
 
@@ -266,3 +272,100 @@ def test_check_all_chains(capsys):
     report = json.loads(out)
     chains = report["all_chains"]
     assert {"indices": [0, 1, 2], "exponents": [10, 5, 17]} in chains
+
+
+# Exit code and sha256 of stdout for representative requests: any change to
+# a report byte must be deliberate.
+PINNED_REPORTS = [
+    (("orders", "--weights", "3,7,2,4,5", "--degree", "37", "--max-order", "37"), 0,
+     "6fc982ee0b2b5aaa460c46fce48eeaa51aac117b2c5bea9acab6bf56744c14c1"),
+    (("check", "--weights", "3,7,2,4,5", "--degree", "37", "--order", "23", "--explain", "--all"), 0,
+     "967914781d477e092ec7e34f4ca07de12dd28ce579359c1320058d2fa91dd0c8"),
+    (("check", "--weights", "1,1,1,1,1", "--degree", "3", "--order", "11",
+      "--falsifier-budget", "4000"), 0,
+     "1ffaa6102604fc4c0bfc32325259b1960d057fee2250e37501d5c1a2163c60cb"),
+    (("klein", "--weights", "1,1,1", "--degree", "4"), 0,
+     "be5ef83b37a3f700536441f16da4e8792f0c73f58417c112f8e7960fb743480a"),
+    (("scan", "--dim", "1", "--max-weight", "2", "--degree", "3..5"), 0,
+     "1cb0973816de819d9e5efb7a904ed4027d61069b4fd75eb88951db928d5931a6"),
+    # certified by an early chain, unresolved where the 2 cycles run out
+    (("orders", "--weights", "1,1,1,3", "--degree", "7", "--max-order", "16",
+      "--cycle-budget", "2"), 2,
+     "af9ee42cd5739a3ace786e3cafe8ed45bc657132cc2d5731010cfd33fe427c9a"),
+    (("orders", "--weights", "1,1,1,1,1", "--degree", "5", "--max-order", "16",
+      "--cycle-budget", "3"), 2,
+     "161f127d63ec22fc46bf3c9ad1f9eefaed87f1406dd972858c24be91a56f4f9a"),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", PINNED_REPORTS)
+def test_report_bytes_are_pinned(capsys, argv, code, digest):
+    got, out, _ = run_cli(capsys, *argv)
+    assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+
+
+def test_all_chains_past_the_cycle_budget_exits_2(capsys):
+    code, out, err = run_cli(
+        capsys, "check", "--weights", "3,7,2,4,5", "--degree", "37", "--order", "23",
+        "--explain", "--all", "--cycle-budget", "1",
+    )
+    assert (code, out, err) == (2, "", "budget exhausted: more than 1 cycles\n")
+
+
+def test_monomial_budget_zero_is_honoured(capsys):
+    code, out, err = run_cli(
+        capsys, "orders", "--weights", "1,1,1", "--degree", "4", "--max-order", "5",
+        "--monomial-budget", "0",
+    )
+    assert (code, out) == (2, "")
+    assert "more than 0 monomials" in err
+
+
+@pytest.mark.parametrize(
+    "flag", ["--oracle-budget", "--cycle-budget", "--monomial-budget", "--falsifier-budget"]
+)
+def test_negative_budget_is_a_usage_error(capsys, flag):
+    code, out, err = run_cli(
+        capsys, "check", "--weights", "1,1,1", "--degree", "4", "--order", "5", flag, "-1"
+    )
+    assert (code, out) == (64, "")
+    assert "nonnegative" in err
+
+
+def test_family_data_computed_once_per_request(capsys, monkeypatch):
+    counts = Counter()
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    modules = [m for n, m in sys.modules.items() if n == "wpsauto" or n.startswith("wpsauto.")]
+    for name in ("klein_exists", "enumerate_monomials", "weight_digraph", "simple_cycles"):
+        original = getattr(next(m for m in modules if hasattr(m, name)), name)
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted(name, original))
+    family_analysis.cache_clear()
+    code, _, _ = run_cli(
+        capsys, "orders", "--weights", "3,7,2,4,5", "--degree", "37", "--max-order", "37"
+    )
+    assert code == 0
+    assert counts["klein_exists"] <= 1
+    assert counts["enumerate_monomials"] <= 1
+    assert counts["weight_digraph"] <= 1
+    assert counts["simple_cycles"] <= 2  # the cycle chains, and the Klein cycles
+
+
+def test_cli_imports_no_private_names():
+    tree = ast.parse(Path(wpsauto.cli.__file__).read_text())
+    private = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []

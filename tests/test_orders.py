@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import brute_canonical_mask
+from conftest import brute_canonical_full_signature, brute_canonical_mask
 
 from wpsauto.ambient import WeightedFamily, enumerate_monomials
 from wpsauto.arith import effective_order, prime_powers_up_to
@@ -12,6 +12,7 @@ from wpsauto.orders import (
     ORACLE_CLASS_BUDGET,
     CycleChain,
     Signature,
+    _canonical_full_signature,
     _canonical_rows,
     admissible_orders,
     bound_coprime,
@@ -428,6 +429,15 @@ class TestCanonicalRows:
                     rows = np.concatenate([rows for _, rows in blocks])
                     assert np.array_equal(ranks, want), (pp.q, nv, pinned)
                     assert np.array_equal(rows, S[want]), (pp.q, nv, pinned)
+
+
+class TestCanonicalFullSignature:
+    @pytest.mark.parametrize("weights", [(1, 2, 3), (2, 3, 6)])
+    def test_matches_minimum_over_all_units_and_translates(self, weights):
+        for pp in prime_powers_up_to(13):
+            for sigma in np.ndindex(*(pp.q,) * len(weights)):
+                want = brute_canonical_full_signature(weights, sigma, pp.q)
+                assert _canonical_full_signature(weights, sigma, pp.q) == want, (sigma, pp.q)
 
 
 class TestChainValidation:
