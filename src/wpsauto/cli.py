@@ -15,6 +15,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from itertools import combinations_with_replacement
 from pathlib import Path
 from typing import Optional, Sequence
@@ -64,11 +65,11 @@ def _parse_weights(text: str) -> tuple[int, ...]:
 
 
 def _parse_degree_range(text: str) -> tuple[int, int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return int(lo), int(hi)
-    value = int(text)
-    return value, value
+    lo, dots, hi = text.partition("..")
+    try:
+        return int(lo), int(hi if dots else lo)
+    except ValueError as exc:
+        raise _UsageError(f"bad degree range {text!r}: {exc}") from exc
 
 
 def _budget(text: str) -> int:
@@ -76,6 +77,19 @@ def _budget(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError(f"a budget must be nonnegative, got {value}")
     return value
+
+
+def _at_least(low: int):
+    """An argparse type for integers no smaller than `low`."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # named in argparse's "invalid int value" message
+    return parse
 
 
 def _analysis(args) -> FamilyAnalysis:
@@ -128,7 +142,7 @@ def _build_parser() -> _Parser:
     p_orders = sub.add_parser("orders", help="sweep all prime powers up to a bound")
     family_args(p_orders)
     budget_args(p_orders)
-    p_orders.add_argument("--max-order", type=int, default=None)
+    p_orders.add_argument("--max-order", type=_at_least(2), default=None)
     p_orders.add_argument("--timings", action="store_true", help="include wall-clock timings")
 
     p_check = sub.add_parser("check", help="deep report for a single order")
@@ -143,16 +157,16 @@ def _build_parser() -> _Parser:
     family_args(p_klein)
 
     p_scan = sub.add_parser("scan", help="batch sweep over families, JSON lines out")
-    p_scan.add_argument("--dim", required=True, type=int, help="hypersurface dimension n")
+    p_scan.add_argument("--dim", required=True, type=_at_least(1), help="hypersurface dimension n")
     p_scan.add_argument("--max-weight", required=True, type=int)
     p_scan.add_argument("--max-degree", type=int, default=None)
     p_scan.add_argument("--degree", type=str, default=None, help="LO..HI or a single value")
-    p_scan.add_argument("--max-order", type=int, default=None)
+    p_scan.add_argument("--max-order", type=_at_least(2), default=None)
     p_scan.add_argument("--divides-d", action="store_true", help="only families with all a_i | d")
     p_scan.add_argument("--coprime", action="store_true", help="only families with gcd(a_i, d) = 1")
     p_scan.add_argument("--out", type=str, default=None)
     p_scan.add_argument("--resume", action="store_true")
-    p_scan.add_argument("--workers", type=int, default=1)
+    p_scan.add_argument("--workers", type=_at_least(1), default=1)
     budget_args(p_scan)
 
     p_verify = sub.add_parser("verify", help="run the built-in verification suite")
@@ -340,29 +354,6 @@ def _cmd_scan(args) -> int:
 
     pending = [p for p in payloads if keys_not_done(p)]
 
-    def emit(handle, line: str, fam: WeightedFamily) -> None:
-        handle.write(line + "\n")
-        handle.flush()
-        if cursor_path is not None:
-            tmp = Path(str(cursor_path) + ".tmp")
-            tmp.write_text(json.dumps({"key": _family_key(fam)}))
-            tmp.replace(cursor_path)
-
-    budget_hit = False
-
-    def consume(handle, records) -> None:
-        nonlocal budget_hit
-        for payload, (line, unresolved) in zip(pending, records):
-            budget_hit = budget_hit or unresolved
-            emit(handle, line, payload[0])
-
-    if out_path is None:
-        for payload in pending:
-            line, unresolved = _scan_record(payload)
-            budget_hit = budget_hit or unresolved
-            sys.stdout.write(line + "\n")
-        return EXIT_BUDGET if budget_hit else EXIT_OK
-
     mode = "w"
     if args.resume and kept_lines:
         tmp_out = out_path.with_suffix(out_path.suffix + ".tmp")
@@ -370,12 +361,22 @@ def _cmd_scan(args) -> int:
         tmp_out.replace(out_path)
         mode = "a"
 
-    with out_path.open(mode) as handle:
+    budget_hit = False
+    with ExitStack() as stack:
+        handle = stack.enter_context(out_path.open(mode)) if out_path else sys.stdout
         if args.workers > 1:
-            with ProcessPoolExecutor(max_workers=args.workers) as pool:
-                consume(handle, pool.map(_scan_record, pending, chunksize=4))
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=args.workers))
+            records = pool.map(_scan_record, pending, chunksize=4)
         else:
-            consume(handle, map(_scan_record, pending))
+            records = map(_scan_record, pending)
+        for payload, (line, unresolved) in zip(pending, records):
+            budget_hit = budget_hit or unresolved
+            handle.write(line + "\n")
+            handle.flush()
+            if cursor_path is not None:
+                tmp = Path(str(cursor_path) + ".tmp")
+                tmp.write_text(json.dumps({"key": _family_key(payload[0])}))
+                tmp.replace(cursor_path)
     return EXIT_BUDGET if budget_hit else EXIT_OK
 
 

@@ -26,7 +26,7 @@ from typing import Optional
 
 from .ambient import WeightedFamily
 from .arith import is_prime
-from .cycles import CYCLE_BUDGET, simple_cycles
+from .cycles import simple_cycles
 from .errors import HypothesisViolated, NoKleinHypersurface
 from .orders import CycleChain, FamilyAnalysis, as_analysis, chain_from_cycle, signature_from_chain
 
@@ -50,7 +50,6 @@ class KleinData:
     ordering: tuple[int, ...]
     exponents: tuple[int, ...]
     R: int
-    max_prime_candidate: Optional[int]
     cycle_count: int
 
     @property
@@ -76,37 +75,31 @@ def _singularity_R(exponents: tuple[int, ...], n: int) -> int:
     return total
 
 
-def klein_exists(
-    fam: "WeightedFamily | FamilyAnalysis", budget: int = CYCLE_BUDGET
-) -> Optional[KleinData]:
+def klein_exists(fam: "WeightedFamily | FamilyAnalysis") -> Optional[KleinData]:
     """The lexicographically first full cyclic ordering of all variables, if any.
 
     Orderings are Hamiltonian cycles of the weight digraph (edge i -> j iff
     a_i divides d - a_j with positive quotient); no primality hypotheses are
-    imposed here.  The number of distinct cycles found is reported.
+    imposed here.  The number of distinct cycles found is reported; they are
+    counted under the default cycle budget, whatever the analysis' own.
     """
     an = as_analysis(fam)
     fam = an.family
     nv = fam.nvars
     first: Optional[tuple[int, ...]] = None
     count = 0
-    for cyc in simple_cycles(an.digraph, nv, nv, budget):
+    for cyc in simple_cycles(an.digraph, nv, nv):
         count += 1
         if first is None:
             first = cyc
     if first is None:
         return None
     chain = chain_from_cycle(fam, first)
-    prod = chain.product()
-    n = fam.n
-    numer = prod + (1 if (n + 1) % 2 == 0 else -1)
-    candidate = numer // fam.degree if numer % fam.degree == 0 and numer > 0 else None
     return KleinData(
         family=fam,
         ordering=first,
         exponents=chain.exponents,
-        R=_singularity_R(chain.exponents, n),
-        max_prime_candidate=candidate,
+        R=_singularity_R(chain.exponents, fam.n),
         cycle_count=count,
     )
 
@@ -132,7 +125,7 @@ def klein_singularity_R(data: KleinData) -> int:
     """The alternating exponent-product sum whose vanishing signals the
     potentially singular case; K evaluates to R times a coordinate product
     at any would-be singular point with all coordinates nonzero."""
-    return _singularity_R(data.exponents, data.family.n)
+    return data.R
 
 
 def klein_max_prime(fam: "WeightedFamily | FamilyAnalysis") -> MaxPrimeResult:

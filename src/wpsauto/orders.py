@@ -27,8 +27,9 @@ family and pair of budgets (`family_analysis`): the hypothesis flags, the
 bounds and the prime routing they decide, the monomial table, the weight
 digraph with its cycle chains, and the Klein data.  Budgets are arguments,
 never process-wide settings.  Functions taking a family also accept its
-analysis, and then use the analysis' budgets.  `order_verdict` is the one
-routing path from (analysis, q) to a verdict.
+analysis, and then use the analysis' budgets; given a family, they use the
+default budgets.  `order_verdict` is the one routing path from (analysis, q)
+to a verdict.
 """
 
 from __future__ import annotations
@@ -88,13 +89,14 @@ __all__ = [
 #: Default cap on the number of signature classes the oracle examines.
 ORACLE_CLASS_BUDGET = 2_000_000
 
-#: Hard cap on raw signature-slice rows per oracle call; above this the run
+#: Hard cap on the rows of the signature slice per oracle call.  The slice is
+#: counted but never built (only its candidate rows are); above this the run
 #: is reported unresolved without scanning.
 _SLICE_LIMIT = 1 << 24
 
-#: Ranks per block: the most candidate rows `_canonical_rows` builds at once,
-#: and the block of the slice behind the "classes examined" count of a
-#: certificate.
+#: Ranks per block of the slice: `_canonical_rows` builds the candidate rows
+#: of one block at a time, and a certificate's "classes examined" count ends
+#: at the end of a block.
 _CHUNK = 1 << 16
 
 CERTIFIED = "certified"
@@ -174,12 +176,9 @@ class Signature:
             if s is not None and not 0 <= s < self.q:
                 raise ValueError(f"entry {s} not reduced mod {self.q}")
 
-    @property
-    def complete(self) -> bool:
-        return all(s is not None for s in self.sigma)
-
-    def padded(self, fill: int = 0) -> "Signature":
-        return Signature(self.q, tuple(fill if s is None else s for s in self.sigma))
+    def padded(self) -> "Signature":
+        """The signature with every unconstrained entry set to 0."""
+        return Signature(self.q, tuple(0 if s is None else s for s in self.sigma))
 
 
 @dataclass(frozen=True)
@@ -259,9 +258,7 @@ def weight_digraph(fam: WeightedFamily) -> dict[int, dict[int, int]]:
 
 
 def necessary_condition(
-    fam: "WeightedFamily | FamilyAnalysis",
-    q: "int | PrimePowerOrder",
-    budget: int = CYCLE_BUDGET,
+    fam: "WeightedFamily | FamilyAnalysis", q: "int | PrimePowerOrder"
 ) -> Optional[CycleChain]:
     """First cycle chain whose signed exponent product is 1 mod q, or None.
 
@@ -270,7 +267,7 @@ def necessary_condition(
     necessary.  Cycles are visited in lexicographic order of index tuples.
     """
     pp = as_prime_power(q)
-    an = as_analysis(fam, budget)
+    an = as_analysis(fam)
     _check_degree_and_linearity(an)
     return next(an.qualifying_chains(pp), None)
 
@@ -309,9 +306,7 @@ def chain_invariance_check(
 
 
 def sufficient_condition(
-    fam: "WeightedFamily | FamilyAnalysis",
-    q: "int | PrimePowerOrder",
-    budget: int = CYCLE_BUDGET,
+    fam: "WeightedFamily | FamilyAnalysis", q: "int | PrimePowerOrder"
 ) -> Optional[OrderVerdict]:
     """Certify order q from a qualifying chain plus a split witness, or None.
 
@@ -322,7 +317,7 @@ def sufficient_condition(
     the complement is.  The reported signature is the chain signature padded
     with zeroes, and its induced order is verified to equal q exactly.
     """
-    return _chain_criteria(as_analysis(fam, budget), as_prime_power(q))[0]
+    return _chain_criteria(as_analysis(fam), as_prime_power(q))[0]
 
 
 def _chain_criteria(
@@ -352,7 +347,7 @@ def _chain_criteria(
             comp_part = [tuple(e[i] for i in comp) for e in comp_monos]
             if not comp_monos or not subset_criterion(comp_part, len(comp)):
                 continue
-        sig = signature_from_chain(fam, chain, qq).padded(0)
+        sig = signature_from_chain(fam, chain, qq).padded()
         if effective_order(sig.sigma, fam.weights, qq) != qq:
             continue
         witness = MonomialSystem(fam, tuple(sorted(set(cycle_monos) | set(comp_monos))))
@@ -459,7 +454,7 @@ def divides_d_criterion(fam: WeightedFamily, p: int) -> OrderVerdict:
                 for k, mono in enumerate(_fermat_monomials(fam))
                 if k not in set(idx)
             ]
-            sig = signature_from_chain(fam, chain, p).padded(0)
+            sig = signature_from_chain(fam, chain, p).padded()
             return _verified_certificate(
                 fam,
                 p,
@@ -655,14 +650,12 @@ def family_analysis(
     return FamilyAnalysis(fam, monomial_budget, cycle_budget)
 
 
-def as_analysis(
-    fam: "WeightedFamily | FamilyAnalysis", cycle_budget: int = CYCLE_BUDGET
-) -> FamilyAnalysis:
+def as_analysis(fam: "WeightedFamily | FamilyAnalysis") -> FamilyAnalysis:
     """`fam` itself if it is an analysis, whose budgets then apply; else the
-    family's analysis under the default monomial budget and `cycle_budget`."""
+    family's analysis under the default budgets."""
     if isinstance(fam, FamilyAnalysis):
         return fam
-    return family_analysis(fam, MONOMIAL_BUDGET, cycle_budget)
+    return family_analysis(fam, MONOMIAL_BUDGET, CYCLE_BUDGET)
 
 
 def _canonical_full_signature(
@@ -696,23 +689,22 @@ def _canonical_full_signature(
 def _candidate_segments(q: int, p: int, r: int, m: int):
     """Lists of (start, stop, p**k) rank ranges, in increasing rank, covering
     the vectors of length m over Z/q whose first nonzero entry is p**k with
-    k < r; no list spans more than `_CHUNK` ranks.  With L entries after it,
-    such an entry holds the ranks p**k * q**L up to (p**k + 1) * q**L."""
+    k < r; each list holds the ranges inside one block of `_CHUNK` ranks.
+    With L entries after it, such an entry holds the ranks p**k * q**L up to
+    (p**k + 1) * q**L."""
     segments: list[tuple[int, int, int]] = []
-    room = _CHUNK
     for length in range(m):
         size = q**length
         for k in range(r):
             lo = p**k * size
             hi = lo + size
             while lo < hi:
-                take = min(hi - lo, room)
-                segments.append((lo, lo + take, p**k))
-                lo += take
-                room -= take
-                if not room:
+                if segments and lo // _CHUNK > segments[-1][0] // _CHUNK:
                     yield segments
-                    segments, room = [], _CHUNK
+                    segments = []
+                stop = min(hi, (lo // _CHUNK + 1) * _CHUNK)
+                segments.append((lo, stop, p**k))
+                lo = stop
     if segments:
         yield segments
 
@@ -722,11 +714,13 @@ def _canonical_rows(q: int, p: int, r: int, nv: int, pinned: int):
     rows of the slice {S mod q = p**r : S[pinned] = 0} that have full order
     and are lexicographically least in their unit orbit; a row's rank is its
     index in the slice, read over the free positions, most significant first.
+    Each block holds the rows of one `_CHUNK`-rank block of the slice; blocks
+    without such rows are skipped.
 
-    Only rows whose first nonzero entry is some p**k are built, at most
-    `_CHUNK` at a time.  A row with k >= 1 also needs an entry prime to p, and
-    must not exceed its multiple by any unit 1 + t*q/p**k (these fix p**k);
-    it drops at the first one that makes it smaller.
+    Only rows whose first nonzero entry is some p**k are built.  A row with
+    k >= 1 also needs an entry prime to p, and must not exceed its multiple
+    by any unit 1 + t*q/p**k (these fix p**k); it drops at the first one that
+    makes it smaller.
     """
     free = [v for v in range(nv) if v != pinned]
     radix = q ** np.arange(len(free) - 1, -1, -1, dtype=np.int64)
@@ -814,8 +808,8 @@ def oracle_exists_order(
     anchor_cols = {v: [k for k, av in enumerate(anchor_vars) if av == v] for v in range(nv)}
 
     examined = 0
-    blocks = _canonical_rows(qq, p, pp.r, nv, i_star)
-    for ranks, S in blocks:
+    for _, S in _canonical_rows(qq, p, pp.r, nv, i_star):
+        examined += len(S)  # a certificate counts the whole block
         dots = S @ anchors_E.T % qq  # (classes, anchors)
         # hits[c, h]: every variable has an anchor in bucket h of class c
         hits = np.ones((len(S), qq), dtype=bool)
@@ -835,12 +829,6 @@ def oracle_exists_order(
                 canon = _canonical_full_signature(fam.weights, sigma, qq)
                 if effective_order(canon, fam.weights, qq) != qq:
                     raise AssertionError("oracle certificate has the wrong induced order")
-                end = min((int(ranks[cidx]) // _CHUNK + 1) * _CHUNK, slice_size)
-                examined += int(np.searchsorted(ranks, end))
-                for later, _ in blocks:
-                    if later[0] >= end:
-                        break
-                    examined += int(np.searchsorted(later, end))
                 return OrderVerdict(
                     status=CERTIFIED,
                     q=qq,
@@ -849,7 +837,6 @@ def oracle_exists_order(
                     witness_system=MonomialSystem(fam, tuple(sorted(exps))),
                     notes=hyp_notes + (f"classes examined: {examined}",),
                 )
-        examined += len(S)
 
     note = f"exhausted all {examined} signature classes"
     return OrderVerdict(REFUTED, qq, "oracle", notes=hyp_notes + (note,))
@@ -859,11 +846,10 @@ def admissible_orders(
     fam: "WeightedFamily | FamilyAnalysis",
     max_q: int,
     oracle_budget: int = ORACLE_CLASS_BUDGET,
-    cycle_budget: int = CYCLE_BUDGET,
 ) -> list[tuple[PrimePowerOrder, OrderVerdict]]:
     """Tri-state verdict (`order_verdict`) for every prime power q <= max_q,
     after checking the oracle's hard preconditions once."""
-    an = as_analysis(fam, cycle_budget)
+    an = as_analysis(fam)
     an.oracle_hypotheses()
     return [(pp, order_verdict(an, pp, oracle_budget)) for pp in prime_powers_up_to(max_q)]
 

@@ -326,49 +326,36 @@ def singular_point_search(
         return SingularSearchResult(p, witness, tested, mode, exhausted, seed)
 
     chunk = 1 << 12
-    total_points = p**nv
-    if total_points <= budget:
-        tested = 0
-        for start in range(0, total_points, chunk):
-            stop = min(start + chunk, total_points)
-            ranks = np.arange(start, stop, dtype=np.int64)
-            pts = np.empty((stop - start, nv), dtype=np.int64)
-            for v in range(nv - 1, -1, -1):
-                pts[:, v] = ranks % p
-                ranks //= p
-            tested += stop - start
-            w = _find_witness(pts, monos, coeffs, parts, p)
-            if w is not None:
-                return result(w, tested, "exhaustive", False)
-        return result(None, tested, "exhaustive", False)
+    if p**nv <= budget:
+        mode, values = "exhaustive", list(range(p))
+    else:
+        # Deterministic box of small coordinates: values {0, 1..b, p-b..p-1}.
+        b = 1
+        while (2 * (b + 1) + 1) ** nv <= budget // 2:
+            b += 1
+        mode, values = "sampled", []
+        if (2 * b + 1) ** nv <= budget // 2:
+            values = [0] + [x for k in range(1, b + 1) for x in (k, p - k)]
+    grid = len(values) ** nv
+    sample = budget - grid if mode == "sampled" else 0
 
-    tested = 0
-    # Deterministic box of small coordinates: values {0, 1..b, p-b..p-1}.
-    b = 1
-    while (2 * (b + 1) + 1) ** nv <= max(budget // 2, 0):
-        b += 1
-    if (2 * b + 1) ** nv <= max(budget // 2, 0) and budget > 0:
-        values = [0] + [x for k in range(1, b + 1) for x in (k, p - k)]
-        box_total = len(values) ** nv
+    def batches():
         vals = np.array(values, dtype=np.int64)
-        for start in range(0, box_total, chunk):
-            stop = min(start + chunk, box_total)
-            ranks = np.arange(start, stop, dtype=np.int64)
-            pts = np.empty((stop - start, nv), dtype=np.int64)
+        for start in range(0, grid, chunk):
+            ranks = np.arange(start, min(start + chunk, grid), dtype=np.int64)
+            pts = np.empty((len(ranks), nv), dtype=np.int64)
             for v in range(nv - 1, -1, -1):
                 pts[:, v] = vals[ranks % len(values)]
                 ranks //= len(values)
-            tested += stop - start
-            w = _find_witness(pts, monos, coeffs, parts, p)
-            if w is not None:
-                return result(w, tested, "sampled", False)
+            yield pts
+        rng = np.random.Generator(np.random.PCG64(seed))
+        for start in range(0, sample, chunk):
+            yield rng.integers(0, p, size=(min(chunk, sample - start), nv), dtype=np.int64)
 
-    rng = np.random.Generator(np.random.PCG64(seed))
-    while tested < budget:
-        take = min(chunk, budget - tested)
-        pts = rng.integers(0, p, size=(take, nv), dtype=np.int64)
-        tested += take
+    tested = 0
+    for pts in batches():
+        tested += len(pts)
         w = _find_witness(pts, monos, coeffs, parts, p)
         if w is not None:
-            return result(w, tested, "sampled", False)
-    return result(None, tested, "sampled", True)
+            return result(w, tested, mode, False)
+    return result(None, tested, mode, mode == "sampled")

@@ -369,3 +369,38 @@ def test_cli_imports_no_private_names():
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("scan", "--dim", "1", "--max-weight", "1", "--degree", "3..x"),
+        ("scan", "--dim", "1", "--max-weight", "1", "--degree", "..5"),
+        ("scan", "--dim", "-5", "--max-weight", "1", "--degree", "4"),
+        ("scan", "--dim", "0", "--max-weight", "1", "--degree", "4"),
+        ("scan", "--dim", "1", "--max-weight", "1", "--degree", "4", "--max-order", "0"),
+        ("scan", "--dim", "1", "--max-weight", "1", "--degree", "4", "--max-order", "-3"),
+        ("scan", "--dim", "1", "--max-weight", "1", "--degree", "4", "--workers", "0"),
+        ("orders", "--weights", "1,1,1", "--degree", "4", "--max-order", "0"),
+        ("orders", "--weights", "1,1,1", "--degree", "4", "--max-order", "-3"),
+    ],
+)
+def test_out_of_range_integer_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (64, "")
+    assert err.startswith("usage error: ")
+
+
+def test_pooled_scan_to_stdout(capsys, monkeypatch):
+    args = ("scan", "--dim", "1", "--max-weight", "2", "--degree", "3..5")
+    serial = run_cli(capsys, *args)
+    pools = []
+
+    class CountedPool(wpsauto.cli.ProcessPoolExecutor):
+        def __init__(self, *a, **kw):
+            pools.append(self)
+            super().__init__(*a, **kw)
+
+    monkeypatch.setattr(wpsauto.cli, "ProcessPoolExecutor", CountedPool)
+    assert run_cli(capsys, *args, "--workers", "2") == serial
+    assert len(pools) == 1

@@ -107,7 +107,39 @@ def _fermat_sextic_poly():
     return ExplicitPolynomial(MonomialSystem(fam, monos), {m: Fraction(1) for m in monos})
 
 
+def _split_quadric_poly(c):
+    """(x0 - c*x2)(x1 - c*x3): singular along x0 = c*x2, x1 = c*x3."""
+    fam = WeightedFamily((1, 1, 1, 1), 2)
+    coeffs = {(1, 1, 0, 0): 1, (1, 0, 0, 1): -c, (0, 1, 1, 0): -c, (0, 0, 1, 1): c * c}
+    return ExplicitPolynomial(
+        MonomialSystem(fam, tuple(coeffs)), {m: Fraction(v) for m, v in coeffs.items()}
+    )
+
+
 class TestSingularPointSearch:
+    @pytest.mark.parametrize(
+        "poly, prime, budget, expected",
+        [
+            # all of F_5^4 fits the budget
+            (_klein_quadric_poly, 5, 10_000, ((0, 1, 0, 4), 625, "exhaustive", False)),
+            # found in the first block of the small-coordinate box
+            (_klein_quadric_poly, 101, 60_000, ((0, 1, 0, 100), 4096, "sampled", False)),
+            # the 9**4 = 6561 box points miss the singular locus; the first
+            # random block hits it
+            (
+                lambda: _split_quadric_poly(5), 101, 20_000,
+                ((24, 66, 25, 94), 6561 + 4096, "sampled", False),
+            ),
+            (_fermat_sextic_poly, 101, 5000, (None, 5000, "sampled", True)),
+            (_klein_quadric_poly, 997, 0, (None, 0, "sampled", True)),
+        ],
+        ids=["exhaustive", "box", "random", "budget-used-up", "budget-zero"],
+    )
+    def test_pinned_outcomes(self, poly, prime, budget, expected):
+        # recorded before the grid and sampling loops were merged into one
+        result = singular_point_search(poly(), prime, budget=budget)
+        assert (result.witness, result.tested, result.mode, result.exhausted) == expected
+
     def test_klein_quadric_witness_small_field(self):
         result = singular_point_search(_klein_quadric_poly(), 5, budget=10_000)
         w = result.witness
