@@ -11,7 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .arith import gcd_all
+import numpy as np
+
+from .arith import gcd_all, semigroup_reachable
 from .errors import BudgetExceeded, NotNormalizable
 
 __all__ = [
@@ -25,7 +27,6 @@ __all__ = [
     "lin_finite",
     "is_linear_cone",
     "enumerate_monomials",
-    "weighted_degree",
 ]
 
 #: Exponent vector of a monomial, one entry per variable.
@@ -78,32 +79,58 @@ class WeightedFamily:
             raise ValueError(f"cannot parse family from {text!r}: {exc}") from exc
 
 
-def weighted_degree(weights: Sequence[int], exponents: Sequence[int]) -> int:
-    return sum(w * e for w, e in zip(weights, exponents))
-
-
 @dataclass(frozen=True)
 class MonomialSystem:
-    """A finite, duplicate-free set of degree-d exponent vectors for one family."""
+    """A finite, duplicate-free set of degree-d exponent vectors for one family.
+
+    The monomials may be given as any sequence of integer sequences, or as
+    an integer matrix with one row per monomial; they are stored as a tuple
+    of tuples.  Each entry is checked in order for its arity, its signs, its
+    weighted degree and for repeating an earlier entry, and the first entry
+    failing a check is named.  The checks run on the whole table at once.
+    """
 
     family: WeightedFamily
     monomials: tuple[Monomial, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "monomials", tuple(tuple(int(x) for x in e) for e in self.monomials)
-        )
-        seen = set()
-        for e in self.monomials:
-            if len(e) != self.family.nvars:
-                raise ValueError(f"monomial {e} has wrong arity")
-            if any(x < 0 for x in e):
-                raise ValueError(f"monomial {e} has a negative exponent")
-            if weighted_degree(self.family.weights, e) != self.family.degree:
-                raise ValueError(f"monomial {e} does not have weighted degree {self.family.degree}")
-            if e in seen:
-                raise ValueError(f"duplicate monomial {e}")
-            seen.add(e)
+        fam = self.family
+        given = self.monomials
+        if isinstance(given, np.ndarray) and given.shape[1:] == (fam.nvars,):
+            table = given
+        else:
+            given = given.tolist() if isinstance(given, np.ndarray) else list(given)
+            wrong = np.fromiter(map(len, given), dtype=np.int64, count=len(given)) != fam.nvars
+            good = int(np.argmax(wrong)) if wrong.any() else len(given)
+            # the entries before the first one of the wrong arity
+            table = np.array(given[:good], dtype=np.int64).reshape(good, fam.nvars)
+        entries = tuple(zip(*(column.tolist() for column in table.T)))
+        first: dict[str, int] = {}  # per check, the first entry failing it
+        if len(entries) < len(given):
+            first["arity"] = len(entries)
+        for kind, bad in (
+            ("negative", (table < 0).any(axis=1)),
+            ("degree", table @ np.array(fam.weights, dtype=np.int64) != fam.degree),
+        ):
+            if bad.any():
+                first[kind] = int(np.argmax(bad))
+        if len(set(entries)) < len(entries):
+            seen: set[Monomial] = set()
+            first["duplicate"] = next(i for i, e in enumerate(entries) if e in seen or seen.add(e))
+        if first:
+            # the first offending entry, and the first check it fails
+            index = min(first.values())
+            kind = next(k for k in ("arity", "negative", "degree", "duplicate") if first.get(k) == index)
+            e = entries[index] if index < len(entries) else tuple(int(x) for x in given[index])
+            raise ValueError(
+                {
+                    "arity": f"monomial {e} has wrong arity",
+                    "negative": f"monomial {e} has a negative exponent",
+                    "degree": f"monomial {e} does not have weighted degree {fam.degree}",
+                    "duplicate": f"duplicate monomial {e}",
+                }[kind]
+            )
+        object.__setattr__(self, "monomials", entries)
 
     def __len__(self) -> int:
         return len(self.monomials)
@@ -177,35 +204,64 @@ def is_linear_cone(fam: WeightedFamily) -> bool:
     return fam.degree in fam.weights
 
 
-def _collect_exponents(
-    weights: tuple[int, ...],
-    pos: int,
-    degree: int,
-    budget: int,
-    prefix: list[int],
-    out: list[tuple[int, ...]],
-) -> None:
-    """Append exponent vectors of the given weighted degree in ascending lex order."""
-    if pos == len(weights) - 1:
-        if degree % weights[pos] == 0:
-            if len(out) >= budget:
-                raise BudgetExceeded(f"more than {budget} monomials")
-            out.append((*prefix, degree // weights[pos]))
-        return
-    w = weights[pos]
-    for e in range(degree // w + 1):
-        prefix.append(e)
-        _collect_exponents(weights, pos + 1, degree - w * e, budget, prefix, out)
-        prefix.pop()
+#: Exponent choices `enumerate_monomials` tries at once.
+_EXTEND_CHUNK = 1 << 20
+
+
+def _sum_test(generators: Sequence[int], d: int):
+    """A test of which integers in [0, d] are sums of the generators.
+
+    With g their gcd and s, t the least and the largest generator over g,
+    every multiple of g from g*(s - 1)*(t - 1) on is a sum (Schur's bound on
+    the Frobenius number), so a `semigroup_reachable` table is kept only
+    below that and the rest is a divisibility test.
+    """
+    g = gcd_all(generators)
+    cap = min(d + 1, g * (min(generators) // g - 1) * (max(generators) // g - 1))
+    table = np.array(semigroup_reachable(generators, max(cap - 1, 0)))
+    return lambda r: np.where(r < cap, table[np.minimum(r, len(table) - 1)], r % g == 0)
 
 
 def enumerate_monomials(fam: WeightedFamily, budget: "int | None" = None) -> MonomialSystem:
     """All exponent vectors of weighted degree d, in ascending lexicographic order.
 
-    Raises BudgetExceeded if the count exceeds the budget (the module-level
-    default when not given explicitly).
+    The exponents are chosen one variable at a time, for all partial vectors
+    at once.  An exponent is kept only when the degree left over is a sum of
+    the later weights (`_sum_test` of each suffix of the weights), so no
+    partial vector that cannot reach d is extended, and the last exponent is
+    the leftover degree divided by the last weight.  Every partial vector
+    kept completes to a monomial, so BudgetExceeded is raised exactly when
+    the count exceeds the budget (the module-level default when not given
+    explicitly); choices are tried `_EXTEND_CHUNK` at a time, so the budget
+    is checked before a large table is held.
     """
     limit = MONOMIAL_BUDGET if budget is None else budget
-    out: list[tuple[int, ...]] = []
-    _collect_exponents(fam.weights, 0, fam.degree, limit, [], out)
-    return MonomialSystem(fam, tuple(out))
+    a, d = fam.weights, fam.degree
+    sums = [_sum_test(a[k:], d) for k in range(fam.nvars)]
+    left = np.array([d] if sums[0](np.array(d)) else [], dtype=np.int64)
+    # per variable but the last: the partial vector each kept exponent extends
+    steps: list[tuple[np.ndarray, np.ndarray]] = []
+    for k in range(fam.nvars - 1):
+        options = left // a[k] + 1  # exponents 0 .. left // a_k
+        ends = np.cumsum(options)
+        none = np.zeros(0, dtype=np.int64)
+        kept = [(none, none, none)]
+        count = 0
+        for start in range(0, int(ends[-1]) if len(ends) else 0, _EXTEND_CHUNK):
+            choice = np.arange(start, min(start + _EXTEND_CHUNK, int(ends[-1])))
+            parent = np.searchsorted(ends, choice, side="right")
+            exponent = choice - (ends - options)[parent]
+            rest = left[parent] - a[k] * exponent
+            keep = sums[k + 1](rest)
+            count += np.count_nonzero(keep)
+            if count > limit:
+                raise BudgetExceeded(f"more than {limit} monomials")
+            kept.append((parent[keep], exponent[keep], rest[keep]))
+        parent, exponent, left = (np.concatenate(part) for part in zip(*kept))
+        steps.append((parent, exponent))
+    columns = [left // a[-1]]
+    index = np.arange(len(left))
+    for parent, exponent in reversed(steps):
+        columns.append(exponent[index])
+        index = parent[index]
+    return MonomialSystem(fam, np.column_stack(columns[::-1]))

@@ -16,6 +16,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from pathlib import Path
 from typing import Optional, Sequence
@@ -115,12 +116,16 @@ def _exit_code_for(verdicts: Sequence[OrderVerdict]) -> int:
     return EXIT_OK
 
 
-def _build_parser() -> _Parser:
+@lru_cache(maxsize=None)
+def _parser() -> _Parser:
+    """The argument parser, built on first use and then kept.  The --seed
+    default is left to `_parse`, so that it reads the environment of each
+    call rather than that of the first one."""
     parser = _Parser(prog="wpsauto", description=__doc__)
     parser.add_argument(
         "--seed",
         type=int,
-        default=int(os.environ.get("WPSAUTO_SEED", "0")),
+        default=None,
         help="seed for all randomized steps (default: WPSAUTO_SEED or 0)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -174,6 +179,17 @@ def _build_parser() -> _Parser:
     p_verify.add_argument("--inject-failure", type=str, default=None, metavar="NAME")
 
     return parser
+
+
+def _parse(argv: Optional[Sequence[str]]) -> argparse.Namespace:
+    args = _parser().parse_args(argv)
+    if args.seed is None:
+        text = os.environ.get("WPSAUTO_SEED", "0")
+        try:
+            args.seed = int(text)
+        except ValueError:
+            raise _UsageError(f"WPSAUTO_SEED must be an integer, got {text!r}") from None
+    return args
 
 
 def _cmd_orders(args) -> int:
@@ -402,9 +418,8 @@ def _cmd_verify(args) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
         handlers = {
             "orders": _cmd_orders,
             "check": _cmd_check,

@@ -22,7 +22,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
+
+import numpy as np
 
 from .ambient import WeightedFamily
 from .arith import is_prime
@@ -166,7 +169,7 @@ def klein_eigenspace_check(fam: "WeightedFamily | FamilyAnalysis") -> bool:
     result = klein_max_prime(an)
     if result.value is None:
         raise HypothesisViolated(f"maximal prime unavailable: {result.reason}")
-    invariant = set(_invariant_monomials(an, result.value))
+    invariant = {an.system.monomials[r] for r in _invariant_rows(an, result.value)}
     return invariant == set(an.klein.monomials)
 
 
@@ -174,14 +177,20 @@ def eigenspace_filter(fam: "WeightedFamily | FamilyAnalysis", p: int) -> tuple[i
     """(invariant count, total count) of degree-d monomials for the Klein
     signature mod p; the counts reported alongside the eigenspace check."""
     an = as_analysis(fam)
-    invariant = _invariant_monomials(an, p)
-    return len(invariant), len(an.system)
+    return len(_invariant_rows(an, p)), len(an.system)
 
 
-def _invariant_monomials(an: FamilyAnalysis, p: int) -> list[tuple[int, ...]]:
-    """The table monomials fixed by the Klein chain's signature mod p."""
+@lru_cache(maxsize=8)
+def _invariant_rows(an: FamilyAnalysis, p: int) -> np.ndarray:
+    """The rows of the monomial table fixed by the Klein chain's signature
+    mod p; kept for the few latest (analysis, p), since a Klein section asks
+    `eigenspace_filter` and `klein_eigenspace_check` for the same ones."""
     data = an.klein
     if data is None:
         raise NoKleinHypersurface(f"no full cyclic ordering for {an.family}")
     sigma = signature_from_chain(an.family, CycleChain(data.ordering, data.exponents), p).sigma
-    return [e for e in an.system.monomials if sum(s * x for s, x in zip(sigma, e)) % p == 0]
+    # a row's exponents sum to at most d, so its dot product is below d * p
+    exact = np.int64 if an.family.degree * p < 2**63 else object
+    rows = np.flatnonzero(an.exponents.astype(exact, copy=False) @ np.array(sigma, dtype=exact) % p == 0)
+    rows.flags.writeable = False  # shared by every caller
+    return rows

@@ -20,12 +20,17 @@ representative per equivalence class, the lexicographically least member of
 its unit orbit.  Only a vector whose first nonzero entry is a power of p can
 be least, so the oracle builds those candidates alone, in increasing rank,
 and compares each with the few unit multiples that fix that entry (see
-`oracle_exists_order`).
+`oracle_exists_order`).  It tests the eigenvalue buckets of a block of
+candidates together, in one batched subset-criterion kernel call per chunk
+of buckets, on the pattern codes of the monomial table.
 
 Everything that depends on (a, d) alone lives in one `FamilyAnalysis` per
 family and pair of budgets (`family_analysis`): the hypothesis flags, the
 bounds and the prime routing they decide, the monomial table, the weight
-digraph with its cycle chains, and the Klein data.  Budgets are arguments,
+digraph with its cycle chains, and the Klein data.  Each table row also has
+an integer pattern code (its support and exponent-one bitmasks), which the
+anchors, the chain criteria's complement filter and the oracle read
+instead of the monomial tuples.  Budgets are arguments,
 never process-wide settings.  Functions taking a family also accept its
 analysis, and then use the analysis' budgets; given a family, they use the
 default budgets.  `order_verdict` is the one routing path from (analysis, q)
@@ -61,7 +66,7 @@ from .arith import (
 )
 from .cycles import CYCLE_BUDGET, simple_cycles
 from .errors import BudgetExceeded, HypothesisViolated
-from .quasismooth import subset_criterion
+from .quasismooth import pattern_codes, subset_criterion, subset_criterion_batch
 
 __all__ = [
     "CycleChain",
@@ -98,6 +103,10 @@ _SLICE_LIMIT = 1 << 24
 #: of one block at a time, and a certificate's "classes examined" count ends
 #: at the end of a block.
 _CHUNK = 1 << 16
+
+#: Elements per (class, bucket) chunk that the oracle tests at once: a chunk
+#: of k buckets builds k x (monomials) and k x (nvars + 1) x 2**nvars arrays.
+_BUCKET_ELEMENTS = 1 << 16
 
 CERTIFIED = "certified"
 REFUTED = "refuted"
@@ -331,25 +340,26 @@ def _chain_criteria(
     _check_degree_and_linearity(an)
     chains = an.qualifying_chains(pp)
     nv = fam.nvars
-    full = an.system
     first = None
     for chain in chains:
         first = first or chain
-        on_chain = set(chain.indices)
-        comp = [i for i in range(nv) if i not in on_chain]
+        comp = [i for i in range(nv) if i not in chain.indices]
         cycle_monos = chain.monomials(nv)
         chain_part = [tuple(e[i] for i in chain.indices) for e in cycle_monos]
         if not subset_criterion(chain_part, len(chain.indices)):
             continue
-        comp_monos: list[tuple[int, ...]] = []
-        if comp:
-            comp_monos = [e for e in full.monomials if all(e[i] == 0 for i in on_chain)]
-            comp_part = [tuple(e[i] for i in comp) for e in comp_monos]
-            if not comp_monos or not subset_criterion(comp_part, len(comp)):
-                continue
+        # the rows off the chain: none when the chain holds every variable
+        on_chain = sum(1 << i for i in chain.indices)
+        comp_rows = np.flatnonzero((an.supports & on_chain) == 0)
+        if comp and (
+            not comp_rows.size
+            or not subset_criterion(an.exponents[np.ix_(comp_rows, comp)], len(comp))
+        ):
+            continue
         sig = signature_from_chain(fam, chain, qq).padded()
         if effective_order(sig.sigma, fam.weights, qq) != qq:
             continue
+        comp_monos = [an.system.monomials[r] for r in comp_rows]
         witness = MonomialSystem(fam, tuple(sorted(set(cycle_monos) | set(comp_monos))))
         return OrderVerdict(CERTIFIED, qq, "sufficient-condition", chain, sig, witness), chain
     return None, first
@@ -579,29 +589,50 @@ class FamilyAnalysis:
 
     @cached_property
     def exponents(self) -> np.ndarray:
+        """The monomial table as a matrix, in the narrowest signed integer
+        type that holds d (no exponent exceeds it)."""
         monos = self.system.monomials
-        return np.array(monos, dtype=np.int64).reshape(len(monos), self.family.nvars)
+        table = np.array(monos, dtype=np.min_scalar_type(-self.family.degree))
+        return table.reshape(len(monos), self.family.nvars)
+
+    @cached_property
+    def patterns(self) -> tuple[np.ndarray, np.ndarray]:
+        """(codes, index): the distinct `pattern_codes` of the table rows in
+        increasing order, and the position in `codes` of each row's code."""
+        # not np.unique, whose first call imports numpy.ma (35 ms per process)
+        row_codes = pattern_codes(self.exponents)
+        codes = np.sort(row_codes)
+        codes = codes[np.diff(codes, prepend=-1) != 0]
+        return codes, np.searchsorted(codes, row_codes).astype(np.min_scalar_type(len(codes)))
+
+    @property
+    def supports(self) -> np.ndarray:
+        """Per table row, the bitmask of the variables it contains."""
+        codes, index = self.patterns
+        return codes[index] & ((1 << self.family.nvars) - 1)
 
     @cached_property
     def anchors(self) -> tuple[np.ndarray, list[int]]:
         """(rows, variables): the table rows that are a pure power x_v^k or a
-        near-power x_v^k * x_j, each paired with the variable v it anchors."""
-        rows: list[int] = []
-        variables: list[int] = []
-        for ridx, e in enumerate(self.system.monomials):
-            pos = [j for j, x in enumerate(e) if x > 0]
-            if len(pos) == 1:
-                rows.append(ridx)
-                variables.append(pos[0])
-            elif len(pos) == 2:
-                j, k = pos
-                if e[k] == 1:
-                    rows.append(ridx)
-                    variables.append(j)
-                if e[j] == 1:
-                    rows.append(ridx)
-                    variables.append(k)
-        return np.array(rows, dtype=np.int64), variables
+        near-power x_v^k * x_j, each paired with the variable v it anchors,
+        ordered by row and then by variable."""
+        nv = self.family.nvars
+        codes, index = self.patterns
+        support, units = self.supports, codes[index] >> nv
+        low = support & -support  # the first variable of the row
+        high = support ^ low  # the others: one variable for a near-power
+        position = np.zeros(1 << nv, dtype=np.int64)
+        position[1 << np.arange(nv)] = np.arange(nv)
+        near = (high != 0) & ((high & (high - 1)) == 0)
+        picks = [
+            (high == 0, low),  # x_v^k
+            (near & ((units & high) != 0), low),  # x_v^k * x_j, v first
+            (near & ((units & low) != 0), high),  # x_j * x_v^k, v second
+        ]
+        rows = np.concatenate([np.flatnonzero(mask) for mask, _ in picks])
+        variables = np.concatenate([position[bit[mask]] for mask, bit in picks])
+        order = np.lexsort((variables, rows))
+        return rows[order], variables[order].tolist()
 
     @cached_property
     def digraph(self) -> dict[int, dict[int, int]]:
@@ -764,11 +795,16 @@ def oracle_exists_order(
 
     A class certifies q when its induced order is exactly q and some
     eigenvalue bucket h, holding an anchor monomial of every variable,
-    passes the subset criterion; buckets are tried in increasing h, classes
-    in increasing rank.  The note "classes examined: N" counts the classes
-    whose rank lies below the end of the `_CHUNK`-row block of the slice
-    that holds the certifying class.  q is refuted only after every class is
-    exhausted.
+    passes the subset criterion.  The (class, h) pairs of a block that pass
+    the anchor test are decided together: for chunks of at most about
+    `_BUCKET_ELEMENTS` array elements, one `subset_criterion_batch` call
+    reads which pattern codes each bucket holds.  The winner is the first
+    passing pair in increasing class rank and then increasing h, as if
+    buckets were tried one by one; only its monomials are gathered, and they
+    are re-checked with `subset_criterion` before the certificate is built.
+    The note "classes examined: N" counts, as before, the classes whose rank
+    lies below the end of the `_CHUNK`-row block of the slice that holds
+    the certifying class.  q is refuted only after every class is exhausted.
 
     A full-order vector has a unit entry, so no unit other than 1 fixes it:
     the unit orbits in the slice all have phi(q) members and the slice holds
@@ -803,9 +839,11 @@ def oracle_exists_order(
     if slice_size > _SLICE_LIMIT:
         note = f"signature slice of {slice_size} rows exceeds the scan limit"
         return OrderVerdict(UNRESOLVED, qq, "oracle", notes=hyp_notes + (note,))
-    E = an.exponents
+    E = an.exponents.astype(np.int64)
+    codes, code_of_row = an.patterns
     anchors_E = E[anchor_rows]
     anchor_cols = {v: [k for k, av in enumerate(anchor_vars) if av == v] for v in range(nv)}
+    chunk = max(1, _BUCKET_ELEMENTS // max(len(E), (nv + 1) << nv))
 
     examined = 0
     for _, S in _canonical_rows(qq, p, pp.r, nv, i_star):
@@ -818,25 +856,33 @@ def oracle_exists_order(
             hit_v = np.zeros_like(hits)
             hit_v[class_idx, dots[:, anchor_cols[v]]] = True
             hits &= hit_v
-        for cidx in np.flatnonzero(hits.any(axis=1)):
-            sigma = tuple(int(x) for x in S[cidx])
-            all_dots = E @ S[cidx] % qq
-            for h in np.flatnonzero(hits[cidx]):
-                bucket = np.flatnonzero(all_dots == h)
-                exps = [an.system.monomials[int(r)] for r in bucket]
-                if not subset_criterion(exps, nv):
-                    continue
-                canon = _canonical_full_signature(fam.weights, sigma, qq)
-                if effective_order(canon, fam.weights, qq) != qq:
-                    raise AssertionError("oracle certificate has the wrong induced order")
-                return OrderVerdict(
-                    status=CERTIFIED,
-                    q=qq,
-                    provenance="oracle",
-                    signature=Signature(qq, canon),
-                    witness_system=MonomialSystem(fam, tuple(sorted(exps))),
-                    notes=hyp_notes + (f"classes examined: {examined}",),
-                )
+        # the hit (class, h) pairs, by class and then by h
+        classes, buckets = np.nonzero(hits)
+        for start in range(0, len(classes), chunk):
+            cls, h = classes[start : start + chunk], buckets[start : start + chunk]
+            members = S[cls] @ E.T % qq == h[:, None]  # (pairs, rows)
+            presence = np.zeros((len(cls), len(codes)), dtype=bool)
+            pair, row = np.nonzero(members)
+            presence[pair, code_of_row[row]] = True
+            passed = np.flatnonzero(subset_criterion_batch(codes, presence, nv))
+            if not passed.size:
+                continue
+            won = passed[0]
+            exps = [an.system.monomials[r] for r in np.flatnonzero(members[won])]
+            if not subset_criterion(exps, nv):
+                raise AssertionError("oracle witness fails the subset criterion")
+            sigma = tuple(int(x) for x in S[cls[won]])
+            canon = _canonical_full_signature(fam.weights, sigma, qq)
+            if effective_order(canon, fam.weights, qq) != qq:
+                raise AssertionError("oracle certificate has the wrong induced order")
+            return OrderVerdict(
+                status=CERTIFIED,
+                q=qq,
+                provenance="oracle",
+                signature=Signature(qq, canon),
+                witness_system=MonomialSystem(fam, tuple(sorted(exps))),
+                notes=hyp_notes + (f"classes examined: {examined}",),
+            )
 
     note = f"exhausted all {examined} signature classes"
     return OrderVerdict(REFUTED, qq, "oracle", notes=hyp_notes + (note,))

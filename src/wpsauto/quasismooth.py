@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -31,6 +32,8 @@ __all__ = [
     "semigroup_subset_condition",
     "general_member_quasismooth",
     "subset_criterion",
+    "subset_criterion_batch",
+    "pattern_codes",
     "required_monomial",
     "singular_point_search",
     "random_member",
@@ -77,6 +80,58 @@ def exists_quasismooth(fam: WeightedFamily) -> bool:
     return semigroup_subset_condition(fam)
 
 
+def pattern_codes(exponents: np.ndarray) -> np.ndarray:
+    """One integer per row of an exponent matrix: bit j is set when x_j occurs
+    (the support) and bit nvars + j when x_j occurs to exactly the first
+    power.  These two masks are all the subset criterion reads of a monomial."""
+    bits = 1 << np.arange(exponents.shape[1], dtype=np.int64)
+    return ((exponents > 0) @ bits) | (((exponents == 1) @ bits) << exponents.shape[1])
+
+
+@lru_cache(maxsize=None)
+def _mask_tables(nvars: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per subset mask I: its size; per (j, I): the mask I | {j}."""
+    masks = np.arange(1 << nvars, dtype=np.int64)
+    j = np.arange(nvars, dtype=np.int64)[:, None]
+    tables = ((masks >> j) & 1).sum(axis=0), masks | (1 << j)
+    for table in tables:
+        table.flags.writeable = False  # shared by every caller
+    return tables
+
+
+def subset_criterion_batch(codes: np.ndarray, presence: np.ndarray, nvars: int) -> np.ndarray:
+    """The subset criterion (see `subset_criterion`) for many monomial sets at
+    once: row b of the boolean matrix `presence` holds the set whose monomials
+    have the pattern codes (`pattern_codes`) `codes[c]` with presence[b, c].
+
+    For each set, f[t, s] marks a present pattern with support s, where t = 0
+    takes any pattern and t = 1 + j only those with exponent 1 at x_j.  Its
+    closure over the subset lattice, F[t, I] = OR of f[t, s] over s inside I,
+    gives (a) as F[0, I], and j outside I counts for (b) exactly when
+    F[1 + j, I | {j}] holds.  For j inside I that is F[1 + j, I], which
+    implies (a), so every j is counted.  Integer and boolean arithmetic only.
+    """
+    size = 1 << nvars
+    support = codes & (size - 1)
+    # (source, target): pattern codes[source] sets f[t, s], flattened to t * size + s
+    coded, var = np.nonzero((codes[:, None] >> (nvars + np.arange(nvars))) & 1)
+    source = np.concatenate([np.arange(len(codes)), coded])
+    target = np.concatenate([support, (var + 1) * size + support[coded]])
+    order = np.argsort(target, kind="stable")
+    source, target = source[order], target[order]
+    starts = np.flatnonzero(np.diff(target, prepend=-1))  # each run of equal targets
+    f = np.zeros((len(presence), (nvars + 1) * size), dtype=bool)
+    if len(source):
+        f[:, target[starts]] = np.logical_or.reduceat(presence[:, source], starts, axis=1)
+    for i in range(nvars):  # close f over the subset lattice, one variable at a time
+        view = f.reshape(-1, size >> (i + 1), 2, 1 << i)
+        view[:, :, 1, :] |= view[:, :, 0, :]
+    F = f.reshape(len(presence), nvars + 1, size)
+    sizes, joined = _mask_tables(nvars)
+    counted = F[:, 1 + np.arange(nvars)[:, None], joined].sum(axis=1)
+    return (F[:, 0, :] | (counted >= sizes))[:, 1:].all(axis=1)
+
+
 def subset_criterion(exponents: Sequence[Sequence[int]], nvars: int) -> bool:
     """Subset test for quasi-smoothness of the general member of a monomial span.
 
@@ -85,38 +140,18 @@ def subset_criterion(exponents: Sequence[Sequence[int]], nvars: int) -> bool:
     (b) at least |I| distinct indices j outside I such that some monomial is
         a monomial in the I-variables times x_j to the first power.
 
-    An empty system fails for every I, hence returns False.
+    Only two patterns of each monomial matter: its support, and the
+    variables it holds to exactly the first power.  The test runs on these
+    patterns through `subset_criterion_batch`.  An empty system fails for
+    every I, hence returns False.
     """
     if nvars < 1:
         raise ValueError("need at least one variable")
-    if not exponents:
+    if len(exponents) == 0:
         return False
-    support = []
-    unit_bits = []  # per monomial: bit j set iff exponent of x_j is exactly 1
-    for e in exponents:
-        s = 0
-        u = 0
-        for j in range(nvars):
-            if e[j] > 0:
-                s |= 1 << j
-                if e[j] == 1:
-                    u |= 1 << j
-        support.append(s)
-        unit_bits.append(u)
-    for mask in range(1, 1 << nvars):
-        size = bin(mask).count("1")
-        outside_js = 0
-        ok = False
-        for s, u in zip(support, unit_bits):
-            out = s & ~mask
-            if out == 0:
-                ok = True
-                break
-            if out & (out - 1) == 0 and out & u:
-                outside_js |= out
-        if not ok and bin(outside_js).count("1") < size:
-            return False
-    return True
+    table = np.array(exponents, dtype=np.int64).reshape(len(exponents), -1)[:, :nvars]
+    codes = pattern_codes(table)  # repeated codes do no harm
+    return bool(subset_criterion_batch(codes, np.ones((1, len(codes)), dtype=bool), nvars)[0])
 
 
 def general_member_quasismooth(fam: WeightedFamily, system: MonomialSystem) -> bool:

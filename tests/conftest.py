@@ -10,7 +10,8 @@ import numpy as np
 
 from wpsauto import WeightedFamily
 from wpsauto.ambient import well_formed
-from wpsauto.arith import gcd_all
+from wpsauto.arith import as_prime_power, gcd_all
+from wpsauto.orders import _canonical_rows, as_analysis
 
 
 def families(
@@ -105,3 +106,89 @@ def brute_canonical_full_signature(weights, sigma, q: int) -> tuple[int, ...]:
             if best is None or cand < best:
                 best = cand
     return best
+
+
+def brute_subset_criterion(exponents, nvars: int) -> bool:
+    """The subset criterion by its definition, one monomial at a time: for
+    every nonempty variable subset I, some monomial lies inside I, or at
+    least |I| variables j outside I each have a monomial that is an
+    I-monomial times x_j to the first power."""
+    if nvars < 1:
+        raise ValueError("need at least one variable")
+    if not exponents:
+        return False
+    support = []
+    unit_bits = []  # per monomial: bit j set iff exponent of x_j is exactly 1
+    for e in exponents:
+        s = 0
+        u = 0
+        for j in range(nvars):
+            if e[j] > 0:
+                s |= 1 << j
+                if e[j] == 1:
+                    u |= 1 << j
+        support.append(s)
+        unit_bits.append(u)
+    for mask in range(1, 1 << nvars):
+        size = bin(mask).count("1")
+        outside_js = 0
+        ok = False
+        for s, u in zip(support, unit_bits):
+            out = s & ~mask
+            if out == 0:
+                ok = True
+                break
+            if out & (out - 1) == 0 and out & u:
+                outside_js |= out
+        if not ok and bin(outside_js).count("1") < size:
+            return False
+    return True
+
+
+def reference_oracle(fam: WeightedFamily, q: int):
+    """(status, signature, witness monomials, notes) of the signature-class
+    oracle, by its per-class, per-bucket loop: the candidate classes come
+    from the production `_canonical_rows`, and each bucket that anchors
+    every variable is tested alone with `brute_subset_criterion`, classes
+    in increasing rank and buckets in increasing h.  Covers the verdicts
+    that the class budget and the slice limit leave alone."""
+    an = as_analysis(fam)
+    pp = as_prime_power(q)
+    notes = an.oracle_hypotheses()
+    nv = fam.nvars
+    monos = an.system.monomials
+    anchored: dict[int, list[tuple[int, ...]]] = {v: [] for v in range(nv)}
+    for e in monos:
+        pos = [j for j, x in enumerate(e) if x > 0]
+        if len(pos) == 1:
+            anchored[pos[0]].append(e)
+        elif len(pos) == 2:
+            j, k = pos
+            if e[k] == 1:
+                anchored[j].append(e)
+            if e[j] == 1:
+                anchored[k].append(e)
+    missing = [v for v in range(nv) if not anchored[v]]
+    if missing:
+        note = f"no pure-power or near-power monomial for variables {missing}"
+        return "refuted", None, None, notes + (note,)
+    pinned = next(i for i, w in enumerate(fam.weights) if w % pp.p)
+    E = np.array(monos, dtype=np.int64)
+    anchor_rows = {v: [monos.index(e) for e in anchored[v]] for v in range(nv)}
+    examined = 0
+    for _, S in _canonical_rows(pp.q, pp.p, pp.r, nv, pinned):
+        examined += len(S)
+        dots = S @ E.T % pp.q
+        # hits[c, h]: every variable has an anchor in bucket h of class c
+        hits = np.ones((len(S), pp.q), dtype=bool)
+        for v in range(nv):
+            hit_v = np.zeros_like(hits)
+            hit_v[np.arange(len(S))[:, None], dots[:, anchor_rows[v]]] = True
+            hits &= hit_v
+        for c, h in zip(*np.nonzero(hits)):
+            bucket = [e for e, value in zip(monos, dots[c]) if value == h]
+            if brute_subset_criterion(bucket, nv):
+                signature = brute_canonical_full_signature(fam.weights, S[c].tolist(), pp.q)
+                note = f"classes examined: {examined}"
+                return "certified", signature, tuple(bucket), notes + (note,)
+    return "refuted", None, None, notes + (f"exhausted all {examined} signature classes",)

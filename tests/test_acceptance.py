@@ -15,7 +15,7 @@ from typing import Optional
 
 import pytest
 
-from conftest import families
+from conftest import families, reference_oracle
 
 from wpsauto.ambient import (
     WeightedFamily,
@@ -319,3 +319,24 @@ def test_criterion_7_falsifier_soundness(corpus):
         f"ACCEPTANCE 7 falsifier soundness over 100 witnesses x "
         f"{len(FALSIFIER_PRIMES)} primes: PASS ({elapsed:.2f}s)"
     )
+
+
+def test_oracle_matches_reference_oracle(corpus):
+    # The batched oracle against the per-class, per-bucket loop it replaced
+    # (conftest.reference_oracle).  Every second criterion-5 pair: a family
+    # contributes 9 orders, an odd number, so each order is still compared
+    # on half of the families.
+    records, _ = corpus
+    t0 = time.monotonic()
+    compared = {"certified": 0, "refuted": 0}
+    for rec in records[::2]:
+        got = rec.oracle
+        assert (
+            got.status,
+            got.signature and got.signature.sigma,
+            got.witness_system and got.witness_system.monomials,
+            got.notes,
+        ) == reference_oracle(rec.fam, rec.q), (rec.fam, rec.q)
+        compared[got.status] += 1
+    assert compared["certified"] >= 500 and compared["refuted"] >= 500, compared
+    print(f"reference oracle on {compared}: PASS ({time.monotonic() - t0:.2f}s)")

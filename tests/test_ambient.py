@@ -1,12 +1,15 @@
 import math
+import re
 from itertools import combinations
 
+import numpy as np
 import pytest
 
-from conftest import brute_monomials, families, series_monomial_count
+from conftest import brute_monomials, brute_semigroup_contains, families, series_monomial_count
 
 from wpsauto.ambient import (
     MonomialSystem,
+    _sum_test,
     WeightedFamily,
     enumerate_monomials,
     is_linear_cone,
@@ -185,6 +188,43 @@ class TestEnumerateMonomials:
         with pytest.raises(BudgetExceeded):
             enumerate_monomials(WeightedFamily((1, 1, 1, 1, 1), 12), budget=10)
 
+    @pytest.mark.parametrize(
+        "weights, degree",
+        [((1, 1, 1, 1, 1), 12), ((3, 7, 2, 4, 5), 37), ((1, 5, 5), 23), ((2, 3, 5), 7)],
+    )
+    def test_budget_is_exactly_the_count(self, weights, degree):
+        fam = WeightedFamily(weights, degree)
+        count = series_monomial_count(weights, degree)
+        assert len(enumerate_monomials(fam, budget=count)) == count
+        with pytest.raises(BudgetExceeded, match=f"more than {count - 1} monomials"):
+            enumerate_monomials(fam, budget=count - 1)
+
+    @pytest.mark.parametrize("weights, degree", [((2, 3, 5), 1), ((3, 5, 7), 4), ((4, 6, 9), 11)])
+    def test_unreachable_degree_gives_an_empty_table(self, weights, degree):
+        assert brute_monomials(weights, degree) == set()
+        system = enumerate_monomials(WeightedFamily(weights, degree), budget=0)
+        assert system.monomials == ()
+
+    def test_budget_before_a_large_table_is_built(self):
+        # a billion exponents of x0 alone; the budget stops the first chunk
+        with pytest.raises(BudgetExceeded, match="more than 10 monomials"):
+            enumerate_monomials(WeightedFamily((1, 1, 1), 10**9), budget=10)
+
+    def test_suffix_sum_test_matches_search(self):
+        for gens in [(1,), (4,), (2, 2), (3, 5), (6, 10, 15), (4, 6, 9), (7, 11, 12, 15)]:
+            for d in (0, 1, 17, 60, 140):
+                got = _sum_test(gens, d)(np.arange(d + 1)).tolist()
+                assert got == [brute_semigroup_contains(set(gens), r) for r in range(d + 1)], (gens, d)
+
+    def test_matches_grid_search_with_gaps(self):
+        # suffixes of large gcd leave most exponents of the early variables
+        # without a completion
+        for weights, degree in [((1, 6, 9), 40), ((1, 1, 4, 6), 23), ((5, 1, 7, 7), 29)]:
+            fam = WeightedFamily(weights, degree)
+            monos = enumerate_monomials(fam).monomials
+            assert list(monos) == sorted(brute_monomials(weights, degree))
+            assert all(type(x) is int for e in monos for x in e)
+
 
 class TestMonomialSystem:
     def test_rejects_wrong_degree(self):
@@ -196,3 +236,32 @@ class TestMonomialSystem:
         fam = WeightedFamily((1, 1, 1), 3)
         with pytest.raises(ValueError):
             MonomialSystem(fam, ((3, 0, 0), (3, 0, 0)))
+
+    # The first offending entry is named, with the first check it fails, in
+    # the order arity, sign, degree, repetition.
+    @pytest.mark.parametrize(
+        "monomials, message",
+        [
+            (((1, 1, 1), (1, 1), (0, 0, -3)), "monomial (1, 1) has wrong arity"),
+            (((1, 1, 1), (0, 0, -3), (1, 1)), "monomial (0, 0, -3) has a negative exponent"),
+            (((1, 1, 1), (0, 5, -2), (2, 0, 0)), "monomial (0, 5, -2) has a negative exponent"),
+            (((3, 0, 0), (2, 0, 0), (3, 0, 0)), "monomial (2, 0, 0) does not have weighted degree 3"),
+            (((3, 0, 0), (1, 1, 1), (3, 0, 0), (0, -1, 4)), "duplicate monomial (3, 0, 0)"),
+            (((3, 0, 0), (1, 1, 1), (3, 0, 0, 0)), "monomial (3, 0, 0, 0) has wrong arity"),
+            ([[1, 1, 1], [0, 3, 0], [1, 1, 1]], "duplicate monomial (1, 1, 1)"),
+            (np.array([[1, 1, 1], [1, 2, 1]]), "monomial (1, 2, 1) does not have weighted degree 3"),
+            (np.array([[1, 1], [2, 1]]), "monomial (1, 1) has wrong arity"),
+        ],
+    )
+    def test_names_the_first_offender(self, monomials, message):
+        fam = WeightedFamily((1, 1, 1), 3)
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            MonomialSystem(fam, monomials)
+
+    def test_stores_plain_integer_tuples(self):
+        fam = WeightedFamily((1, 1, 2), 4)
+        for given in ([[4, 0, 0], (0, 2, 1)], np.array([[4, 0, 0], [0, 2, 1]])):
+            system = MonomialSystem(fam, given)
+            assert system.monomials == ((4, 0, 0), (0, 2, 1))
+            assert all(type(x) is int for e in system.monomials for x in e)
+        assert MonomialSystem(fam, ()).monomials == ()

@@ -263,6 +263,28 @@ def test_seed_env_default(capsys, monkeypatch):
     assert json.loads(out)["seed"] == 42
 
 
+def test_seed_env_read_per_call(capsys, monkeypatch):
+    # the parser is built once per process; the seed default is not
+    seeds = []
+    for value in ("7", "1234"):
+        monkeypatch.setenv("WPSAUTO_SEED", value)
+        _, out, _ = run_cli(capsys, "klein", "--weights", "1,1,1", "--degree", "4")
+        seeds.append(json.loads(out)["seed"])
+    assert seeds == [7, 1234]
+    _, out, _ = run_cli(capsys, "--seed", "5", "klein", "--weights", "1,1,1", "--degree", "4")
+    assert json.loads(out)["seed"] == 5
+    monkeypatch.delenv("WPSAUTO_SEED")
+    _, out, _ = run_cli(capsys, "klein", "--weights", "1,1,1", "--degree", "4")
+    assert json.loads(out)["seed"] == 0
+
+
+def test_bad_seed_env_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("WPSAUTO_SEED", "x1")
+    code, out, err = run_cli(capsys, "klein", "--weights", "1,1,1", "--degree", "4")
+    assert (code, out) == (64, "")
+    assert "WPSAUTO_SEED must be an integer, got 'x1'" in err
+
+
 def test_check_all_chains(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -232,3 +232,27 @@ class TestMaxPrimeInvariants:
                 walk.add(v)
                 v = succ[v]
             assert walk == set(range(fam.nvars)) and v == 0
+
+
+def test_invariant_monomials_match_the_table_filter():
+    # the invariant rows come from one product with the exponent matrix;
+    # compare them with the signature filter over the monomial tuples
+    from wpsauto.klein import _invariant_rows
+    from wpsauto.orders import CycleChain, as_analysis, signature_from_chain
+
+    checked = 0
+    for fam in families((1, 2, 3), 4, range(3, 16)):
+        an = as_analysis(fam)
+        if an.klein is None:
+            continue
+        chain = CycleChain(an.klein.ordering, an.klein.exponents)
+        for p in (2, 7, 101, 2**61 - 1):
+            sigma = signature_from_chain(fam, chain, p).sigma
+            want = [
+                e for e in an.system.monomials if sum(s * x for s, x in zip(sigma, e)) % p == 0
+            ]
+            got = [an.system.monomials[r] for r in _invariant_rows(an, p)]
+            assert got == want, (fam, p)
+            assert eigenspace_filter(an, p) == (len(want), len(an.system))
+            checked += 1
+    assert checked > 100

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import brute_canonical_full_signature, brute_canonical_mask
+from conftest import brute_canonical_full_signature, brute_canonical_mask, brute_subset_criterion
 
 from wpsauto.ambient import WeightedFamily, enumerate_monomials
 from wpsauto.arith import effective_order, prime_powers_up_to
@@ -349,8 +349,6 @@ def brute_order_exists(fam, q):
     """Reference search over every signature vector, no class reduction."""
     from itertools import product
 
-    from wpsauto.quasismooth import subset_criterion
-
     system = enumerate_monomials(fam)
     for sigma in product(range(q), repeat=fam.nvars):
         if effective_order(sigma, fam.weights, q) != q:
@@ -358,7 +356,7 @@ def brute_order_exists(fam, q):
         dots = [sum(s * x for s, x in zip(sigma, e)) % q for e in system.monomials]
         for h in set(dots):
             bucket = [e for e, val in zip(system.monomials, dots) if val == h]
-            if subset_criterion(bucket, fam.nvars):
+            if brute_subset_criterion(bucket, fam.nvars):
                 return True
     return False
 

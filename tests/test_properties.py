@@ -2,9 +2,11 @@
 
 import math
 
+import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import brute_semigroup_contains, series_monomial_count
+from conftest import brute_semigroup_contains, brute_subset_criterion, series_monomial_count
 
 from wpsauto.ambient import WeightedFamily, enumerate_monomials, well_form_normalize, well_formed
 from wpsauto.arith import (
@@ -15,7 +17,7 @@ from wpsauto.arith import (
 )
 from wpsauto.errors import NotAPrimePower, NotNormalizable
 from wpsauto.orders import chain_from_cycle, signature_from_chain, chain_invariance_check, weight_digraph
-from wpsauto.quasismooth import subset_criterion
+from wpsauto.quasismooth import pattern_codes, subset_criterion, subset_criterion_batch
 from wpsauto.cycles import simple_cycles
 
 weights_strategy = st.lists(st.integers(1, 6), min_size=3, max_size=5).filter(
@@ -103,3 +105,49 @@ def test_subset_criterion_permutation_invariant(exps, perm):
     base = subset_criterion(exps, 4)
     permuted = [tuple(e[p] for p in perm) for e in exps]
     assert subset_criterion(permuted, 4) == base
+
+
+@st.composite
+def exponent_lists(draw, min_size=0):
+    """(exponent vectors over 1-6 variables with entries 0-3, nvars); the
+    vectors may repeat."""
+    nvars = draw(st.integers(1, 6))
+    rows = draw(
+        st.lists(
+            st.lists(st.integers(0, 3), min_size=nvars, max_size=nvars),
+            min_size=min_size,
+            max_size=12,
+        )
+    )
+    if rows and draw(st.booleans()):
+        rows.append(draw(st.sampled_from(rows)))
+    return [tuple(e) for e in rows], nvars
+
+
+@given(exponent_lists())
+@settings(max_examples=400, deadline=None)
+def test_subset_criterion_matches_bruteforce(case):
+    exps, nvars = case
+    assert subset_criterion(exps, nvars) == brute_subset_criterion(exps, nvars)
+
+
+@given(st.lists(exponent_lists(min_size=1), min_size=1, max_size=6), st.integers(1, 6))
+@settings(max_examples=150, deadline=None)
+def test_batched_criterion_decides_each_row(cases, nvars):
+    # one kernel call over several sets of the same variables
+    sets = [[e[:nvars] + (0,) * (nvars - len(e)) for e in exps] for exps, _ in cases]
+    per_set = [np.unique(pattern_codes(np.array(rows, dtype=np.int64))) for rows in sets]
+    codes = np.unique(np.concatenate(per_set))
+    presence = np.array([np.isin(codes, own) for own in per_set])
+    got = subset_criterion_batch(codes, presence, nvars)
+    assert got.tolist() == [brute_subset_criterion(rows, nvars) for rows in sets]
+
+
+def test_subset_criterion_edge_cases():
+    assert subset_criterion([], 3) is False
+    assert brute_subset_criterion([], 3) is False
+    for nvars in (0, -1):
+        with pytest.raises(ValueError):
+            subset_criterion([(1, 1)], nvars)
+        with pytest.raises(ValueError):
+            brute_subset_criterion([(1, 1)], nvars)
