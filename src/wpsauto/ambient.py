@@ -85,9 +85,10 @@ class MonomialSystem:
 
     The monomials may be given as any sequence of integer sequences, or as
     an integer matrix with one row per monomial; they are stored as a tuple
-    of tuples.  Each entry is checked in order for its arity, its signs, its
-    weighted degree and for repeating an earlier entry, and the first entry
-    failing a check is named.  The checks run on the whole table at once.
+    of tuples, and as the read-only matrix `exponents`.  Each entry is
+    checked in order for its arity, its signs, its weighted degree and for
+    repeating an earlier entry, and the first entry failing a check is
+    named.  The checks run on the whole table at once.
     """
 
     family: WeightedFamily
@@ -131,6 +132,16 @@ class MonomialSystem:
                 }[kind]
             )
         object.__setattr__(self, "monomials", entries)
+        # no exponent exceeds d, so the narrowest signed type holding d holds them all
+        exponents = table.astype(np.min_scalar_type(-fam.degree - 1))
+        exponents.flags.writeable = False  # shared by every reader
+        object.__setattr__(self, "_exponents", exponents)
+
+    @property
+    def exponents(self) -> np.ndarray:
+        """The monomials as a matrix, one row each, in the narrowest signed
+        integer type that holds d."""
+        return self._exponents
 
     def __len__(self) -> int:
         return len(self.monomials)

@@ -25,7 +25,7 @@ from .ambient import MONOMIAL_BUDGET, WeightedFamily
 from .arith import as_prime_power, gcd_all
 from .checks import CHECK_NAMES, run_checks
 from .cycles import CYCLE_BUDGET
-from .errors import BudgetExceeded, HypothesisViolated, WpsautoError
+from .errors import BudgetExceeded, CoefficientCollision, HypothesisViolated, WpsautoError
 from .orders import (
     ORACLE_CLASS_BUDGET,
     FamilyAnalysis,
@@ -265,7 +265,13 @@ def _cmd_check(args) -> int:
         member = random_member(verdict.witness_system, args.seed)
         summary = []
         for prime in FALSIFIER_PRIMES:
-            result = singular_point_search(member, prime, args.falsifier_budget, args.seed)
+            try:
+                result = singular_point_search(member, prime, args.falsifier_budget, args.seed)
+            except CoefficientCollision as exc:  # this prime cannot test the member
+                summary.append(
+                    {"prime": prime, "witness": None, "tested": 0, "mode": "skipped", "reason": str(exc)}
+                )
+                continue
             summary.append(
                 {
                     "prime": prime,

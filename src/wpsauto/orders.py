@@ -587,13 +587,10 @@ class FamilyAnalysis:
     def system(self) -> MonomialSystem:
         return enumerate_monomials(self.family, self.monomial_budget)
 
-    @cached_property
+    @property
     def exponents(self) -> np.ndarray:
-        """The monomial table as a matrix, in the narrowest signed integer
-        type that holds d (no exponent exceeds it)."""
-        monos = self.system.monomials
-        table = np.array(monos, dtype=np.min_scalar_type(-self.family.degree))
-        return table.reshape(len(monos), self.family.nvars)
+        """The monomial table as a matrix (`MonomialSystem.exponents`)."""
+        return self.system.exponents
 
     @cached_property
     def patterns(self) -> tuple[np.ndarray, np.ndarray]:

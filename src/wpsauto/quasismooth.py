@@ -6,8 +6,13 @@ Two complementary verdicts are produced here and deliberately kept apart:
   `general_member_quasismooth`) decides whether the general member of a
   monomial linear system has a smooth affine cone away from the origin;
 * point-witness: `singular_point_search` hunts for an explicit singular
-  point of one explicit polynomial over a prime field.  A witness refutes
-  quasi-smoothness of that reduction; finding none proves nothing.
+  point of one explicit polynomial over a prime field F_p, p < 2^16.  A
+  witness refutes quasi-smoothness of that reduction; finding none proves
+  nothing.  Points are evaluated in discrete-log space: per prime, a log
+  table and a power table of p entries (built on first use); per search,
+  the power table tiled to D * (p - 1) + 1 entries, D the largest monomial
+  degree once every exponent is reduced into [0, p - 1], so
+  D <= nvars * (p - 1).
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -37,6 +43,7 @@ __all__ = [
     "required_monomial",
     "singular_point_search",
     "random_member",
+    "FIELD_PRIME_LIMIT",
 ]
 
 
@@ -248,26 +255,88 @@ def _reduce_coefficients(poly: ExplicitPolynomial, p: int) -> tuple[list[Monomia
     return monos, coeffs
 
 
-def _eval_batch(points: np.ndarray, monos: Sequence[Monomial], coeffs: Sequence[int], p: int) -> np.ndarray:
-    """Evaluate sum(c * x^e) mod p on a batch of points, exactly in int64."""
-    npts = points.shape[0]
-    nv = points.shape[1]
-    max_exp = [max((e[v] for e in monos), default=0) for v in range(nv)]
-    pows: list[list[np.ndarray]] = []
-    for v in range(nv):
-        col = points[:, v].astype(np.int64)
-        table = [np.ones(npts, dtype=np.int64)]
-        for _ in range(max_exp[v]):
-            table.append(table[-1] * col % p)
-        pows.append(table)
-    total = np.zeros(npts, dtype=np.int64)
-    for mono, c in zip(monos, coeffs):
-        term = np.full(npts, c, dtype=np.int64)
-        for v, e in enumerate(mono):
-            if e:
-                term = term * pows[v][e] % p
-        total = (total + term) % p
-    return total
+#: The falsifier's fields are F_p for the primes p below this limit.
+FIELD_PRIME_LIMIT = 1 << 16
+
+#: Entries one block of (monomial x point) log sums may hold.
+_BLOCK = 1 << 16
+
+
+@lru_cache(maxsize=8)  # the CLI's three falsifier primes, with room to spare
+def _log_tables(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(log, exp) over F_p for its least primitive root g: exp[k] = g^k for
+    0 <= k < p - 1 and log[exp[k]] = k (log[0] is 0 and means nothing).
+    Two int64 arrays of p and p - 1 entries, built on first use."""
+    n, factors, f = p - 1, [], 2
+    while f * f <= n:
+        if n % f == 0:
+            factors.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    factors += [n] if n > 1 else []
+    g = next(g for g in range(1, p) if all(pow(g, (p - 1) // f, p) != 1 for f in factors))
+    exp = np.array(list(accumulate(range(p - 2), lambda x, _: x * g % p, initial=1)), dtype=np.int64)
+    log = np.zeros(p, dtype=np.int64)
+    log[exp] = np.arange(p - 1)
+    for table in (log, exp):
+        table.flags.writeable = False  # shared by every search over F_p
+    return log, exp
+
+
+class _LogSpace:
+    """Polynomials over F_p (p < FIELD_PRIME_LIMIT) evaluated through
+    discrete logarithms, with no reduction mod p inside the sums.
+
+    Each exponent e >= 1 is first reduced to (e - 1) mod (p - 1) + 1, which
+    leaves x^e unchanged at every x in F_p; D is then the largest monomial
+    degree, at least 1, so D <= nvars * (p - 1).  A point's coordinates are
+    replaced by their logs, 0 by the sentinel cap = D * (p - 1).  A monomial
+    whose variables are all nonzero has the log sum e . log(x) <= D * (p - 2)
+    < cap; one holding a zero coordinate has a sum >= cap.  So a single
+    gather from exp tiled D times with a trailing 0, indices clipped to cap,
+    gives every monomial's value, and a dot product with the coefficients
+    sums them.  All of it is exact integer arithmetic: log sums are at most
+    D * cap, held in int32 below 2^31 and in int64 otherwise (2^63 and
+    beyond is refused), and a dot product, in int64, is at most
+    (#monomials) * (p - 1)^2 < 2^63 for fewer than 2^31 monomials.  The
+    tiled table has cap + 1 entries and lives for one search; sums are
+    formed `_BLOCK` entries at a time.
+    """
+
+    def __init__(self, p: int, nvars: int, polys) -> None:
+        reduced = []
+        for monos, coeffs in polys:
+            E = np.array(monos, dtype=np.int64).reshape(len(monos), nvars)
+            reduced.append((np.where(E > 0, (E - 1) % (p - 1) + 1, 0), coeffs))
+        degree = max(int(E.sum(axis=1).max(initial=1)) for E, _ in reduced)
+        cap = degree * (p - 1)
+        if degree * cap >= 1 << 63:
+            raise ValueError(f"log sums of degree {degree} over F_{p} overflow int64")
+        dtype = np.int32 if degree * cap < 1 << 31 else np.int64  # int32 halves the traffic
+        self.polys = [(E.T.astype(dtype), np.array(c, dtype=np.int64)) for E, c in reduced]
+        log, exp = _log_tables(p)
+        self.p = p
+        self.log = log.astype(dtype)
+        self.log[0] = cap
+        self.exp = np.append(np.tile(exp, degree), 0).astype(dtype)
+
+    def logs(self, points: np.ndarray) -> np.ndarray:
+        """The logs of a block of points, one row per variable."""
+        return self.log[points.T]
+
+    def values(self, k: int, logs: np.ndarray) -> np.ndarray:
+        """Polynomial k, reduced mod p, at the points whose `logs` are given."""
+        ET, c = self.polys[k]
+        out = np.empty(logs.shape[1], dtype=np.int64)
+        step = max(1, _BLOCK // max(len(c), 1))
+        for start in range(0, logs.shape[1], step):
+            block = logs[:, start : start + step]
+            sums = np.zeros((len(c), block.shape[1]), dtype=logs.dtype)
+            for column, row in zip(ET, block):
+                sums += column[:, None] * row
+            out[start : start + step] = c @ np.take(self.exp, sums, mode="clip")
+        return out % self.p
 
 
 def _partials(monos: Sequence[Monomial], coeffs: Sequence[int], nv: int, p: int):
@@ -289,29 +358,16 @@ def _partials(monos: Sequence[Monomial], coeffs: Sequence[int], nv: int, p: int)
     return out
 
 
-def _find_witness(
-    points: np.ndarray,
-    monos: Sequence[Monomial],
-    coeffs: Sequence[int],
-    parts,
-    p: int,
-) -> Optional[tuple[int, ...]]:
-    if points.shape[0] == 0:
-        return None
-    alive = _eval_batch(points, monos, coeffs, p) == 0
-    alive &= points.any(axis=1)  # the origin never counts
-    if not alive.any():
-        return None
-    idx = np.flatnonzero(alive)
-    sub = points[idx]
-    for pm, pc in parts:
-        if len(pm) == 0:
-            continue  # identically zero partial vanishes everywhere
-        keep = _eval_batch(sub, pm, pc, p) == 0
-        idx = idx[keep]
+def _find_witness(points: np.ndarray, space: _LogSpace) -> Optional[tuple[int, ...]]:
+    """The first point of the block, other than the origin, where all the
+    polynomials of `space` vanish.  Each is evaluated only where those
+    before it vanish, so the first one is the costly one."""
+    logs = space.logs(points)
+    idx = np.flatnonzero(points.any(axis=1))
+    for k in range(len(space.polys)):
+        idx = idx[space.values(k, logs[:, idx]) == 0]
         if idx.size == 0:
             return None
-        sub = points[idx]
     return tuple(int(x) for x in points[idx[0]])
 
 
@@ -343,9 +399,20 @@ def singular_point_search(
     Exhaustive when field_prime**nvars fits the budget.  Otherwise a
     deterministic small-coordinate box is swept first (singular loci defined
     over small integers are caught regardless of the prime), then seeded
-    random sampling consumes the rest of the budget.  A returned witness is
-    re-verified with plain integer arithmetic before being reported.
+    random sampling consumes the rest of the budget.
+
+    The field prime must lie below FIELD_PRIME_LIMIT = 2^16; others raise
+    ValueError.  Points are tested 4096 at a time in discrete-log space
+    (`_LogSpace`): the polynomial and its partials are evaluated from one
+    gather of the block's coordinate logs into a power table.  The log and
+    power tables of F_p (p entries each) are built once per prime; each
+    search also tiles the power table to D * (p - 1) + 1 entries, D the
+    largest monomial degree once every exponent is reduced into [0, p - 1].
+    A returned witness is re-verified with plain integer arithmetic before
+    being reported.
     """
+    if not 2 <= field_prime < FIELD_PRIME_LIMIT:
+        raise ValueError(f"field prime {field_prime} is outside [2, {FIELD_PRIME_LIMIT})")
     if not is_prime(field_prime):
         raise ValueError(f"{field_prime} is not prime")
     if budget < 0:
@@ -354,6 +421,9 @@ def singular_point_search(
     nv = poly.system.family.nvars
     monos, coeffs = _reduce_coefficients(poly, p)
     parts = _partials(monos, coeffs, nv, p)
+    # the polynomial and its partials vanish on the same points whichever is
+    # tested first, so the one with the fewest monomials goes first
+    space = _LogSpace(p, nv, sorted([(monos, coeffs), *parts], key=lambda poly: len(poly[0])))
 
     def result(witness, tested, mode, exhausted):
         if witness is not None and not _verify_witness(witness, monos, coeffs, parts, p):
@@ -390,7 +460,7 @@ def singular_point_search(
     tested = 0
     for pts in batches():
         tested += len(pts)
-        w = _find_witness(pts, monos, coeffs, parts, p)
+        w = _find_witness(pts, space)
         if w is not None:
             return result(w, tested, mode, False)
     return result(None, tested, mode, mode == "sampled")

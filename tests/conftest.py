@@ -145,6 +145,29 @@ def brute_subset_criterion(exponents, nvars: int) -> bool:
     return True
 
 
+def brute_eval_batch(points: np.ndarray, monos, coeffs, p: int) -> np.ndarray:
+    """sum(c * x^e) mod p at every row of `points`, one monomial at a time
+    from per-variable power tables, in int64: exact while (p - 1)^2 < 2^63."""
+    npts = points.shape[0]
+    nv = points.shape[1]
+    max_exp = [max((e[v] for e in monos), default=0) for v in range(nv)]
+    pows: list[list[np.ndarray]] = []
+    for v in range(nv):
+        col = points[:, v].astype(np.int64)
+        table = [np.ones(npts, dtype=np.int64)]
+        for _ in range(max_exp[v]):
+            table.append(table[-1] * col % p)
+        pows.append(table)
+    total = np.zeros(npts, dtype=np.int64)
+    for mono, c in zip(monos, coeffs):
+        term = np.full(npts, c, dtype=np.int64)
+        for v, e in enumerate(mono):
+            if e:
+                term = term * pows[v][e] % p
+        total = (total + term) % p
+    return total
+
+
 def reference_oracle(fam: WeightedFamily, q: int):
     """(status, signature, witness monomials, notes) of the signature-class
     oracle, by its per-class, per-bucket loop: the candidate classes come

@@ -265,3 +265,12 @@ class TestMonomialSystem:
             assert system.monomials == ((4, 0, 0), (0, 2, 1))
             assert all(type(x) is int for e in system.monomials for x in e)
         assert MonomialSystem(fam, ()).monomials == ()
+
+    @pytest.mark.parametrize("degree, dtype", [(127, np.int8), (128, np.int16), (32768, np.int32)])
+    def test_exponent_matrix_holds_d(self, degree, dtype):
+        # the narrowest type holding -d is one too narrow for x_0^d when d = 128
+        fam = WeightedFamily((1, degree, degree + 1), degree)
+        system = MonomialSystem(fam, ((degree, 0, 0), (0, 1, 0)))
+        assert system.exponents.dtype == dtype
+        assert system.exponents.tolist() == [[degree, 0, 0], [0, 1, 0]]
+        assert not system.exponents.flags.writeable

@@ -116,6 +116,25 @@ def test_check_certified_includes_falsifier(capsys):
     assert all(entry["witness"] is None for entry in report["falsifier"])
 
 
+def test_check_skips_a_prime_where_a_coefficient_vanishes(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        "--seed", "1390486307", "check", "--weights", "1,2,2,3", "--degree", "21",
+        "--order", "3", "--falsifier-budget", "10000",
+    )
+    assert code == 0
+    report = json.loads(out)
+    jsonschema.validate(report, SCHEMA)
+    assert report["verdicts"][0]["status"] == "certified"
+    assert report["falsifier"] == [
+        {"prime": 101, "witness": None, "tested": 0, "mode": "skipped",
+         "reason": "coefficient of (1, 1, 6, 2) vanishes mod 101"},
+        {"prime": 499, "witness": None, "tested": 10000, "mode": "sampled"},
+        {"prime": 997, "witness": None, "tested": 0, "mode": "skipped",
+         "reason": "coefficient of (0, 3, 0, 5) vanishes mod 997"},
+    ]
+
+
 def test_check_prime_power_order(capsys):
     code, out, _ = run_cli(
         capsys, "check", "--weights", "1,1,1", "--degree", "4", "--order", "8"

@@ -15,6 +15,7 @@ from wpsauto.orders import (
     _canonical_full_signature,
     _canonical_rows,
     admissible_orders,
+    as_analysis,
     bound_coprime,
     bound_divides_d,
     chain_digraph,
@@ -450,3 +451,11 @@ class TestChainValidation:
         # the return edge 1 -> 0 would need 7 to divide 37 - 3 = 34
         with pytest.raises(ValueError):
             chain_from_cycle(COUNTEREXAMPLE, (0, 1))
+
+
+def test_analysis_reads_the_enumerated_matrix():
+    # x_0^128 overflowed the int8 matrix the analysis used to rebuild
+    an = as_analysis(WeightedFamily((1, 2, 3), 128))
+    assert an.exponents is an.system.exponents
+    assert an.exponents.tolist() == [list(e) for e in an.system.monomials]
+    assert oracle_exists_order(an, 5).status in ("certified", "refuted")

@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import brute_semigroup_contains, brute_subset_criterion, series_monomial_count
+from conftest import (
+    brute_eval_batch,
+    brute_semigroup_contains,
+    brute_subset_criterion,
+    series_monomial_count,
+)
 
 from wpsauto.ambient import WeightedFamily, enumerate_monomials, well_form_normalize, well_formed
 from wpsauto.arith import (
@@ -17,7 +22,7 @@ from wpsauto.arith import (
 )
 from wpsauto.errors import NotAPrimePower, NotNormalizable
 from wpsauto.orders import chain_from_cycle, signature_from_chain, chain_invariance_check, weight_digraph
-from wpsauto.quasismooth import pattern_codes, subset_criterion, subset_criterion_batch
+from wpsauto.quasismooth import _LogSpace, pattern_codes, subset_criterion, subset_criterion_batch
 from wpsauto.cycles import simple_cycles
 
 weights_strategy = st.lists(st.integers(1, 6), min_size=3, max_size=5).filter(
@@ -151,3 +156,27 @@ def test_subset_criterion_edge_cases():
             subset_criterion([(1, 1)], nvars)
         with pytest.raises(ValueError):
             brute_subset_criterion([(1, 1)], nvars)
+
+
+@st.composite
+def polynomials_and_points(draw):
+    """(p, nvars, monomials, coefficients, points): exponents both small and
+    at or beyond p - 1, coordinates often 0, and the origin first."""
+    p = draw(st.sampled_from((2, 3, 5, 7, 101, 499, 997)))
+    nv = draw(st.integers(1, 3))
+    exponent = st.one_of(st.integers(0, 3), st.integers(max(p - 2, 0), 2 * p))
+    monos = draw(st.lists(st.tuples(*[exponent] * nv), max_size=6))
+    coeffs = draw(st.lists(st.integers(0, p - 1), min_size=len(monos), max_size=len(monos)))
+    coordinate = st.one_of(st.just(0), st.integers(0, p - 1))
+    points = draw(st.lists(st.tuples(*[coordinate] * nv), max_size=12))
+    return p, nv, monos, coeffs, [(0,) * nv] + points
+
+
+@given(polynomials_and_points())
+@settings(max_examples=200, deadline=None)
+def test_log_space_evaluation_matches_brute(case):
+    p, nv, monos, coeffs, points = case
+    space = _LogSpace(p, nv, [(monos, coeffs)])
+    pts = np.array(points, dtype=np.int64)
+    got = space.values(0, space.logs(pts))
+    assert got.tolist() == brute_eval_batch(pts, monos, coeffs, p).tolist()

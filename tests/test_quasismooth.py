@@ -1,13 +1,16 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from conftest import families
+from conftest import brute_eval_batch, families
 
 from wpsauto.ambient import MonomialSystem, WeightedFamily, enumerate_monomials, is_linear_cone
 from wpsauto.errors import CoefficientCollision, EmptySystem, NotWellFormed
 from wpsauto.quasismooth import (
+    FIELD_PRIME_LIMIT,
     ExplicitPolynomial,
+    _LogSpace,
     exists_quasismooth,
     general_member_quasismooth,
     semigroup_subset_condition,
@@ -173,6 +176,26 @@ class TestSingularPointSearch:
         with pytest.raises(CoefficientCollision):
             singular_point_search(poly, 5, budget=10)
 
+    @pytest.mark.parametrize("prime", [5, 7, 101, 499, 997, 65521])
+    def test_accepted_primes(self, prime):
+        result = singular_point_search(_klein_quadric_poly(), prime, budget=0)
+        assert (result.witness, result.tested) == (None, 0)
+
+    @pytest.mark.parametrize("prime", [65537, 4294967311])
+    def test_primes_past_the_limit_raise(self, prime):
+        # the old int64 loop reduced (p - 1)^2 mod 4294967311 to 4294967087
+        assert prime > FIELD_PRIME_LIMIT
+        with pytest.raises(ValueError, match="outside"):
+            singular_point_search(_klein_quadric_poly(), prime, budget=10)
+
+    def test_log_sums_past_int64_raise(self):
+        nv = 200  # degree 200 * 65520, log sums up to 65520 * degree^2 > 2^63
+        fam = WeightedFamily((1,) * nv, nv * 65520)
+        mono = (65520,) * nv
+        poly = ExplicitPolynomial(MonomialSystem(fam, (mono,)), {mono: Fraction(1)})
+        with pytest.raises(ValueError, match="overflow int64"):
+            singular_point_search(poly, 65521, budget=0)
+
     def test_witness_refutes_only_that_reduction(self):
         # determinism: the same seed and budget give the same outcome
         a = singular_point_search(_klein_quadric_poly(), 499, budget=5000, seed=11)
@@ -207,3 +230,24 @@ def test_subset_criterion_permutation_invariant():
     perm = (2, 0, 4, 1, 3)
     permuted = [tuple(e[p] for p in perm) for e in system.monomials]
     assert subset_criterion(permuted, fam.nvars) == base
+
+
+class TestLogSpace:
+    def test_matches_brute_across_blocks(self):
+        # 300 monomials make each block of sums 218 points wide
+        rng = np.random.default_rng(5)
+        monos = [tuple(int(x) for x in row) for row in rng.integers(0, 31, size=(300, 4))]
+        coeffs = rng.integers(1, 997, size=300).tolist()
+        points = rng.integers(0, 997, size=(1000, 4))
+        points[rng.random(points.shape) < 0.1] = 0
+        space = _LogSpace(997, 4, [(monos, coeffs)])
+        got = space.values(0, space.logs(points))
+        assert got.tolist() == brute_eval_batch(points, monos, coeffs, 997).tolist()
+
+    def test_wide_sums_run_in_int64(self):
+        monos, coeffs = [(996, 996, 996), (5, 0, 1)], [3, 7]
+        points = np.array([[1, 2, 3], [0, 1, 1], [4, 0, 0], [996, 995, 2]])
+        space = _LogSpace(997, 3, [(monos, coeffs)])
+        assert space.log.dtype == np.int64
+        got = space.values(0, space.logs(points))
+        assert got.tolist() == brute_eval_batch(points, monos, coeffs, 997).tolist()
