@@ -44,7 +44,6 @@ from .orders import (
     admissible_orders,
     bound_coprime,
     bound_divides_d,
-    chain_digraph,
     chain_invariance_check,
     divides_d_criterion,
     family_analysis,
@@ -94,7 +93,6 @@ __all__ = [
     "required_monomial",
     "singular_point_search",
     "random_member",
-    "chain_digraph",
     "necessary_condition",
     "signature_from_chain",
     "chain_invariance_check",

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import EmptyInput, NotAPrimePower
@@ -88,27 +89,33 @@ class PrimePowerOrder:
 
 
 def prime_power_decompose(q: int) -> PrimePowerOrder:
-    """Write q >= 2 as p**r with p prime, or raise NotAPrimePower."""
+    """Write q >= 2 as p**r with p prime, or raise NotAPrimePower.
+
+    If q = p**r, then r is the largest exponent for which q has an exact
+    integer root, and that root is p: so the first exact root, trying r from
+    bit_length - 1 down, decides, and no factor of q is searched for.
+    """
     if q < 2:
         raise ValueError("q must be at least 2")
-    if is_prime(q):
-        return PrimePowerOrder(q, 1)
-    # q is composite, so its least prime factor is at most sqrt(q).
-    p = 0
-    for cand in range(2, math.isqrt(q) + 1):
-        if q % cand == 0:
-            p = cand
+    for r in range(q.bit_length() - 1, 0, -1):
+        root = _integer_root(q, r)
+        if root**r == q:
+            if is_prime(root):
+                return PrimePowerOrder(root, r)
             break
-    if p == 0:  # unreachable for composite q, kept as a guard
-        raise NotAPrimePower(f"{q} is not a prime power")
-    r = 0
-    m = q
-    while m % p == 0:
-        m //= p
-        r += 1
-    if m != 1:
-        raise NotAPrimePower(f"{q} = {p}^{r} * {m} has two distinct prime factors")
-    return PrimePowerOrder(p, r)
+    raise NotAPrimePower(f"{q} is not a prime power")
+
+
+def _integer_root(n: int, r: int) -> int:
+    """The largest x >= 1 with x**r <= n, for n >= 1, by integer bisection."""
+    lo, hi = 1, 1 << (n.bit_length() // r + 1)  # hi**r > n
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid**r <= n:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def as_prime_power(q: "int | PrimePowerOrder") -> PrimePowerOrder:
@@ -156,36 +163,32 @@ def semigroup_contains(generators: Iterable[int], target: int) -> bool:
     return semigroup_reachable(generators, target)[target]
 
 
-def _divisors_sorted(q: int) -> list[int]:
-    divs = []
-    for k in range(1, math.isqrt(q) + 1):
-        if q % k == 0:
-            divs.append(k)
-            if k != q // k:
-                divs.append(q // k)
-    return sorted(divs)
-
-
 def effective_order(sigma: Sequence[int], a: Sequence[int], q: int) -> int:
     """Order of the projective automorphism induced by the residue vector sigma.
 
     This is the least k >= 1 such that k*sigma is a multiple of a modulo q,
-    i.e. the order of sigma in (Z/q)^(n+2) / <a mod q>.  Since every element
-    of that quotient has order dividing q, only divisors of q are tested.
+    i.e. the order of sigma in (Z/q)^(n+2) / <a mod q>, computed in closed
+    form from the Smith invariants d1 | d2 of the 2 x (n+2) integer matrix
+    M = [sigma; a]: d1 is the gcd of its entries and d1*d2 the gcd of its
+    2 x 2 minors sigma_i*a_j - sigma_j*a_i (d2 = 0 when M has rank below 2).
+
+    Proof.  M = U diag(d1, d2) V with U, V unimodular, and V acts as an
+    automorphism of (Z/q)^(n+2), so the subgroup <sigma, a> spanned by the
+    rows of M mod q is isomorphic to <d1*e_1, d2*e_2> and has order
+    (q/gcd(q, d1)) * (q/gcd(q, d2)).  Likewise <a> has order q/gcd(q, g_a),
+    g_a the gcd of the weights.  The quotient <sigma, a>/<a> is cyclic,
+    generated by sigma, so its order, the index of <a>, is the answer.  This
+    holds for every q >= 2 and all integer weights; the zero vector gives 1.
     """
     if len(sigma) != len(a):
         raise ValueError("sigma and a must have equal length")
     if q < 2:
         raise ValueError("q must be at least 2")
-    sig = [s % q for s in sigma]
-    avec = [w % q for w in a]
-    for k in _divisors_sorted(q):
-        scaled = [k * s % q for s in sig]
-        for c in range(q):
-            if all(c * w % q == s for w, s in zip(avec, scaled)):
-                return k
-        # no c matched; try the next divisor
-    return q  # unreachable: k = q always matches with c = 0
+    d1 = math.gcd(*sigma, *a)
+    minors = math.gcd(*(s * w - t * v for (s, v), (t, w) in combinations(zip(sigma, a), 2)))
+    d2 = minors // d1 if d1 else 0
+    span = (q // math.gcd(q, d1)) * (q // math.gcd(q, d2))
+    return span // (q // math.gcd(q, *a))
 
 
 def primes_up_to(limit: int) -> list[int]:

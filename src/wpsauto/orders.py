@@ -19,8 +19,8 @@ when they differ by a unit factor; the oracle enumerates one canonical
 representative per equivalence class, the lexicographically least member of
 its unit orbit.  Only a vector whose first nonzero entry is a power of p can
 be least, so the oracle builds those candidates alone, in increasing rank,
-and compares each with the few unit multiples that fix that entry (see
-`oracle_exists_order`).  It tests the eigenvalue buckets of a block of
+and decides each in one closed-form pass over its entries (see
+`_canonical_rows`).  It tests the eigenvalue buckets of a block of
 candidates together, in one batched subset-criterion kernel call per chunk
 of buckets, on the pattern codes of the monomial table.
 
@@ -77,7 +77,6 @@ __all__ = [
     "ORACLE_CLASS_BUDGET",
     "family_analysis",
     "as_analysis",
-    "chain_digraph",
     "chain_from_cycle",
     "necessary_condition",
     "signature_from_chain",
@@ -223,14 +222,6 @@ def _modulus(q: "int | PrimePowerOrder") -> int:
     return q.q if isinstance(q, PrimePowerOrder) else int(q)
 
 
-def _check_chain_hypotheses(fam: WeightedFamily, pp: PrimePowerOrder) -> None:
-    if fam.degree % pp.p == 0:
-        raise HypothesisViolated(f"p={pp.p} divides d={fam.degree}")
-    for i, w in enumerate(fam.weights):
-        if (fam.degree - w) % pp.p == 0:
-            raise HypothesisViolated(f"p={pp.p} divides d - a_{i} = {fam.degree - w}")
-
-
 def _check_degree_and_linearity(an: "FamilyAnalysis") -> None:
     if an.family.degree < 3:
         raise HypothesisViolated("degree must be at least 3")
@@ -240,19 +231,9 @@ def _check_degree_and_linearity(an: "FamilyAnalysis") -> None:
         )
 
 
-def chain_digraph(fam: WeightedFamily, q: "int | PrimePowerOrder") -> dict[int, dict[int, int]]:
-    """Adjacency i -> {j: m} with a_i * m + a_j = d, m >= 1, i != j.
-
-    The graph itself depends only on (a, d); the prime-power argument is
-    checked against the divisibility hypotheses and rejected otherwise.
-    """
-    pp = as_prime_power(q)
-    _check_chain_hypotheses(fam, pp)
-    return weight_digraph(fam)
-
-
 def weight_digraph(fam: WeightedFamily) -> dict[int, dict[int, int]]:
-    """The chain digraph without any hypothesis on a prime."""
+    """Adjacency i -> {j: m} with a_i * m + a_j = d, m >= 1, i != j: the
+    digraph whose cycles carry the cycle chains."""
     a = fam.weights
     d = fam.degree
     adj: dict[int, dict[int, int]] = {i: {} for i in range(fam.nvars)}
@@ -400,7 +381,7 @@ def _verified_certificate(
     return OrderVerdict(CERTIFIED, q, provenance, chain, sig, witness, notes)
 
 
-def divides_d_criterion(fam: WeightedFamily, p: int) -> OrderVerdict:
+def divides_d_criterion(fam: "WeightedFamily | FamilyAnalysis", p: int) -> OrderVerdict:
     """Complete criterion for prime order p when every weight divides d.
 
     Certified iff (a) p divides d, (b) a_i * p divides d - a_j for some
@@ -412,11 +393,13 @@ def divides_d_criterion(fam: WeightedFamily, p: int) -> OrderVerdict:
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+    an = as_analysis(fam)
+    fam = an.family
     a = fam.weights
     d = fam.degree
     if any(d % w != 0 for w in a):
         raise HypothesisViolated("every weight must divide the degree")
-    _check_degree_and_linearity(as_analysis(fam))
+    _check_degree_and_linearity(an)
     if not well_formed(fam):
         raise HypothesisViolated(f"{fam} is not well-formed")
     nv = fam.nvars
@@ -650,7 +633,12 @@ class FamilyAnalysis:
         """The chains whose signed exponent product is 1 mod q, lexicographically.
         Raises HypothesisViolated at once if p divides d or some d - a_i, and
         BudgetExceeded (as the cycle walk would) at the end of a truncated list."""
-        _check_chain_hypotheses(self.family, pp)
+        fam = self.family
+        if fam.degree % pp.p == 0:
+            raise HypothesisViolated(f"p={pp.p} divides d={fam.degree}")
+        for i, w in enumerate(fam.weights):
+            if (fam.degree - w) % pp.p == 0:
+                raise HypothesisViolated(f"p={pp.p} divides d - a_{i} = {fam.degree - w}")
         return self._qualifying(pp.q)
 
     def _qualifying(self, q: int) -> Iterator[CycleChain]:
@@ -745,27 +733,34 @@ def _canonical_rows(q: int, p: int, r: int, nv: int, pinned: int):
     Each block holds the rows of one `_CHUNK`-rank block of the slice; blocks
     without such rows are skipped.
 
-    Only rows whose first nonzero entry is some p**k are built.  A row with
-    k >= 1 also needs an entry prime to p, and must not exceed its multiple
-    by any unit 1 + t*q/p**k (these fix p**k); it drops at the first one that
-    makes it smaller.
+    Only rows whose first nonzero entry is some p**k are built, and each is
+    decided in one valuation-descent pass over its columns.  Let pc be the
+    least gcd(e, q) over the entries e seen so far, starting at the lead p**k:
+    the units fixing those entries are U_c = {1 + t*q/pc}.  An entry e with
+    g = gcd(e, q) < pc is e = g*w, w a unit, and (1 + t*q/pc)*e = e +
+    t*w*(q*g/pc), so U_c runs it through its whole coset modulo q*g/pc and
+    fixes it only for t a multiple of pc/g: the row can be least only if
+    e < q*g/pc, and then U_g fixes the prefix.  An entry with g >= pc is
+    fixed by all of U_c.  By induction over the first column where a unit
+    changes the row, the row is least iff every entry passes.  It has full
+    order iff some entry is prime to p, i.e. iff pc ends at 1; rows with
+    pc = 1 throughout (every row of a prime q) pass with no column tested.
     """
     free = [v for v in range(nv) if v != pinned]
     radix = q ** np.arange(len(free) - 1, -1, -1, dtype=np.int64)
     for segments in _candidate_segments(q, p, r, len(free)):
         ranks = np.concatenate([np.arange(lo, hi, dtype=np.int64) for lo, hi, _ in segments])
-        lead = np.repeat([pk for _, _, pk in segments], [hi - lo for lo, hi, _ in segments])
+        pc = np.repeat([pk for _, _, pk in segments], [hi - lo for lo, hi, _ in segments])
         S = ranks[:, None] // radix % q
-        keep = (S % p != 0).any(axis=1)
-        for k in range(1, r):
-            pk = p**k
-            rows = np.flatnonzero(keep & (lead == pk))
-            for t in range(1, pk):
-                if not rows.size:
-                    break
-                smaller = ranks[rows] > (1 + t * (q // pk)) * S[rows] % q @ radix
-                keep[rows[smaller]] = False
-                rows = rows[~smaller]
+        keep = np.ones(len(S), dtype=bool)
+        for e in S.T:
+            if (pc == 1).all():
+                break
+            g = np.gcd(e, q)  # q for e = 0
+            lower = g < pc
+            keep &= ~lower | (e < q // pc * g)
+            pc = np.where(lower, g, pc)
+        keep &= pc == 1
         if keep.any():
             out = np.zeros((np.count_nonzero(keep), nv), dtype=np.int64)
             out[:, free] = S[keep]
@@ -786,9 +781,9 @@ def oracle_exists_order(
     keep the p-adic valuation, so if the first nonzero entry s0 has
     gcd(s0, q) = p**k then min_u u*s0 = p**k, and a least vector has
     s0 = p**k with k < r.  The units fixing p**k are u = 1 + t*q/p**k, every
-    other one makes s0 larger, so such a vector is compared with those
-    p**k - 1 multiples alone (none for k = 0, hence none for prime q).
-    `_canonical_rows` builds only these candidates, in increasing rank.
+    other one makes s0 larger.  `_canonical_rows` builds only these
+    candidates, in increasing rank, and decides each in closed form, with no
+    unit multiple formed (and no test at all for k = 0, hence for prime q).
 
     A class certifies q when its induced order is exactly q and some
     eigenvalue bucket h, holding an anchor monomial of every variable,
@@ -920,7 +915,7 @@ def order_verdict(
                 if pp.p > route.bound:
                     note = f"prime {pp.p} exceeds the bound {route.bound}"
                     return OrderVerdict(REFUTED, pp.q, "bound-divides-d", notes=(note,))
-                return divides_d_criterion(an.family, pp.p)
+                return divides_d_criterion(an, pp.p)
             if pp.p > an.family.degree and pp.p >= route.bound:
                 note = f"prime {pp.p} is not below the bound {route.bound}"
                 return OrderVerdict(REFUTED, pp.q, "bound-coprime", notes=(note,))

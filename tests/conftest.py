@@ -56,6 +56,19 @@ def brute_is_prime(n: int) -> bool:
     return all(n % k for k in range(2, math.isqrt(n) + 1))
 
 
+def brute_effective_order(sigma, a, q: int) -> int:
+    """Least k >= 1 with k*sigma = c*a mod q for some c, by trying the
+    divisors k of q in increasing order against every translation c."""
+    sig = [s % q for s in sigma]
+    avec = [w % q for w in a]
+    for k in range(1, q + 1):
+        if q % k == 0:
+            scaled = [k * s % q for s in sig]
+            if any(all(c * w % q == s for w, s in zip(avec, scaled)) for c in range(q)):
+                return k
+    raise AssertionError("k = q always matches with c = 0")
+
+
 def series_monomial_count(weights, degree: int) -> int:
     """Coefficient of t^degree in prod 1/(1 - t^w), by truncated convolution."""
     coeffs = [1] + [0] * degree

@@ -51,8 +51,13 @@ class TestPrimePowerDecompose:
         assert (pp.p, pp.r) == (2, 3)
 
     def test_two_factors(self):
-        with pytest.raises(NotAPrimePower):
-            prime_power_decompose(12)
+        for q in (12, (10**9 + 7) * (10**9 + 9)):
+            with pytest.raises(NotAPrimePower, match=f"^{q} is not a prime power$"):
+                prime_power_decompose(q)
+
+    def test_square_of_a_large_prime(self):
+        pp = prime_power_decompose((10**9 + 7) ** 2)
+        assert (pp.p, pp.r) == (10**9 + 7, 2)
 
     def test_recomposition_up_to_10000(self):
         for q in range(2, 10001):

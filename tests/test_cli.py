@@ -2,6 +2,7 @@ import ast
 import hashlib
 import json
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -398,6 +399,24 @@ def test_family_data_computed_once_per_request(capsys, monkeypatch):
     assert counts["enumerate_monomials"] <= 1
     assert counts["weight_digraph"] <= 1
     assert counts["simple_cycles"] <= 2  # the cycle chains, and the Klein cycles
+
+
+def test_one_analysis_per_request(capsys):
+    # the divides-d criterion reads the request's analysis, not a default one
+    family_analysis.cache_clear()
+    argv = ("orders", "--weights", "1,1,1,2,3", "--degree", "6", "--monomial-budget", "1000")
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert family_analysis.cache_info().misses == 1
+
+
+def test_order_with_two_large_prime_factors_fails_fast(capsys):
+    q = (10**9 + 7) * (10**9 + 9)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "check", "--weights", "1,1,1", "--degree", "4", "--order", str(q))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err == f"error: {q} is not a prime power\n"
 
 
 def test_cli_imports_no_private_names():

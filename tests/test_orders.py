@@ -6,7 +6,7 @@ import pytest
 from conftest import brute_canonical_full_signature, brute_canonical_mask, brute_subset_criterion
 
 from wpsauto.ambient import WeightedFamily, enumerate_monomials
-from wpsauto.arith import effective_order, prime_powers_up_to
+from wpsauto.arith import as_prime_power, effective_order, prime_powers_up_to
 from wpsauto.errors import HypothesisViolated
 from wpsauto.orders import (
     ORACLE_CLASS_BUDGET,
@@ -18,7 +18,6 @@ from wpsauto.orders import (
     as_analysis,
     bound_coprime,
     bound_divides_d,
-    chain_digraph,
     chain_from_cycle,
     chain_invariance_check,
     divides_d_criterion,
@@ -26,6 +25,7 @@ from wpsauto.orders import (
     oracle_exists_order,
     signature_from_chain,
     sufficient_condition,
+    weight_digraph,
 )
 from wpsauto.quasismooth import general_member_quasismooth, required_monomial
 
@@ -36,21 +36,21 @@ CUBIC3 = WeightedFamily((1, 1, 1, 1, 1), 3)
 
 class TestChainDigraph:
     def test_counterexample_edge(self):
-        adj = chain_digraph(COUNTEREXAMPLE, 23)
+        adj = weight_digraph(COUNTEREXAMPLE)
         assert adj[0][1] == 10  # (37 - 7) / 3
         assert adj[1][2] == 5
         assert adj[2][0] == 17
 
     def test_equal_weights_complete(self):
         fam = WeightedFamily((1, 1, 1), 4)
-        adj = chain_digraph(fam, 5)
+        adj = weight_digraph(fam)
         for i in range(3):
             assert set(adj[i]) == {j for j in range(3) if j != i}
             assert all(m == 3 for m in adj[i].values())
 
     def test_weight_two_vertex(self):
         fam = WeightedFamily((1, 1, 1, 2), 4)
-        adj = chain_digraph(fam, 5)
+        adj = weight_digraph(fam)
         # edges into the weight-2 vertex exist from the weight-1 vertices only
         assert all(3 in adj[i] for i in range(3))
         # the weight-2 vertex has no outgoing edge: 2 does not divide 4 - 1
@@ -58,11 +58,11 @@ class TestChainDigraph:
 
     def test_hypothesis_p_divides_d(self):
         with pytest.raises(HypothesisViolated):
-            chain_digraph(SEXTIC, 2)
+            as_analysis(SEXTIC).qualifying_chains(as_prime_power(2))
 
     def test_hypothesis_p_divides_d_minus_a(self):
         with pytest.raises(HypothesisViolated):
-            chain_digraph(SEXTIC, 5)  # 5 | 6 - 1
+            as_analysis(SEXTIC).qualifying_chains(as_prime_power(5))  # 5 | 6 - 1
 
 
 class TestNecessaryCondition:
@@ -417,8 +417,9 @@ def _pinned_slice(q, nv, pinned):
 
 class TestCanonicalRows:
     def test_matches_minimum_over_all_units(self):
-        for nv in (3, 4):
-            for pp in prime_powers_up_to(int(50_000 ** (1 / (nv - 1)))):
+        # nv = 5 reaches r = 4 (q = 16) with four free columns
+        for nv, max_q in ((3, 223), (4, 36), (5, 16)):
+            for pp in prime_powers_up_to(max_q):
                 for pinned in range(nv):
                     S = _pinned_slice(pp.q, nv, pinned)
                     full_order = (S % pp.p != 0).any(axis=1)

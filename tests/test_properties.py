@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
+    brute_effective_order,
     brute_eval_batch,
     brute_semigroup_contains,
     brute_subset_criterion,
@@ -77,6 +78,24 @@ def test_effective_order_scaling_divides(sigma, q, k):
     assert q % base == 0
     scaled = tuple(k * s % q for s in sig)
     assert base % effective_order(scaled, a, q) == 0
+
+
+@given(
+    st.integers(2, 80),
+    st.lists(st.tuples(st.integers(-300, 300), st.integers(0, 12)), min_size=1, max_size=6),
+    st.integers(1, 6),
+)
+@example(12, [(0, 0), (0, 0), (0, 0)], 1)
+@example(8, [(0, 2), (0, 4), (0, 6)], 1)
+@example(8, [(1, 1), (2, 1), (3, 2)], 2)
+@example(36, [(4, 6), (-9, 4), (0, 0)], 1)
+@settings(max_examples=300, deadline=None)
+def test_effective_order_matches_divisor_search(q, entries, factor):
+    # composite q, zero and non-unit weights, negative sigma, the zero vector,
+    # and a common factor of sigma and a (first Smith invariant above 1)
+    sigma = [factor * s for s, _ in entries]
+    a = [factor * w for _, w in entries]
+    assert effective_order(sigma, a, q) == brute_effective_order(sigma, a, q)
 
 
 @given(weights_strategy, st.integers(3, 14))
