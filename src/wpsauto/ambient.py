@@ -85,10 +85,10 @@ class MonomialSystem:
 
     The monomials may be given as any sequence of integer sequences, or as
     an integer matrix with one row per monomial; they are stored as a tuple
-    of tuples, and as the read-only matrix `exponents`.  Each entry is
-    checked in order for its arity, its signs, its weighted degree and for
-    repeating an earlier entry, and the first entry failing a check is
-    named.  The checks run on the whole table at once.
+    of tuples, and as the read-only matrix `exponents`.  The whole table is
+    checked at once for arity, signs, weighted degree and repetition; only
+    when a check fails are the entries walked in order, to name the first
+    one failing a check (arity first, then sign, degree and repetition).
     """
 
     family: WeightedFamily
@@ -97,40 +97,31 @@ class MonomialSystem:
     def __post_init__(self) -> None:
         fam = self.family
         given = self.monomials
-        if isinstance(given, np.ndarray) and given.shape[1:] == (fam.nvars,):
-            table = given
-        else:
-            given = given.tolist() if isinstance(given, np.ndarray) else list(given)
-            wrong = np.fromiter(map(len, given), dtype=np.int64, count=len(given)) != fam.nvars
-            good = int(np.argmax(wrong)) if wrong.any() else len(given)
-            # the entries before the first one of the wrong arity
-            table = np.array(given[:good], dtype=np.int64).reshape(good, fam.nvars)
-        entries = tuple(zip(*(column.tolist() for column in table.T)))
-        first: dict[str, int] = {}  # per check, the first entry failing it
-        if len(entries) < len(given):
-            first["arity"] = len(entries)
-        for kind, bad in (
-            ("negative", (table < 0).any(axis=1)),
-            ("degree", table @ np.array(fam.weights, dtype=np.int64) != fam.degree),
-        ):
-            if bad.any():
-                first[kind] = int(np.argmax(bad))
-        if len(set(entries)) < len(entries):
-            seen: set[Monomial] = set()
-            first["duplicate"] = next(i for i, e in enumerate(entries) if e in seen or seen.add(e))
-        if first:
-            # the first offending entry, and the first check it fails
-            index = min(first.values())
-            kind = next(k for k in ("arity", "negative", "degree", "duplicate") if first.get(k) == index)
-            e = entries[index] if index < len(entries) else tuple(int(x) for x in given[index])
-            raise ValueError(
-                {
-                    "arity": f"monomial {e} has wrong arity",
-                    "negative": f"monomial {e} has a negative exponent",
-                    "degree": f"monomial {e} does not have weighted degree {fam.degree}",
-                    "duplicate": f"duplicate monomial {e}",
-                }[kind]
+        if not isinstance(given, np.ndarray):
+            given = list(given)
+        arities = {given.shape[1]} if isinstance(given, np.ndarray) else set(map(len, given))
+        valid = arities <= {fam.nvars}
+        if valid:
+            table = np.asarray(given, dtype=np.int64).reshape(len(given), fam.nvars)
+            entries = tuple(zip(*(column.tolist() for column in table.T)))
+            valid = (
+                not (table < 0).any()
+                and (table @ np.array(fam.weights, dtype=np.int64) == fam.degree).all()
+                and len(set(entries)) == len(entries)
             )
+        if not valid:
+            seen: set[Monomial] = set()
+            for e in given:
+                e = tuple(int(x) for x in e)
+                if len(e) != fam.nvars:
+                    raise ValueError(f"monomial {e} has wrong arity")
+                if any(x < 0 for x in e):
+                    raise ValueError(f"monomial {e} has a negative exponent")
+                if sum(w * x for w, x in zip(fam.weights, e)) != fam.degree:
+                    raise ValueError(f"monomial {e} does not have weighted degree {fam.degree}")
+                if e in seen:
+                    raise ValueError(f"duplicate monomial {e}")
+                seen.add(e)
         object.__setattr__(self, "monomials", entries)
         # no exponent exceeds d, so the narrowest signed type holding d holds them all
         exponents = table.astype(np.min_scalar_type(-fam.degree - 1))

@@ -223,10 +223,8 @@ def _explain_offchain(an: FamilyAnalysis, q: int, chain) -> dict:
         if v in on_chain:
             continue
         anchors = []
-        for row, var in zip(*an.anchors):
-            if var != v:
-                continue
-            mono = an.system.monomials[int(row)]
+        for row in an.anchors[v]:
+            mono = an.system.monomials[row]
             other_off = [
                 u
                 for u, e in enumerate(mono)
@@ -324,13 +322,14 @@ def _scan_families(args) -> list[WeightedFamily]:
 
 
 def _scan_record(payload) -> tuple[str, bool]:
-    """The family's JSON line, and whether any of its verdicts is unresolved."""
+    """The family's JSON line, and whether a budget left it unresolved: a
+    verdict unresolved, or the whole family cut short by a budget."""
     fam, seed, max_order, oracle_budget, cycle_budget, monomial_budget = payload
     an = family_analysis(fam, monomial_budget, cycle_budget)
     report = base_report(an, seed)
     report["bounds"] = bounds_section(an)
-    report["klein"] = klein_section(an)
     try:
+        report["klein"] = klein_section(an)
         effective_max = _default_max_order(an, max_order)
         results = admissible_orders(an, effective_max, oracle_budget)
         report["max_order"] = effective_max
@@ -339,7 +338,7 @@ def _scan_record(payload) -> tuple[str, bool]:
     except (WpsautoError, _UsageError) as exc:
         report["error"] = str(exc)
         report["verdicts"] = []
-        unresolved = False
+        unresolved = isinstance(exc, BudgetExceeded)
     return dumps(report), unresolved
 
 

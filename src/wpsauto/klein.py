@@ -9,6 +9,8 @@ cyclically.  When every weight is prime to d, these are the hypersurfaces
 realizing the largest prime that can occur as an automorphism order; the
 candidate value of that prime is (prod(m_i) + (-1)^(n+1)) / d.
 
+The Klein polynomial itself is quasi-smooth unless every m_i is 1 and 4
+divides the number of variables (`klein_quasismooth`, with the proof).
 Degree d = 2 is admitted in this module only; the order criteria elsewhere
 require d >= 3.
 
@@ -110,7 +112,21 @@ def klein_exists(fam: "WeightedFamily | FamilyAnalysis") -> Optional[KleinData]:
 def klein_quasismooth(fam: "WeightedFamily | FamilyAnalysis") -> bool:
     """Quasi-smoothness of the Klein hypersurface itself (coefficients all 1).
 
-    False exactly for a = (1, ..., 1), d = 2, n = 2 mod 4; true otherwise.
+    False exactly when every exponent m_i is 1 and 4 divides N = n + 2.
+
+    Let K be the N x N exponent matrix, m_i at (i, i) and 1 at (i, i+1)
+    cyclically, so det K = prod(m_i) - (-1)^N.  If det K != 0, the torus
+    map lambda -> (lambda_i^(m_i) * lambda_(i+1))_i is onto (C*)^N, so a
+    diagonal rescaling takes the Klein polynomial to any member with the
+    same monomials and nonzero coefficients: it is quasi-smooth iff the
+    general member is.  The general member passes the subset criterion:
+    a subset I holding two cyclically adjacent indices i, i+1 contains
+    x_i^(m_i) * x_(i+1), and otherwise each i in I gives its own j = i+1
+    outside I.  det K = 0 iff every m_i = 1 and N is even.  Then
+    F = sum x_i * x_(i+1), dF/dx_i = x_(i-1) + x_(i+1) is a circulant with
+    eigenvalues 2*cos(2*pi*k/N), one of which vanishes iff 4 | N, and by
+    Euler's formula F vanishes wherever its partials do: the cone is
+    singular off the origin iff 4 | N.
     """
     an = as_analysis(fam)
     fam = an.family
@@ -118,10 +134,7 @@ def klein_quasismooth(fam: "WeightedFamily | FamilyAnalysis") -> bool:
         raise HypothesisViolated("degree must be at least 2")
     if an.klein is None:
         raise NoKleinHypersurface(f"no full cyclic ordering for {fam}")
-    degenerate = (
-        all(w == 1 for w in fam.weights) and fam.degree == 2 and fam.n % 4 == 2
-    )
-    return not degenerate
+    return not (set(an.klein.exponents) == {1} and fam.nvars % 4 == 0)
 
 
 def klein_singularity_R(data: KleinData) -> int:

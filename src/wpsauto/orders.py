@@ -34,7 +34,9 @@ instead of the monomial tuples.  Budgets are arguments,
 never process-wide settings.  Functions taking a family also accept its
 analysis, and then use the analysis' budgets; given a family, they use the
 default budgets.  `order_verdict` is the one routing path from (analysis, q)
-to a verdict.
+to a verdict, and `_verified_certificate` the one place that builds a
+certified verdict, after re-checking its witness and its induced order.
+The oracle's work is bounded by its class budget alone.
 """
 
 from __future__ import annotations
@@ -92,11 +94,6 @@ __all__ = [
 
 #: Default cap on the number of signature classes the oracle examines.
 ORACLE_CLASS_BUDGET = 2_000_000
-
-#: Hard cap on the rows of the signature slice per oracle call.  The slice is
-#: counted but never built (only its candidate rows are); above this the run
-#: is reported unresolved without scanning.
-_SLICE_LIMIT = 1 << 24
 
 #: Ranks per block of the slice: `_canonical_rows` builds the candidate rows
 #: of one block at a time, and a certificate's "classes examined" count ends
@@ -315,7 +312,9 @@ def _chain_criteria(
 ) -> tuple[Optional[OrderVerdict], Optional[CycleChain]]:
     """Both chain criteria in one pass over the chains qualifying for q: the
     sufficient condition's certificate (or None), and the first qualifying
-    chain (None refutes q by the necessary condition)."""
+    chain (None refutes q by the necessary condition).  A chain whose
+    signature induces a lower order is passed over; the certificate of the
+    first one left is built, and re-checked, by `_verified_certificate`."""
     qq = pp.q
     fam = an.family
     _check_degree_and_linearity(an)
@@ -337,12 +336,11 @@ def _chain_criteria(
             or not subset_criterion(an.exponents[np.ix_(comp_rows, comp)], len(comp))
         ):
             continue
-        sig = signature_from_chain(fam, chain, qq).padded()
-        if effective_order(sig.sigma, fam.weights, qq) != qq:
+        sigma = signature_from_chain(fam, chain, qq).padded().sigma
+        if effective_order(sigma, fam.weights, qq) != qq:
             continue
-        comp_monos = [an.system.monomials[r] for r in comp_rows]
-        witness = MonomialSystem(fam, tuple(sorted(set(cycle_monos) | set(comp_monos))))
-        return OrderVerdict(CERTIFIED, qq, "sufficient-condition", chain, sig, witness), chain
+        witness = cycle_monos + [an.system.monomials[r] for r in comp_rows]
+        return _verified_certificate(fam, qq, "sufficient-condition", sigma, witness, chain), chain
     return None, first
 
 
@@ -371,13 +369,17 @@ def _verified_certificate(
     chain: Optional[CycleChain] = None,
     notes: tuple[str, ...] = (),
 ) -> OrderVerdict:
-    """Assemble a certified verdict, re-checking the soundness conditions."""
+    """The one way to a certified verdict: the witness monomials must pass
+    the subset criterion and sigma must induce order exactly q, else
+    AssertionError (a criterion built an unsound certificate).  The
+    signature is stored reduced mod q, the witness sorted and deduplicated."""
     if not subset_criterion(monomials, fam.nvars):
         raise AssertionError(f"constructed witness for q={q} fails the subset criterion")
     if effective_order(sigma, fam.weights, q) != q:
         raise AssertionError(f"constructed signature for q={q} has the wrong induced order")
     sig = Signature(q, tuple(s % q for s in sigma))
-    witness = MonomialSystem(fam, tuple(sorted(set(monomials))))
+    # dict.fromkeys keeps the order, so a sorted witness sorts in one pass
+    witness = MonomialSystem(fam, tuple(sorted(dict.fromkeys(monomials))))
     return OrderVerdict(CERTIFIED, q, provenance, chain, sig, witness, notes)
 
 
@@ -592,27 +594,19 @@ class FamilyAnalysis:
         return codes[index] & ((1 << self.family.nvars) - 1)
 
     @cached_property
-    def anchors(self) -> tuple[np.ndarray, list[int]]:
-        """(rows, variables): the table rows that are a pure power x_v^k or a
-        near-power x_v^k * x_j, each paired with the variable v it anchors,
-        ordered by row and then by variable."""
-        nv = self.family.nvars
+    def anchors(self) -> tuple[np.ndarray, ...]:
+        """Per variable v, the increasing table rows that anchor v: a pure
+        power x_v^k, or a near-power x_v^k * x_j with x_j to the first power.
+        The array is empty when no row anchors v."""
         codes, index = self.patterns
-        support, units = self.supports, codes[index] >> nv
-        low = support & -support  # the first variable of the row
-        high = support ^ low  # the others: one variable for a near-power
-        position = np.zeros(1 << nv, dtype=np.int64)
-        position[1 << np.arange(nv)] = np.arange(nv)
-        near = (high != 0) & ((high & (high - 1)) == 0)
-        picks = [
-            (high == 0, low),  # x_v^k
-            (near & ((units & high) != 0), low),  # x_v^k * x_j, v first
-            (near & ((units & low) != 0), high),  # x_j * x_v^k, v second
-        ]
-        rows = np.concatenate([np.flatnonzero(mask) for mask, _ in picks])
-        variables = np.concatenate([position[bit[mask]] for mask, bit in picks])
-        order = np.lexsort((variables, rows))
-        return rows[order], variables[order].tolist()
+        support, units = self.supports, codes[index] >> self.family.nvars
+        out = []
+        for v in range(self.family.nvars):
+            other = support & ~(1 << v)
+            # x_v present, at most one other variable, and that one to the first power
+            keep = (support != other) & ((other & (other - 1)) == 0) & ((other & ~units) == 0)
+            out.append(np.flatnonzero(keep))
+        return tuple(out)
 
     @cached_property
     def digraph(self) -> dict[int, dict[int, int]]:
@@ -786,24 +780,27 @@ def oracle_exists_order(
     unit multiple formed (and no test at all for k = 0, hence for prime q).
 
     A class certifies q when its induced order is exactly q and some
-    eigenvalue bucket h, holding an anchor monomial of every variable,
-    passes the subset criterion.  The (class, h) pairs of a block that pass
-    the anchor test are decided together: for chunks of at most about
-    `_BUCKET_ELEMENTS` array elements, one `subset_criterion_batch` call
-    reads which pattern codes each bucket holds.  The winner is the first
-    passing pair in increasing class rank and then increasing h, as if
-    buckets were tried one by one; only its monomials are gathered, and they
-    are re-checked with `subset_criterion` before the certificate is built.
-    The note "classes examined: N" counts, as before, the classes whose rank
-    lies below the end of the `_CHUNK`-row block of the slice that holds
-    the certifying class.  q is refuted only after every class is exhausted.
+    eigenvalue bucket h, holding an anchor (`FamilyAnalysis.anchors`) of
+    every variable, passes the subset criterion.  The hit matrix of a block
+    ANDs over the variables v the buckets S @ E[rows_v].T mod q.  The
+    (class, h) pairs it marks are decided together: for chunks of at most
+    about `_BUCKET_ELEMENTS` array elements, one `subset_criterion_batch`
+    call reads which pattern codes each bucket holds.  The winner is the
+    first passing pair in increasing class rank and then increasing h, as
+    if buckets were tried one by one; only its monomials are gathered, and
+    `_verified_certificate` re-checks them and the induced order.  The note
+    "classes examined: N" counts the classes whose rank lies below the end
+    of the `_CHUNK`-row block of the slice that holds the certifying class.
+    q is refuted only after every class is exhausted.
 
     A full-order vector has a unit entry, so no unit other than 1 fixes it:
     the unit orbits in the slice all have phi(q) members and the slice holds
     exactly (q**m - (q/p)**m) / phi(q) classes, m = nvars - 1.  That count is
     compared with the budget before anything is scanned, and the scan
     examines no more: above the budget the verdict is unresolved, never a
-    refutation.
+    refutation.  It is the only cap on the work, as the candidate rows,
+    about r*(p-1)/p per class, are built `_CHUNK` ranks at a time; apart
+    from it, only q**nvars >= 2**62 (inexact int64 ranks) is unresolved.
     """
     pp = as_prime_power(q)
     qq, p = pp.q, pp.p
@@ -811,10 +808,8 @@ def oracle_exists_order(
     fam = an.family
     hyp_notes = an.oracle_hypotheses()
     nv = fam.nvars
-    anchor_rows, anchor_vars = an.anchors
-
-    if len(set(anchor_vars)) < nv:
-        missing = sorted(set(range(nv)) - set(anchor_vars))
+    missing = [v for v, rows in enumerate(an.anchors) if not rows.size]
+    if missing:
         note = f"no pure-power or near-power monomial for variables {missing}"
         return OrderVerdict(REFUTED, qq, "oracle", notes=hyp_notes + (note,))
 
@@ -823,30 +818,24 @@ def oracle_exists_order(
         return OrderVerdict(UNRESOLVED, qq, "oracle", notes=hyp_notes + (note,))
 
     i_star = _first_unit_weight_index(fam, p)
-    slice_size = qq ** (nv - 1)
-    class_count = (slice_size - (qq // p) ** (nv - 1)) // (qq - qq // p)
+    class_count = (qq ** (nv - 1) - (qq // p) ** (nv - 1)) // (qq - qq // p)
     if budget is not None and class_count > budget:
         note = f"at least {class_count} signature classes exceed the budget of {budget}"
         return OrderVerdict(UNRESOLVED, qq, "oracle", notes=hyp_notes + (note,))
-    if slice_size > _SLICE_LIMIT:
-        note = f"signature slice of {slice_size} rows exceeds the scan limit"
-        return OrderVerdict(UNRESOLVED, qq, "oracle", notes=hyp_notes + (note,))
     E = an.exponents.astype(np.int64)
     codes, code_of_row = an.patterns
-    anchors_E = E[anchor_rows]
-    anchor_cols = {v: [k for k, av in enumerate(anchor_vars) if av == v] for v in range(nv)}
+    anchors_T = [E[rows].T for rows in an.anchors]
     chunk = max(1, _BUCKET_ELEMENTS // max(len(E), (nv + 1) << nv))
 
     examined = 0
     for _, S in _canonical_rows(qq, p, pp.r, nv, i_star):
         examined += len(S)  # a certificate counts the whole block
-        dots = S @ anchors_E.T % qq  # (classes, anchors)
         # hits[c, h]: every variable has an anchor in bucket h of class c
         hits = np.ones((len(S), qq), dtype=bool)
         class_idx = np.arange(len(S))[:, None]
-        for v in range(nv):
+        for anchor_T in anchors_T:
             hit_v = np.zeros_like(hits)
-            hit_v[class_idx, dots[:, anchor_cols[v]]] = True
+            hit_v[class_idx, S @ anchor_T % qq] = True
             hits &= hit_v
         # the hit (class, h) pairs, by class and then by h
         classes, buckets = np.nonzero(hits)
@@ -861,20 +850,9 @@ def oracle_exists_order(
                 continue
             won = passed[0]
             exps = [an.system.monomials[r] for r in np.flatnonzero(members[won])]
-            if not subset_criterion(exps, nv):
-                raise AssertionError("oracle witness fails the subset criterion")
-            sigma = tuple(int(x) for x in S[cls[won]])
-            canon = _canonical_full_signature(fam.weights, sigma, qq)
-            if effective_order(canon, fam.weights, qq) != qq:
-                raise AssertionError("oracle certificate has the wrong induced order")
-            return OrderVerdict(
-                status=CERTIFIED,
-                q=qq,
-                provenance="oracle",
-                signature=Signature(qq, canon),
-                witness_system=MonomialSystem(fam, tuple(sorted(exps))),
-                notes=hyp_notes + (f"classes examined: {examined}",),
-            )
+            canon = _canonical_full_signature(fam.weights, S[cls[won]].tolist(), qq)
+            note = f"classes examined: {examined}"
+            return _verified_certificate(fam, qq, "oracle", canon, exps, notes=hyp_notes + (note,))
 
     note = f"exhausted all {examined} signature classes"
     return OrderVerdict(REFUTED, qq, "oracle", notes=hyp_notes + (note,))

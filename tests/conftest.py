@@ -181,36 +181,43 @@ def brute_eval_batch(points: np.ndarray, monos, coeffs, p: int) -> np.ndarray:
     return total
 
 
+def brute_anchors(monos, nvars: int) -> list[list[int]]:
+    """Per variable v, the indices of the monomials anchoring v, one
+    exponent tuple at a time: a pure power x_v^k, or x_v^k * x_j with x_j
+    to the first power (x_v * x_j anchors both of its variables)."""
+    anchored: list[list[int]] = [[] for _ in range(nvars)]
+    for row, e in enumerate(monos):
+        pos = [j for j, x in enumerate(e) if x > 0]
+        if len(pos) == 1:
+            anchored[pos[0]].append(row)
+        elif len(pos) == 2:
+            j, k = pos
+            if e[k] == 1:
+                anchored[j].append(row)
+            if e[j] == 1:
+                anchored[k].append(row)
+    return anchored
+
+
 def reference_oracle(fam: WeightedFamily, q: int):
     """(status, signature, witness monomials, notes) of the signature-class
     oracle, by its per-class, per-bucket loop: the candidate classes come
     from the production `_canonical_rows`, and each bucket that anchors
-    every variable is tested alone with `brute_subset_criterion`, classes
-    in increasing rank and buckets in increasing h.  Covers the verdicts
-    that the class budget and the slice limit leave alone."""
+    every variable (`brute_anchors`) is tested alone with
+    `brute_subset_criterion`, classes in increasing rank and buckets in
+    increasing h.  Covers the verdicts that the class budget leaves alone."""
     an = as_analysis(fam)
     pp = as_prime_power(q)
     notes = an.oracle_hypotheses()
     nv = fam.nvars
     monos = an.system.monomials
-    anchored: dict[int, list[tuple[int, ...]]] = {v: [] for v in range(nv)}
-    for e in monos:
-        pos = [j for j, x in enumerate(e) if x > 0]
-        if len(pos) == 1:
-            anchored[pos[0]].append(e)
-        elif len(pos) == 2:
-            j, k = pos
-            if e[k] == 1:
-                anchored[j].append(e)
-            if e[j] == 1:
-                anchored[k].append(e)
-    missing = [v for v in range(nv) if not anchored[v]]
+    anchor_rows = brute_anchors(monos, nv)
+    missing = [v for v in range(nv) if not anchor_rows[v]]
     if missing:
         note = f"no pure-power or near-power monomial for variables {missing}"
         return "refuted", None, None, notes + (note,)
     pinned = next(i for i, w in enumerate(fam.weights) if w % pp.p)
     E = np.array(monos, dtype=np.int64)
-    anchor_rows = {v: [monos.index(e) for e in anchored[v]] for v in range(nv)}
     examined = 0
     for _, S in _canonical_rows(pp.q, pp.p, pp.r, nv, pinned):
         examined += len(S)

@@ -15,7 +15,7 @@ from typing import Optional
 
 import pytest
 
-from conftest import families, reference_oracle
+from conftest import brute_anchors, families, reference_oracle
 
 from wpsauto.ambient import (
     WeightedFamily,
@@ -37,6 +37,7 @@ from wpsauto.klein import (
 from wpsauto.orders import (
     OrderVerdict,
     admissible_orders,
+    as_analysis,
     bound_coprime,
     bound_divides_d,
     divides_d_criterion,
@@ -175,15 +176,20 @@ def test_criterion_4_klein_classification():
         if not klein_quasismooth(fam):
             false_cases.append(fam)
     assert existing > 100
+    # the families whose Klein polynomial has a singular cone, by an exact
+    # Groebner-basis computation of the Jacobian ideal (test_klein.py)
     expected_false = {
-        fam
-        for fam in (WeightedFamily((1, 1, 1, 1), 2), WeightedFamily((1,) * 6, 2))
-        if fam.n % 4 == 2
+        WeightedFamily(weights, degree)
+        for weights, degree in (
+            ((1, 1, 1, 1), 2),
+            ((1, 1, 2, 2), 3),
+            ((1, 1, 3, 3), 4),
+            ((1, 1, 4, 4), 5),
+            ((2, 2, 3, 3), 5),
+            ((3, 3, 4, 4), 7),
+        )
     }
     assert set(false_cases) == expected_false
-    for fam in false_cases:
-        assert all(w == 1 for w in fam.weights)
-        assert fam.degree == 2 and fam.n % 4 == 2
     elapsed = time.monotonic() - t0
     assert elapsed < 120.0
     print(
@@ -340,3 +346,15 @@ def test_oracle_matches_reference_oracle(corpus):
         compared[got.status] += 1
     assert compared["certified"] >= 500 and compared["refuted"] >= 500, compared
     print(f"reference oracle on {compared}: PASS ({time.monotonic() - t0:.2f}s)")
+
+
+def test_anchors_match_the_tuple_rule(corpus):
+    # FamilyAnalysis.anchors, read off the pattern codes, against the rule
+    # applied to each exponent tuple, on every family of the corpus
+    records, _ = corpus
+    fams = dict.fromkeys(rec.fam for rec in records)
+    for fam in fams:
+        an = as_analysis(fam)
+        got = [rows.tolist() for rows in an.anchors]
+        assert got == brute_anchors(an.system.monomials, fam.nvars), fam
+    assert len(fams) >= 500

@@ -159,8 +159,9 @@ def test_klein_subcommand(capsys):
     code, out, _ = run_cli(capsys, "klein", "--weights", "1,1,1,2", "--degree", "4")
     assert json.loads(out)["klein"] == {"exists": False}
 
-    code, out, _ = run_cli(capsys, "klein", "--weights", "1,1,1,1", "--degree", "2")
-    assert json.loads(out)["klein"]["quasi_smooth"] is False
+    for weights, degree in (("1,1,1,1", "2"), ("1,1,2,2", "3")):
+        code, out, _ = run_cli(capsys, "klein", "--weights", weights, "--degree", degree)
+        assert json.loads(out)["klein"]["quasi_smooth"] is False
 
 
 def test_scan_single_record(tmp_path, capsys):
@@ -214,6 +215,21 @@ def test_scan_exit_code_follows_unresolved_verdicts(tmp_path, capsys, to_file, b
     statuses = {v["status"] for v in record["verdicts"]}
     assert code == expected_code
     assert ("unresolved" in statuses) == (expected_code == 2)
+
+
+def test_scan_records_a_klein_budget_error_and_goes_on(tmp_path, capsys):
+    # the Klein section of (1,1,1) d=4 already needs more than 3 monomials;
+    # that family's line names the error, and the scan goes on to the rest
+    out_file = tmp_path / "scan.jsonl"
+    args = ("scan", "--dim", "1", "--max-weight", "2", "--max-degree", "8", "--monomial-budget", "3")
+    code, _, err = run_cli(capsys, *args, "--out", str(out_file))
+    assert code == 2 and err == ""
+    records = [json.loads(l) for l in out_file.read_text().splitlines()]
+    assert len(records) == 24
+    for record in records:
+        jsonschema.validate(record, SCHEMA)
+    cut = [(r["weights"], r["degree"]) for r in records if r.get("error") == "more than 3 monomials"]
+    assert cut == [([1, 1, 1], 4), ([1, 1, 1], 5), ([1, 1, 1], 7), ([1, 1, 1], 8), ([1, 1, 2], 7)]
 
 
 def test_scan_empty_range(capsys):

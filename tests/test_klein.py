@@ -1,10 +1,11 @@
 import math
+from fractions import Fraction
 
 import pytest
 
 from conftest import families
 
-from wpsauto.ambient import WeightedFamily, enumerate_monomials
+from wpsauto.ambient import MonomialSystem, WeightedFamily, enumerate_monomials
 from wpsauto.errors import HypothesisViolated, NoKleinHypersurface
 from wpsauto.klein import (
     eigenspace_filter,
@@ -15,7 +16,7 @@ from wpsauto.klein import (
     klein_singularity_R,
 )
 from wpsauto.orders import bound_coprime, oracle_exists_order
-from wpsauto.quasismooth import subset_criterion
+from wpsauto.quasismooth import ExplicitPolynomial, singular_point_search, subset_criterion
 
 QUARTIC_CURVE = WeightedFamily((1, 1, 1), 4)
 CUBIC3 = WeightedFamily((1, 1, 1, 1, 1), 3)
@@ -56,6 +57,30 @@ class TestKleinQuasismooth:
     def test_raises_without_ordering(self):
         with pytest.raises(NoKleinHypersurface):
             klein_quasismooth(WeightedFamily((1, 1, 1, 2), 4))
+
+    def test_falsifier_finds_the_singular_point_of_1122_d3(self):
+        # x0*x2 + x2*x1 + x1*x3 + x3*x0 = (x0 + x1)(x2 + x3)
+        fam = WeightedFamily((1, 1, 2, 2), 3)
+        monos = tuple(klein_exists(fam).monomials)
+        poly = ExplicitPolynomial(MonomialSystem(fam, monos), {m: Fraction(1) for m in monos})
+        assert singular_point_search(poly, 101, budget=4096).witness == (0, 0, 1, 100)
+
+    def test_rule_matches_the_jacobian_ideal(self):
+        # quasi-smooth iff the partials vanish only at the origin, i.e. iff
+        # the Jacobian ideal is zero-dimensional (an exact Groebner basis
+        # over Q); over the families of acceptance criterion 4
+        sympy = pytest.importorskip("sympy")
+        checked = 0
+        for fam in families((1, 2, 3, 4), 4, range(2, 13), require_well_formed=False):
+            data = klein_exists(fam)
+            if data is None:
+                continue
+            xs = sympy.symbols(f"x0:{fam.nvars}")
+            poly = sum(sympy.prod(x**k for x, k in zip(xs, e)) for e in data.monomials)
+            ideal = sympy.groebner([poly.diff(x) for x in xs], *xs, order="grevlex")
+            assert klein_quasismooth(fam) == ideal.is_zero_dimensional, fam
+            checked += 1
+        assert checked == 194
 
 
 class TestSingularityR:

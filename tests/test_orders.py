@@ -14,6 +14,7 @@ from wpsauto.orders import (
     Signature,
     _canonical_full_signature,
     _canonical_rows,
+    _verified_certificate,
     admissible_orders,
     as_analysis,
     bound_coprime,
@@ -267,6 +268,17 @@ class TestOracle:
         verdict = oracle_exists_order(COUNTEREXAMPLE, 23, budget=10)
         assert verdict.status == "unresolved"
 
+    # The slice of (1,1,1,1,1) d=4 at q = 81 has 81**4 rows, more than the
+    # 2**24 the oracle once refused to scan; the class budget alone decides.
+    def test_quartic_threefold_at_81(self):
+        fam = WeightedFamily((1, 1, 1, 1, 1), 4)
+        verdict = oracle_exists_order(fam, 81)
+        assert verdict.status == "certified"
+        assert verdict.notes[-1] == "classes examined: 67860"
+        verdict = oracle_exists_order(fam, 81, budget=787319)
+        assert verdict.status == "unresolved"
+        assert verdict.notes == ("at least 787320 signature classes exceed the budget of 787319",)
+
     # q = 61 and q = 64 lie on either side of q = 62, where the oracle once
     # switched from an int64 bitmask to Python sets to find candidate
     # buckets; the expected counts and certificate were recorded then.
@@ -317,6 +329,27 @@ class TestOracle:
         assert verdict.status == status
         assert (verdict.signature and verdict.signature.sigma) == sigma
         assert verdict.notes == (note,)
+
+
+class TestVerifiedCertificate:
+    QUARTIC = WeightedFamily((1, 1, 1), 4)
+    FERMAT = ((0, 0, 4), (4, 0, 0), (0, 4, 0), (4, 0, 0))
+
+    def test_builds_the_verdict(self):
+        verdict = _verified_certificate(self.QUARTIC, 9, "test", (0, 10, 2), self.FERMAT)
+        assert (verdict.status, verdict.provenance) == ("certified", "test")
+        assert verdict.signature == Signature(9, (0, 1, 2))
+        assert verdict.witness_system.monomials == ((0, 0, 4), (0, 4, 0), (4, 0, 0))
+
+    def test_rejects_a_signature_of_lower_order(self):
+        # 3 * (0, 3, 6) = 0 mod 9: the signature induces order 3
+        with pytest.raises(AssertionError, match="induced order"):
+            _verified_certificate(self.QUARTIC, 9, "test", (0, 3, 6), self.FERMAT)
+
+    def test_rejects_a_witness_failing_the_subset_criterion(self):
+        # no monomial lies inside the subset {x_2}
+        with pytest.raises(AssertionError, match="subset criterion"):
+            _verified_certificate(self.QUARTIC, 9, "test", (0, 1, 2), self.FERMAT[1:3])
 
 
 class TestAdmissibleOrders:
