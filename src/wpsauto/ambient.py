@@ -85,10 +85,10 @@ class MonomialSystem:
 
     The monomials may be given as any sequence of integer sequences, or as
     an integer matrix with one row per monomial; they are stored as a tuple
-    of tuples, and as the read-only matrix `exponents`.  The whole table is
-    checked at once for arity, signs, weighted degree and repetition; only
-    when a check fails are the entries walked in order, to name the first
-    one failing a check (arity first, then sign, degree and repetition).
+    of tuples, and as the read-only matrix `exponents`.  Each entry is
+    checked for its arity, its signs, its weighted degree and for repeating
+    an earlier entry; each check yields one mask over the whole table, and
+    the first entry failing a check is named, with the first check it fails.
     """
 
     family: WeightedFamily
@@ -97,31 +97,35 @@ class MonomialSystem:
     def __post_init__(self) -> None:
         fam = self.family
         given = self.monomials
-        if not isinstance(given, np.ndarray):
-            given = list(given)
-        arities = {given.shape[1]} if isinstance(given, np.ndarray) else set(map(len, given))
-        valid = arities <= {fam.nvars}
-        if valid:
-            table = np.asarray(given, dtype=np.int64).reshape(len(given), fam.nvars)
-            entries = tuple(zip(*(column.tolist() for column in table.T)))
-            valid = (
-                not (table < 0).any()
-                and (table @ np.array(fam.weights, dtype=np.int64) == fam.degree).all()
-                and len(set(entries)) == len(entries)
+        if isinstance(given, np.ndarray) and given.shape[1:] == (fam.nvars,):
+            table = given
+        else:
+            given = given.tolist() if isinstance(given, np.ndarray) else list(given)
+            wrong = np.fromiter(map(len, given), dtype=np.int64, count=len(given)) != fam.nvars
+            good = int(np.argmax(wrong)) if wrong.any() else len(given)
+            # the entries before the first one of the wrong arity
+            table = np.array(given[:good], dtype=np.int64).reshape(good, fam.nvars)
+        entries = tuple(zip(*(column.tolist() for column in table.T)))
+        n = len(entries)
+        first = dict(zip(reversed(entries), range(n - 1, -1, -1)))  # each entry's first index
+        # per check, the entries failing it; the entry after the table fails only its arity
+        failing = np.zeros((4, n + 1), dtype=bool)
+        failing[0, n] = n < len(given)
+        failing[1, :n] = (table < 0).any(axis=1)
+        failing[2, :n] = table @ np.array(fam.weights, dtype=np.int64) != fam.degree
+        if len(first) < n:  # then some entry repeats an earlier one
+            failing[3, :n] = np.fromiter(map(first.get, entries), dtype=np.int64, count=n) != np.arange(n)
+        if failing.any():
+            index = int(np.argmax(failing.any(axis=0)))
+            e = entries[index] if index < n else tuple(int(x) for x in given[index])
+            raise ValueError(
+                (
+                    f"monomial {e} has wrong arity",
+                    f"monomial {e} has a negative exponent",
+                    f"monomial {e} does not have weighted degree {fam.degree}",
+                    f"duplicate monomial {e}",
+                )[int(np.argmax(failing[:, index]))]
             )
-        if not valid:
-            seen: set[Monomial] = set()
-            for e in given:
-                e = tuple(int(x) for x in e)
-                if len(e) != fam.nvars:
-                    raise ValueError(f"monomial {e} has wrong arity")
-                if any(x < 0 for x in e):
-                    raise ValueError(f"monomial {e} has a negative exponent")
-                if sum(w * x for w, x in zip(fam.weights, e)) != fam.degree:
-                    raise ValueError(f"monomial {e} does not have weighted degree {fam.degree}")
-                if e in seen:
-                    raise ValueError(f"duplicate monomial {e}")
-                seen.add(e)
         object.__setattr__(self, "monomials", entries)
         # no exponent exceeds d, so the narrowest signed type holding d holds them all
         exponents = table.astype(np.min_scalar_type(-fam.degree - 1))

@@ -36,7 +36,8 @@ analysis, and then use the analysis' budgets; given a family, they use the
 default budgets.  `order_verdict` is the one routing path from (analysis, q)
 to a verdict, and `_verified_certificate` the one place that builds a
 certified verdict, after re-checking its witness and its induced order.
-The oracle's work is bounded by its class budget alone.
+The oracle's time and memory grow with the number of signature classes it
+examines, not with q, so its class budget alone bounds them.
 """
 
 from __future__ import annotations
@@ -781,9 +782,12 @@ def oracle_exists_order(
 
     A class certifies q when its induced order is exactly q and some
     eigenvalue bucket h, holding an anchor (`FamilyAnalysis.anchors`) of
-    every variable, passes the subset criterion.  The hit matrix of a block
-    ANDs over the variables v the buckets S @ E[rows_v].T mod q.  The
-    (class, h) pairs it marks are decided together: for chunks of at most
+    every variable, passes the subset criterion.  The candidate buckets of a
+    class are those of the anchors of the variable with the fewest, S @
+    E[rows].T mod q; a candidate is hit when every other variable has an
+    anchor in it too, which takes (anchors of the first) x (anchors of the
+    other) comparisons per class and variable, whatever q is.  The hit
+    (class, h) pairs of a block are decided together: for chunks of at most
     about `_BUCKET_ELEMENTS` array elements, one `subset_criterion_batch`
     call reads which pattern codes each bucket holds.  The winner is the
     first passing pair in increasing class rank and then increasing h, as
@@ -798,9 +802,11 @@ def oracle_exists_order(
     exactly (q**m - (q/p)**m) / phi(q) classes, m = nvars - 1.  That count is
     compared with the budget before anything is scanned, and the scan
     examines no more: above the budget the verdict is unresolved, never a
-    refutation.  It is the only cap on the work, as the candidate rows,
-    about r*(p-1)/p per class, are built `_CHUNK` ranks at a time; apart
-    from it, only q**nvars >= 2**62 (inexact int64 ranks) is unresolved.
+    refutation.  It is the only cap on the work: the candidate rows, about
+    r*(p-1)/p per class, are built `_CHUNK` ranks at a time, a variable has
+    at most nvars anchors, so a class has at most nvars hit pairs, and no
+    array has a dimension of size q.  Apart from it, only q**nvars >= 2**62
+    (inexact int64 ranks) is unresolved.
     """
     pp = as_prime_power(q)
     qq, p = pp.q, pp.p
@@ -824,21 +830,23 @@ def oracle_exists_order(
         return OrderVerdict(UNRESOLVED, qq, "oracle", notes=hyp_notes + (note,))
     E = an.exponents.astype(np.int64)
     codes, code_of_row = an.patterns
-    anchors_T = [E[rows].T for rows in an.anchors]
+    # the variable with the fewest anchors first: its buckets are the candidates
+    base_T, *others_T = sorted((E[rows].T for rows in an.anchors), key=lambda a: a.shape[1])
     chunk = max(1, _BUCKET_ELEMENTS // max(len(E), (nv + 1) << nv))
 
     examined = 0
     for _, S in _canonical_rows(qq, p, pp.r, nv, i_star):
         examined += len(S)  # a certificate counts the whole block
-        # hits[c, h]: every variable has an anchor in bucket h of class c
-        hits = np.ones((len(S), qq), dtype=bool)
-        class_idx = np.arange(len(S))[:, None]
-        for anchor_T in anchors_T:
-            hit_v = np.zeros_like(hits)
-            hit_v[class_idx, S @ anchor_T % qq] = True
-            hits &= hit_v
+        # hit[c, k]: every variable has an anchor in bucket cand[c, k] of
+        # class c; each class's buckets increase, and each is kept once
+        cand = np.sort(S @ base_T % qq, axis=1)
+        hit = np.ones(cand.shape, dtype=bool)
+        hit[:, 1:] = cand[:, 1:] != cand[:, :-1]
+        for anchor_T in others_T:
+            hit &= (cand[:, :, None] == (S @ anchor_T % qq)[:, None, :]).any(axis=2)
         # the hit (class, h) pairs, by class and then by h
-        classes, buckets = np.nonzero(hits)
+        classes, k = np.nonzero(hit)
+        buckets = cand[classes, k]
         for start in range(0, len(classes), chunk):
             cls, h = classes[start : start + chunk], buckets[start : start + chunk]
             members = S[cls] @ E.T % qq == h[:, None]  # (pairs, rows)

@@ -3,6 +3,7 @@ import hashlib
 import json
 import sys
 import time
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -433,6 +434,25 @@ def test_order_with_two_large_prime_factors_fails_fast(capsys):
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (1, "")
     assert err == f"error: {q} is not a prime power\n"
+
+
+# A plane quartic has no prime route and fails the linearity hypothesis, so
+# the oracle decides these orders, over about q classes each.  Its arrays
+# must not grow with q: a (classes x q) bucket matrix would need 65 GB here.
+@pytest.mark.parametrize("q, classes", [(1000003, 1000004), (1018081, 1019090)])
+def test_oracle_at_a_large_order_is_bounded_by_its_classes(capsys, q, classes):
+    tracemalloc.start()
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "check", "--weights", "1,1,1", "--degree", "4", "--order", str(q))
+    elapsed = time.perf_counter() - start
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    (verdict,) = json.loads(out)["verdicts"]
+    assert (code, err) == (0, "")
+    assert (verdict["status"], verdict["provenance"]) == ("refuted", "oracle")
+    assert verdict["notes"][-1] == f"exhausted all {classes} signature classes"
+    assert peak < 64 << 20
+    assert elapsed < 20.0
 
 
 def test_cli_imports_no_private_names():
