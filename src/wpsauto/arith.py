@@ -80,6 +80,15 @@ class PrimePowerOrder:
         if not is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
 
+    @classmethod
+    def _proven(cls, p: int, r: int) -> "PrimePowerOrder":
+        """p**r for a prime p and r >= 1 already proven (by the sieve of
+        `prime_powers_up_to`), built without testing p a second time."""
+        order = object.__new__(cls)
+        object.__setattr__(order, "p", p)
+        object.__setattr__(order, "r", r)
+        return order
+
     @property
     def q(self) -> int:
         return self.p**self.r
@@ -192,25 +201,32 @@ def effective_order(sigma: Sequence[int], a: Sequence[int], q: int) -> int:
 
 
 def primes_up_to(limit: int) -> list[int]:
-    """All primes <= limit, by sieve."""
+    """All primes <= limit, by sieve: one byte per integer up to limit."""
     if limit < 2:
         return []
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0] = sieve[1] = 0
+    composite = bytearray(limit + 1)
     for i in range(2, math.isqrt(limit) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    return [i for i, flag in enumerate(sieve) if flag]
+        if not composite[i]:
+            composite[i * i :: i] = b"\x01" * len(range(i * i, limit + 1, i))
+    return [i for i in range(2, limit + 1) if not composite[i]]
 
 
 def prime_powers_up_to(limit: int) -> list[PrimePowerOrder]:
-    """All prime powers p**r <= limit in increasing order of value."""
-    out = []
-    for p in primes_up_to(limit):
-        value = p
-        r = 1
-        while value <= limit:
-            out.append(PrimePowerOrder(p, r))
-            value *= p
-            r += 1
-    return sorted(out, key=lambda pp: pp.q)
+    """All prime powers p**r <= limit in increasing order of value.
+
+    The sieve has proven every p prime, so the orders are built without a
+    second primality test.  Raises ValueError, not MemoryError, when the
+    sieve or the list does not fit in memory.
+    """
+    try:
+        powers = []
+        for p in primes_up_to(limit):
+            value, r = p, 1
+            while value <= limit:
+                powers.append((value, p, r))
+                value *= p
+                r += 1
+        powers.sort()
+        return [PrimePowerOrder._proven(p, r) for _, p, r in powers]
+    except MemoryError:
+        raise ValueError(f"not enough memory to sieve the prime powers up to {limit}") from None

@@ -20,24 +20,29 @@ representative per equivalence class, the lexicographically least member of
 its unit orbit.  Only a vector whose first nonzero entry is a power of p can
 be least, so the oracle builds those candidates alone, in increasing rank,
 and decides each in one closed-form pass over its entries (see
-`_canonical_rows`).  It tests the eigenvalue buckets of a block of
-candidates together, in one batched subset-criterion kernel call per chunk
-of buckets, on the pattern codes of the monomial table.
+`_canonical_rows`).  A class certifies q only if q divides the determinant
+of the anchor monomials (x_v^k or x_v^k * x_j, one per variable) of its
+bucket, so before it scans, the oracle refutes every q that divides none
+of the family's anchor determinants (`FamilyAnalysis.anchor_determinants`,
+a closed form over the functional graph the anchors define).  It tests
+the eigenvalue buckets of a block of candidates together, in one batched
+subset-criterion kernel call per chunk of buckets, on the pattern codes of
+the monomial table.
 
 Everything that depends on (a, d) alone lives in one `FamilyAnalysis` per
 family and pair of budgets (`family_analysis`): the hypothesis flags, the
 bounds and the prime routing they decide, the monomial table, the weight
-digraph with its cycle chains, and the Klein data.  Each table row also has
-an integer pattern code (its support and exponent-one bitmasks), which the
-anchors, the chain criteria's complement filter and the oracle read
-instead of the monomial tuples.  Budgets are arguments,
-never process-wide settings.  Functions taking a family also accept its
-analysis, and then use the analysis' budgets; given a family, they use the
-default budgets.  `order_verdict` is the one routing path from (analysis, q)
-to a verdict, and `_verified_certificate` the one place that builds a
-certified verdict, after re-checking its witness and its induced order.
-The oracle's time and memory grow with the number of signature classes it
-examines, not with q, so its class budget alone bounds them.
+digraph with its cycle chains, the anchor determinants, and the Klein
+data.  Each table row also has an integer pattern code (its support and
+exponent-one bitmasks), which the anchors, the chain criteria's complement
+filter and the oracle read instead of the monomial tuples.  Budgets are
+arguments, never process-wide settings.  Functions taking a family also
+accept its analysis, and then use the analysis' budgets; given a family,
+they use the default budgets.  `order_verdict` is the one routing path from
+(analysis, q) to a verdict, and `_verified_certificate` the one place that
+builds a certified verdict, after re-checking its witness and its induced
+order.  The oracle's time and memory grow with the number of signature
+classes it examines, not with q, so its class budget alone bounds them.
 """
 
 from __future__ import annotations
@@ -610,6 +615,61 @@ class FamilyAnalysis:
         return tuple(out)
 
     @cached_property
+    def anchor_determinants(self) -> frozenset[int]:
+        """The distinct |det K| over every choice of one `anchors` row per
+        variable, K the matrix whose row v is the exponent vector chosen for v.
+
+        The row of x_v^k is k at column v, and that of x_v^k * x_t adds a 1 at
+        column t: K = diag(k) + the adjacency matrix of the functional graph
+        v -> t.  A permutation contributes to det K only if it maps each v to
+        v or t, so the points it moves form a union of cycles of the graph,
+        each of sign (-1)**(len - 1).  Summed over those unions, det K is the
+        product of k over the vertices off cycles times, per cycle, (the
+        product of its k) - (-1)**len.
+
+        The choices are made variable by variable, depth first, in exact
+        Python ints.  A cycle closes when its last variable is chosen: the
+        walk from its target through the variables already chosen comes
+        back to it, and the k of the other cycle variables, already in the
+        running product, are divided out again for the cycle's factor.
+        """
+        nv = self.family.nvars
+        supports = self.supports
+        options = [
+            [(int(self.exponents[r, v]), (int(supports[r]) & ~(1 << v)).bit_length() - 1) for r in rows]
+            for v, rows in enumerate(self.anchors)
+        ]
+        k_of, target, on_cycle = [0] * nv, [-1] * nv, [False] * nv
+        dets: set[int] = set()
+
+        def choose(v: int, det: int) -> None:
+            if v == nv:
+                dets.add(abs(det))
+                return
+            for k, t in options[v]:
+                k_of[v], target[v] = k, t
+                u, cycle_k, length = t, k, 1
+                while 0 <= u < v and not on_cycle[u]:
+                    cycle_k *= k_of[u]
+                    length += 1
+                    u = target[u]
+                if u != v:  # a root (-1), a closed cycle, or a variable not chosen yet
+                    choose(v + 1, det * k)
+                    continue
+                cycle, u = [v], t
+                while u != v:
+                    cycle.append(u)
+                    u = target[u]
+                for u in cycle:
+                    on_cycle[u] = True
+                choose(v + 1, det // (cycle_k // k) * (cycle_k - (-1) ** length))
+                for u in cycle:
+                    on_cycle[u] = False
+
+        choose(0, 1)
+        return frozenset(dets)
+
+    @cached_property
     def digraph(self) -> dict[int, dict[int, int]]:
         return weight_digraph(self.family)
 
@@ -795,7 +855,24 @@ def oracle_exists_order(
     `_verified_certificate` re-checks them and the induced order.  The note
     "classes examined: N" counts the classes whose rank lies below the end
     of the `_CHUNK`-row block of the slice that holds the certifying class.
-    q is refuted only after every class is exhausted.
+    q is refuted only after every class is ruled out: by the scan, or at
+    once by the anchor determinants (`FamilyAnalysis.anchor_determinants`).
+    Let a class sigma certify q in bucket h, and let K be the matrix whose
+    row v is the exponent vector of the anchor of v in bucket h, so K @ sigma
+    = h * 1 (mod q).  Every anchor has degree d, so K @ a = d * 1, and c =
+    adj(K) @ 1 satisfies d * c = det(K) * a; as gcd(a) = 1 (the family is
+    well formed), d divides det K and c = (det K / d) * a.  Multiplying
+    K @ sigma = h * 1 by adj(K) gives det(K) * sigma = h * (det K / d) * a
+    (mod q).  At the pinned coordinate, sigma_i* = 0 and a_i* is prime to p,
+    so h * (det K / d) = 0 and det(K) * sigma = 0 (mod q).  sigma has full
+    order, so some entry is a unit, and q divides det K.  When q divides
+    none of the determinants, no class certifies q, and the verdict is the
+    scan's own refutation: its note "exhausted all N signature classes"
+    then counts the N classes ruled out, none of them built.  A zero
+    determinant is divisible by every q, so a family with one always falls
+    through to the scan.  The table costs no more per anchor choice than
+    the scan per class, so it is built, once per family, and consulted only
+    when a call has at least as many classes as there are choices.
 
     A full-order vector has a unit entry, so no unit other than 1 fixes it:
     the unit orbits in the slice all have phi(q) members and the slice holds
@@ -828,6 +905,10 @@ def oracle_exists_order(
     if budget is not None and class_count > budget:
         note = f"at least {class_count} signature classes exceed the budget of {budget}"
         return OrderVerdict(UNRESOLVED, qq, "oracle", notes=hyp_notes + (note,))
+    choices = math.prod(len(rows) for rows in an.anchors)
+    if choices <= class_count and all(det % qq for det in an.anchor_determinants):
+        note = f"exhausted all {class_count} signature classes"
+        return OrderVerdict(REFUTED, qq, "oracle", notes=hyp_notes + (note,))
     E = an.exponents.astype(np.int64)
     codes, code_of_row = an.patterns
     # the variable with the fewest anchors first: its buckets are the candidates

@@ -199,6 +199,36 @@ def brute_anchors(monos, nvars: int) -> list[list[int]]:
     return anchored
 
 
+def bareiss_determinant(rows) -> int:
+    """Determinant of a square integer matrix by fraction-free Bareiss
+    elimination, swapping in a row with a nonzero pivot where needed."""
+    M = [list(r) for r in rows]
+    n = len(M)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if M[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if M[i][k]), None)
+            if swap is None:
+                return 0
+            M[k], M[swap] = M[swap], M[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
+        prev = M[k][k]
+    return sign * M[-1][-1]
+
+
+def brute_anchor_determinants(monos, nvars: int) -> set[int]:
+    """The distinct |det K| over every choice of one anchoring monomial per
+    variable (`brute_anchors`), K the matrix of the chosen exponent vectors,
+    each by `bareiss_determinant`."""
+    anchored = brute_anchors(monos, nvars)
+    return {
+        abs(bareiss_determinant([monos[r] for r in rows])) for rows in product(*anchored)
+    }
+
+
 def reference_oracle(fam: WeightedFamily, q: int):
     """(status, signature, witness monomials, notes) of the signature-class
     oracle, by its per-class, per-bucket loop: the candidate classes come

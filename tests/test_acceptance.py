@@ -15,7 +15,7 @@ from typing import Optional
 
 import pytest
 
-from conftest import brute_anchors, families, reference_oracle
+from conftest import brute_anchor_determinants, brute_anchors, families, reference_oracle
 
 from wpsauto.ambient import (
     WeightedFamily,
@@ -358,3 +358,49 @@ def test_anchors_match_the_tuple_rule(corpus):
         got = [rows.tolist() for rows in an.anchors]
         assert got == brute_anchors(an.system.monomials, fam.nvars), fam
     assert len(fams) >= 500
+
+
+def test_anchor_determinants_match_brute_force(corpus):
+    # FamilyAnalysis.anchor_determinants, from the functional-graph closed
+    # form, against Bareiss determinants of every choice of anchor monomials
+    records, _ = corpus
+    fams = dict.fromkeys(rec.fam for rec in records)
+    for fam in fams:
+        an = as_analysis(fam)
+        assert an.anchor_determinants == brute_anchor_determinants(an.system.monomials, fam.nvars), fam
+    assert len(fams) >= 500
+
+
+def test_determinant_gate_refutes_as_the_scan(corpus):
+    # Every pair whose variables all have anchors and whose q divides no
+    # anchor determinant, the pairs the oracle may refute without a scan:
+    # the reference oracle's per-class loop refutes each of them too, with
+    # the same status and notes.  So no pair it certifies fails the test.
+    records, _ = corpus
+    anchored = gated = 0
+    for rec in records:
+        an = as_analysis(rec.fam)
+        if not all(rows.size for rows in an.anchors):
+            continue
+        anchored += 1
+        if any(det % rec.q == 0 for det in an.anchor_determinants):
+            continue
+        status, _, _, notes = reference_oracle(rec.fam, rec.q)
+        assert status == "refuted", (rec.fam, rec.q)
+        assert (rec.oracle.status, rec.oracle.notes) == (status, notes), (rec.fam, rec.q)
+        gated += 1
+    assert gated >= 900 and anchored >= 3000, (gated, anchored)
+
+
+def test_certified_orders_divide_an_anchor_determinant(corpus):
+    # A certified q, by any route, divides the determinant of the anchors of
+    # its witness's bucket (proof in oracle_exists_order)
+    records, _ = corpus
+    certified = 0
+    for rec in records:
+        dets = as_analysis(rec.fam).anchor_determinants
+        for verdict in (rec.oracle, rec.divides, rec.sufficient):
+            if verdict is not None and verdict.status == "certified":
+                assert any(det % rec.q == 0 for det in dets), (rec.fam, rec.q, verdict.provenance)
+                certified += 1
+    assert certified >= 1000, certified

@@ -354,6 +354,10 @@ PINNED_REPORTS = [
     (("orders", "--weights", "1,1,1,1,1", "--degree", "5", "--max-order", "16",
       "--cycle-budget", "3"), 2,
      "161f127d63ec22fc46bf3c9ad1f9eefaed87f1406dd972858c24be91a56f4f9a"),
+    # a sweep-panel request: 20 of its 24 oracle refutations divide no
+    # anchor determinant and skip the scan
+    (("orders", "--weights", "2,5,6,7", "--degree", "20", "--max-order", "64"), 0,
+     "1e7edb0864f43b5df0b714af2cd41e1fa69d1fa797f989c8fc30c5fb6c762531"),
 ]
 
 
@@ -369,6 +373,16 @@ def test_all_chains_past_the_cycle_budget_exits_2(capsys):
         "--explain", "--all", "--cycle-budget", "1",
     )
     assert (code, out, err) == (2, "", "budget exhausted: more than 1 cycles\n")
+
+
+def test_max_order_too_large_to_sieve_is_an_error(capsys):
+    # the sieve's 10^18 bytes cannot be allocated: exit 1, not a MemoryError
+    code, out, err = run_cli(
+        capsys, "orders", "--weights", "1,1,1", "--degree", "4",
+        "--max-order", "1000000000000000000",
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: not enough memory to sieve the prime powers up to 1000000000000000000\n"
 
 
 def test_monomial_budget_zero_is_honoured(capsys):

@@ -7,6 +7,7 @@ from conftest import brute_canonical_full_signature, brute_canonical_mask, brute
 
 from wpsauto.ambient import WeightedFamily, enumerate_monomials
 from wpsauto.arith import as_prime_power, effective_order, prime_powers_up_to
+from wpsauto import orders
 from wpsauto.errors import HypothesisViolated
 from wpsauto.orders import (
     ORACLE_CLASS_BUDGET,
@@ -278,6 +279,29 @@ class TestOracle:
         verdict = oracle_exists_order(fam, 81, budget=787319)
         assert verdict.status == "unresolved"
         assert verdict.notes == ("at least 787320 signature classes exceed the budget of 787319",)
+
+    def test_determinant_gate_refutes_without_a_scan(self, monkeypatch):
+        # the 27 anchor choices of (1,1,1) d=4 give six determinants; 28 = 3^3 + 1
+        # is the Klein cycle's, and 28/4 = 7 the paper's maximal prime
+        fam = WeightedFamily((1, 1, 1), 4)
+        assert as_analysis(fam).anchor_determinants == {24, 28, 32, 36, 48, 64}
+        assert oracle_exists_order(fam, 7).status == "certified"
+
+        def no_scan(*args):
+            raise AssertionError("the oracle scanned its classes")
+
+        monkeypatch.setattr(orders, "_canonical_rows", no_scan)
+        # 25 divides no determinant, and its 30 classes are at least the 27
+        # anchor choices: refuted with the scan's own note
+        verdict = oracle_exists_order(fam, 25)
+        assert (verdict.status, verdict.provenance, verdict.notes[-1]) == (
+            "refuted",
+            "oracle",
+            "exhausted all 30 signature classes",
+        )
+        # 5 divides none either, but its 6 classes cost less than the table
+        with pytest.raises(AssertionError, match="scanned"):
+            oracle_exists_order(fam, 5)
 
     # q = 61 and q = 64 lie on either side of q = 62, where the oracle once
     # switched from an int64 bitmask to Python sets to find candidate
