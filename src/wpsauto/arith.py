@@ -80,15 +80,6 @@ class PrimePowerOrder:
         if not is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
 
-    @classmethod
-    def _proven(cls, p: int, r: int) -> "PrimePowerOrder":
-        """p**r for a prime p and r >= 1 already proven (by the sieve of
-        `prime_powers_up_to`), built without testing p a second time."""
-        order = object.__new__(cls)
-        object.__setattr__(order, "p", p)
-        object.__setattr__(order, "r", r)
-        return order
-
     @property
     def q(self) -> int:
         return self.p**self.r
@@ -214,9 +205,8 @@ def primes_up_to(limit: int) -> list[int]:
 def prime_powers_up_to(limit: int) -> list[PrimePowerOrder]:
     """All prime powers p**r <= limit in increasing order of value.
 
-    The sieve has proven every p prime, so the orders are built without a
-    second primality test.  Raises ValueError, not MemoryError, when the
-    sieve or the list does not fit in memory.
+    Raises ValueError, not MemoryError, when the sieve or the list does not
+    fit in memory.
     """
     try:
         powers = []
@@ -227,6 +217,6 @@ def prime_powers_up_to(limit: int) -> list[PrimePowerOrder]:
                 value *= p
                 r += 1
         powers.sort()
-        return [PrimePowerOrder._proven(p, r) for _, p, r in powers]
+        return [PrimePowerOrder(p, r) for _, p, r in powers]
     except MemoryError:
         raise ValueError(f"not enough memory to sieve the prime powers up to {limit}") from None

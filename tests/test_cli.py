@@ -11,7 +11,9 @@ import jsonschema
 import pytest
 
 import wpsauto.cli
+from wpsauto import orders
 from wpsauto.cli import main
+from wpsauto.orders import _canonical_rows as canonical_rows
 from wpsauto.orders import family_analysis
 
 SCHEMA = json.loads((Path(__file__).parent.parent / "docs" / "report_schema.json").read_text())
@@ -453,20 +455,50 @@ def test_order_with_two_large_prime_factors_fails_fast(capsys):
 # A plane quartic has no prime route and fails the linearity hypothesis, so
 # the oracle decides these orders, over about q classes each.  Its arrays
 # must not grow with q: a (classes x q) bucket matrix would need 65 GB here.
-@pytest.mark.parametrize("q, classes", [(1000003, 1000004), (1018081, 1019090)])
-def test_oracle_at_a_large_order_is_bounded_by_its_classes(capsys, q, classes):
+# Neither q divides an anchor determinant of the quartic, so the test
+# replaces the determinants by {0}, which every q divides: the oracle then
+# scans every class, as it would for a family with a zero determinant.
+LARGE_ORDERS = [(1000003, 1000004), (1018081, 1019090)]
+
+
+@pytest.mark.parametrize("q, classes", LARGE_ORDERS)
+def test_oracle_at_a_large_order_is_bounded_by_its_classes(capsys, monkeypatch, q, classes):
+    monkeypatch.setattr(orders.FamilyAnalysis, "anchor_determinants", property(lambda an: frozenset({0})))
+    scanned = []
+
+    def counted_rows(*args):
+        scanned.append(args)
+        return canonical_rows(*args)
+
+    monkeypatch.setattr(orders, "_canonical_rows", counted_rows)
+    family_analysis.cache_clear()
     tracemalloc.start()
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "check", "--weights", "1,1,1", "--degree", "4", "--order", str(q))
     elapsed = time.perf_counter() - start
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
+    family_analysis.cache_clear()
     (verdict,) = json.loads(out)["verdicts"]
+    assert len(scanned) == 1
     assert (code, err) == (0, "")
     assert (verdict["status"], verdict["provenance"]) == ("refuted", "oracle")
     assert verdict["notes"][-1] == f"exhausted all {classes} signature classes"
     assert peak < 64 << 20
     assert elapsed < 20.0
+
+
+@pytest.mark.parametrize("q, classes", LARGE_ORDERS)
+def test_anchor_determinants_refute_a_large_order_without_a_scan(capsys, monkeypatch, q, classes):
+    def no_scan(*args):
+        raise AssertionError("the oracle scanned its classes")
+
+    monkeypatch.setattr(orders, "_canonical_rows", no_scan)
+    code, out, err = run_cli(capsys, "check", "--weights", "1,1,1", "--degree", "4", "--order", str(q))
+    (verdict,) = json.loads(out)["verdicts"]
+    assert (code, err) == (0, "")
+    assert (verdict["status"], verdict["provenance"]) == ("refuted", "oracle")
+    assert verdict["notes"][-1] == f"exhausted all {classes} signature classes"
 
 
 def test_cli_imports_no_private_names():
