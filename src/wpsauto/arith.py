@@ -22,6 +22,7 @@ __all__ = [
     "semigroup_contains",
     "semigroup_reachable",
     "effective_order",
+    "linear_congruence_solutions",
     "primes_up_to",
     "prime_powers_up_to",
 ]
@@ -189,6 +190,16 @@ def effective_order(sigma: Sequence[int], a: Sequence[int], q: int) -> int:
     d2 = minors // d1 if d1 else 0
     span = (q // math.gcd(q, d1)) * (q // math.gcd(q, d2))
     return span // (q // math.gcd(q, *a))
+
+
+def linear_congruence_solutions(k: int, c: int, q: int) -> list[int]:
+    """The residues s mod q with k*s + c = 0 (mod q), increasing: none unless
+    g = gcd(k, q) divides c, else s0 + i*q/g for i < g, s0 = (-c/g) / (k/g)."""
+    g = math.gcd(k, q)
+    if c % g:
+        return []
+    step = q // g
+    return list(range(-c // g * pow(k // g, -1, step) % step, q, step))
 
 
 def primes_up_to(limit: int) -> list[int]:

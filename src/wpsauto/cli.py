@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .ambient import MONOMIAL_BUDGET, WeightedFamily
-from .arith import as_prime_power, gcd_all
+from .arith import as_prime_power, gcd_all, linear_congruence_solutions
 from .checks import CHECK_NAMES, run_checks
 from .cycles import CYCLE_BUDGET
 from .errors import BudgetExceeded, CoefficientCollision, HypothesisViolated, WpsautoError
@@ -192,29 +192,39 @@ def _parse(argv: Optional[Sequence[str]]) -> argparse.Namespace:
     return args
 
 
+def _fill_orders_report(
+    report: dict, an: FamilyAnalysis, max_order: Optional[int], oracle_budget: int
+) -> list[OrderVerdict]:
+    """Add the sections of an `orders` report to `report` (a `base_report`)
+    one at a time, and return the verdicts.  `scan` writes the same report
+    per family; when a section raises, the ones added before it stay."""
+    report["bounds"] = bounds_section(an)
+    report["klein"] = klein_section(an)
+    max_order = _default_max_order(an, max_order)
+    verdicts = [v for _, v in admissible_orders(an, max_order, oracle_budget)]
+    report["max_order"] = max_order
+    report["verdicts"] = [verdict_json(v) for v in verdicts]
+    return verdicts
+
+
 def _cmd_orders(args) -> int:
     an = _analysis(args)
     started = time.monotonic()
-    max_order = _default_max_order(an, args.max_order)
-    results = admissible_orders(an, max_order, args.oracle_budget)
     report = base_report(an, args.seed)
-    report["max_order"] = max_order
-    report["bounds"] = bounds_section(an)
-    report["klein"] = klein_section(an)
-    report["verdicts"] = [verdict_json(v) for _, v in results]
+    verdicts = _fill_orders_report(report, an, args.max_order, args.oracle_budget)
     if args.timings:
         report["timings"] = {"total_s": round(time.monotonic() - started, 3)}
     print(dumps(report))
-    return _exit_code_for([v for _, v in results])
+    return _exit_code_for(verdicts)
 
 
 def _explain_offchain(an: FamilyAnalysis, q: int, chain) -> dict:
     """Anchor-monomial congruences for variables the chain leaves free.
 
     With the chain signature normalized (first entry 1, invariance target 0),
-    each pure-power or near-power monomial of an off-chain variable imposes a
-    linear congruence on its residue; the per-monomial solution sets expose
-    contradictions directly.
+    each anchor monomial of an off-chain variable imposes a linear
+    congruence on its residue, solved in closed form; the per-monomial
+    solution sets expose contradictions directly.
     """
     sig = signature_from_chain(an.family, chain, q).sigma
     on_chain = set(chain.indices)
@@ -223,22 +233,14 @@ def _explain_offchain(an: FamilyAnalysis, q: int, chain) -> dict:
         if v in on_chain:
             continue
         anchors = []
-        for row in an.anchors[v]:
-            mono = an.system.monomials[row]
-            other_off = [
-                u
-                for u, e in enumerate(mono)
-                if e > 0 and u != v and sig[u] is None
-            ]
+        for mono in an.anchors[v].tolist():
+            other_off = [u for u, e in enumerate(mono) if e > 0 and u != v and sig[u] is None]
             if other_off:
-                anchors.append(
-                    {"monomial": list(mono), "solutions": None, "couples": other_off}
-                )
+                anchors.append({"monomial": mono, "solutions": None, "couples": other_off})
                 continue
             const = sum(sig[u] * e for u, e in enumerate(mono) if e > 0 and u != v)
-            k = mono[v]
-            sols = [s for s in range(q) if (k * s + const) % q == 0]
-            anchors.append({"monomial": list(mono), "solutions": sols, "couples": []})
+            sols = linear_congruence_solutions(mono[v], const, q)
+            anchors.append({"monomial": mono, "solutions": sols, "couples": []})
         entries.append({"variable": v, "anchors": anchors})
     return {"offchain": entries}
 
@@ -327,14 +329,9 @@ def _scan_record(payload) -> tuple[str, bool]:
     fam, seed, max_order, oracle_budget, cycle_budget, monomial_budget = payload
     an = family_analysis(fam, monomial_budget, cycle_budget)
     report = base_report(an, seed)
-    report["bounds"] = bounds_section(an)
     try:
-        report["klein"] = klein_section(an)
-        effective_max = _default_max_order(an, max_order)
-        results = admissible_orders(an, effective_max, oracle_budget)
-        report["max_order"] = effective_max
-        report["verdicts"] = [verdict_json(v) for _, v in results]
-        unresolved = any(v.status == "unresolved" for _, v in results)
+        verdicts = _fill_orders_report(report, an, max_order, oracle_budget)
+        unresolved = any(v.status == "unresolved" for v in verdicts)
     except (WpsautoError, _UsageError) as exc:
         report["error"] = str(exc)
         report["verdicts"] = []

@@ -32,17 +32,17 @@ the monomial table.
 Everything that depends on (a, d) alone lives in one `FamilyAnalysis` per
 family and pair of budgets (`family_analysis`): the hypothesis flags, the
 bounds and the prime routing they decide, the monomial table, the weight
-digraph with its cycle chains, the anchor determinants, and the Klein
-data.  Each table row also has an integer pattern code (its support and
-exponent-one bitmasks), which the anchors, the chain criteria's complement
-filter and the oracle read instead of the monomial tuples.  Budgets are
-arguments, never process-wide settings.  Functions taking a family also
-accept its analysis, and then use the analysis' budgets; given a family,
-they use the default budgets.  `order_verdict` is the one routing path from
-(analysis, q) to a verdict, and `_verified_certificate` the one place that
-builds a certified verdict, after re-checking its witness and its induced
-order.  The oracle's time and memory grow with the number of signature
-classes it examines, not with q, so its class budget alone bounds them.
+digraph with its cycle chains, the anchors (read off the digraph and the
+pure powers, never off the table) and their determinants, and the Klein
+data.  Only the oracle's bucket test reads the table rows' pattern codes
+(their support and exponent-one bitmasks).  Budgets are arguments, never
+process-wide settings.  Functions taking a family also accept its
+analysis, and then use the analysis' budgets; given a family, they use the
+default budgets.  `order_verdict` is the one routing path from (analysis,
+q) to a verdict, and `_verified_certificate` the one place that builds a
+certified verdict, after re-checking its witness and its induced order.
+The oracle's time and memory grow with the number of signature classes it
+examines, not with q, so its class budget alone bounds them.
 """
 
 from __future__ import annotations
@@ -335,8 +335,7 @@ def _chain_criteria(
         if not subset_criterion(chain_part, len(chain.indices)):
             continue
         # the rows off the chain: none when the chain holds every variable
-        on_chain = sum(1 << i for i in chain.indices)
-        comp_rows = np.flatnonzero((an.supports & on_chain) == 0)
+        comp_rows = np.flatnonzero(~an.exponents[:, chain.indices].any(axis=1))
         if comp and (
             not comp_rows.size
             or not subset_criterion(an.exponents[np.ix_(comp_rows, comp)], len(comp))
@@ -357,12 +356,14 @@ def _first_unit_weight_index(fam: WeightedFamily, p: int) -> int:
     raise AssertionError("gcd of weights is 1, so some weight is prime to p")
 
 
-def _fermat_monomials(fam: WeightedFamily) -> list[tuple[int, ...]]:
+def _anchor_terms(an: "FamilyAnalysis", v: int) -> list[tuple[tuple[int, ...], int, int]]:
+    """(monomial, k, t) per anchor x_v^k * x_t of variable v, in the order of
+    `an.anchors[v]`; t = -1 for the pure power x_v^k."""
     out = []
-    for k, w in enumerate(fam.weights):
-        e = [0] * fam.nvars
-        e[k] = fam.degree // w
-        out.append(tuple(e))
+    for row in an.anchors[v].tolist():
+        mono = tuple(row)
+        row[v] = 0
+        out.append((mono, mono[v], row.index(1) if any(row) else -1))
     return out
 
 
@@ -396,77 +397,58 @@ def divides_d_criterion(fam: "WeightedFamily | FamilyAnalysis", p: int) -> Order
     i != j, or (c) some weight value w of multiplicity nu admits a cycle
     length L in 2..nu with (1 - d/w)^L = 1 mod p.  Each certificate carries
     the explicit witness polynomial (Fermat, Fermat with one near-power, or
-    equal-weight cycle plus Fermat tail).  Otherwise refuted: the case
-    analysis is exhaustive under these hypotheses.
+    equal-weight cycle plus Fermat tail), read off the anchors
+    (`FamilyAnalysis.anchors`).  Otherwise refuted: the case analysis is
+    exhaustive under these hypotheses.  Linear cones are excluded.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     an = as_analysis(fam)
     fam = an.family
-    a = fam.weights
-    d = fam.degree
+    a, d, nv = fam.weights, fam.degree, fam.nvars
     if any(d % w != 0 for w in a):
         raise HypothesisViolated("every weight must divide the degree")
     _check_degree_and_linearity(an)
     if not well_formed(fam):
         raise HypothesisViolated(f"{fam} is not well-formed")
-    nv = fam.nvars
+    if an.flags["linear_cone"]:
+        raise HypothesisViolated("linear cones are excluded")
+    terms = [_anchor_terms(an, v) for v in range(nv)]
+    # every weight divides d, so every variable has its pure power
+    fermat = [next(mono for mono, _, t in anchored if t < 0) for anchored in terms]
+    provenance = "divides-d-criterion"
 
     if d % p == 0:  # (a) Fermat witness, signature concentrated off the p-part
-        i = _first_unit_weight_index(fam, p)
         sigma = [0] * nv
-        sigma[i] = 1
-        return _verified_certificate(
-            fam, p, "divides-d-criterion", sigma, _fermat_monomials(fam), notes=("case (a): p | d",)
-        )
+        sigma[_first_unit_weight_index(fam, p)] = 1
+        return _verified_certificate(fam, p, provenance, sigma, fermat, notes=("case (a): p | d",))
 
-    for i in range(nv):  # (b) one Fermat power replaced by a near-power
-        for j in range(nv):
-            if i == j or (d - a[j]) % (a[i] * p) != 0:
-                continue
-            monos = _fermat_monomials(fam)
-            e = [0] * nv
-            e[i] = (d - a[j]) // a[i]
-            e[j] += 1
-            monos[i] = tuple(e)
+    for i, anchored in enumerate(terms):  # (b) one Fermat power replaced by a near-power
+        # x_i^m * x_j with p | m, the least j first; p does not divide d, so
+        # neither does it divide the pure power's d / a_i
+        near = [(t, mono) for mono, m, t in anchored if m % p == 0]
+        if near:
+            j, mono = min(near)
             sigma = [0] * nv
             sigma[i] = 1
-            return _verified_certificate(
-                fam,
-                p,
-                "divides-d-criterion",
-                sigma,
-                monos,
-                notes=(f"case (b): a_{i}*p divides d - a_{j}",),
-            )
+            witness = fermat[:i] + [mono] + fermat[i + 1 :]
+            note = f"case (b): a_{i}*p divides d - a_{j}"
+            return _verified_certificate(fam, p, provenance, sigma, witness, notes=(note,))
 
     # (c) equal-weight cycle inside one weight-multiplicity class
     for w in sorted(set(a)):
         positions = [i for i, x in enumerate(a) if x == w]
-        m = d // w - 1
         for length in range(2, len(positions) + 1):
             if pow(1 - d // w, length, p) != 1 % p:
                 continue
             idx = tuple(positions[:length])
-            chain = CycleChain(idx, (m,) * length)
-            cycle_monos = chain.monomials(nv)
-            tail = [
-                mono
-                for k, mono in enumerate(_fermat_monomials(fam))
-                if k not in set(idx)
-            ]
-            sig = signature_from_chain(fam, chain, p).padded()
-            return _verified_certificate(
-                fam,
-                p,
-                "divides-d-criterion",
-                sig.sigma,
-                cycle_monos + tail,
-                chain=chain,
-                notes=(f"case (c): weight {w}, cycle length {length}",),
-            )
+            chain = CycleChain(idx, (d // w - 1,) * length)
+            witness = chain.monomials(nv) + [mono for k, mono in enumerate(fermat) if k not in idx]
+            sigma = signature_from_chain(fam, chain, p).padded().sigma
+            note = f"case (c): weight {w}, cycle length {length}"
+            return _verified_certificate(fam, p, provenance, sigma, witness, chain, (note,))
 
-    return OrderVerdict(REFUTED, p, "divides-d-criterion", notes=("cases (a), (b), (c) all fail",))
+    return OrderVerdict(REFUTED, p, provenance, notes=("cases (a), (b), (c) all fail",))
 
 
 def _multiplicities(fam: WeightedFamily) -> tuple[tuple[int, int], ...]:
@@ -506,7 +488,9 @@ class FamilyAnalysis:
 
     Each field is computed on first use and kept, except one that raises (a
     budget exceeded, a hypothesis violated): it raises again when used again.
-    Get instances from `family_analysis`.
+    The anchors come from the digraph, not from the monomial table, whose
+    pattern codes serve only the oracle's bucket test.  Get instances from
+    `family_analysis`.
     """
 
     def __init__(self, fam: WeightedFamily, monomial_budget: int, cycle_budget: int):
@@ -586,32 +570,31 @@ class FamilyAnalysis:
     @cached_property
     def patterns(self) -> tuple[np.ndarray, np.ndarray]:
         """(codes, index): the distinct `pattern_codes` of the table rows in
-        increasing order, and the position in `codes` of each row's code."""
+        increasing order, and the position in `codes` of each row's code;
+        the oracle's bucket test reads them."""
         # not np.unique, whose first call imports numpy.ma (35 ms per process)
         row_codes = pattern_codes(self.exponents)
         codes = np.sort(row_codes)
         codes = codes[np.diff(codes, prepend=-1) != 0]
         return codes, np.searchsorted(codes, row_codes).astype(np.min_scalar_type(len(codes)))
 
-    @property
-    def supports(self) -> np.ndarray:
-        """Per table row, the bitmask of the variables it contains."""
-        codes, index = self.patterns
-        return codes[index] & ((1 << self.family.nvars) - 1)
-
     @cached_property
     def anchors(self) -> tuple[np.ndarray, ...]:
-        """Per variable v, the increasing table rows that anchor v: a pure
-        power x_v^k, or a near-power x_v^k * x_j with x_j to the first power.
-        The array is empty when no row anchors v."""
-        codes, index = self.patterns
-        support, units = self.supports, codes[index] >> self.family.nvars
+        """Per variable v, a read-only int64 matrix of the exponent vectors
+        anchoring v (x_v and at most one other variable, that one to the
+        first power), in the table's increasing order but not read off it:
+        the pure power x_v^(d/a_v) if a_v | d, and x_v^m * x_t for each edge
+        v -> t of the weight digraph.  No rows when nothing anchors v."""
+        nv, d = self.family.nvars, self.family.degree
         out = []
-        for v in range(self.family.nvars):
-            other = support & ~(1 << v)
-            # x_v present, at most one other variable, and that one to the first power
-            keep = (support != other) & ((other & (other - 1)) == 0) & ((other & ~units) == 0)
-            out.append(np.flatnonzero(keep))
+        for v, w in enumerate(self.family.weights):
+            terms = [{v: m, t: 1} for t, m in self.digraph[v].items()]
+            if d % w == 0:
+                terms.append({v: d // w})
+            rows = np.array(sorted([e.get(u, 0) for u in range(nv)] for e in terms), dtype=np.int64)
+            rows = rows.reshape(len(terms), nv)
+            rows.flags.writeable = False  # shared by every reader
+            out.append(rows)
         return tuple(out)
 
     @cached_property
@@ -634,11 +617,7 @@ class FamilyAnalysis:
         running product, are divided out again for the cycle's factor.
         """
         nv = self.family.nvars
-        supports = self.supports
-        options = [
-            [(int(self.exponents[r, v]), (int(supports[r]) & ~(1 << v)).bit_length() - 1) for r in rows]
-            for v, rows in enumerate(self.anchors)
-        ]
+        options = [[(k, t) for _, k, t in _anchor_terms(self, v)] for v in range(nv)]
         k_of, target, on_cycle = [0] * nv, [-1] * nv, [False] * nv
         dets: set[int] = set()
 
@@ -870,20 +849,23 @@ def oracle_exists_order(
     scan's own refutation: its note "exhausted all N signature classes"
     then counts the N classes ruled out, none of them built.  A zero
     determinant is divisible by every q, so a family with one always falls
-    through to the scan.  The table costs no more per anchor choice than
-    the scan per class, so it is built, once per family, and consulted only
-    when a call has at least as many classes as there are choices.
+    through to the scan.  The anchors and their determinants are closed
+    forms of (a, d), so this gate and the missing-anchor refutation build
+    no monomial table.  The determinant table costs no more per anchor
+    choice than the scan per class, so it is built, once per family, and
+    consulted, before the budget and the int64 range are, when a call has
+    at least as many classes, and as much budget, as there are choices.
 
     A full-order vector has a unit entry, so no unit other than 1 fixes it:
     the unit orbits in the slice all have phi(q) members and the slice holds
-    exactly (q**m - (q/p)**m) / phi(q) classes, m = nvars - 1.  That count is
-    compared with the budget before anything is scanned, and the scan
-    examines no more: above the budget the verdict is unresolved, never a
-    refutation.  It is the only cap on the work: the candidate rows, about
-    r*(p-1)/p per class, are built `_CHUNK` ranks at a time, a variable has
-    at most nvars anchors, so a class has at most nvars hit pairs, and no
-    array has a dimension of size q.  Apart from it, only q**nvars >= 2**62
-    (inexact int64 ranks) is unresolved.
+    exactly (q**m - (q/p)**m) / phi(q) classes, m = nvars - 1.  Unless the
+    gate refutes q, that count is compared with the budget before anything
+    is scanned, and the scan examines no more: above the budget the verdict
+    is unresolved, never a refutation.  It is the only cap on the work: the
+    candidate rows, about r*(p-1)/p per class, are built `_CHUNK` ranks at
+    a time, a variable has at most nvars anchors, so a class has at most
+    nvars hit pairs, and no array has a dimension of size q.  Apart from
+    it, only q**nvars >= 2**62 (inexact int64 ranks) is unresolved.
     """
     pp = as_prime_power(q)
     qq, p = pp.q, pp.p
@@ -896,23 +878,23 @@ def oracle_exists_order(
         note = f"no pure-power or near-power monomial for variables {missing}"
         return OrderVerdict(REFUTED, qq, "oracle", notes=hyp_notes + (note,))
 
+    class_count = (qq ** (nv - 1) - (qq // p) ** (nv - 1)) // (qq - qq // p)
+    cap = class_count if budget is None else min(class_count, budget)
+    choices = math.prod(len(rows) for rows in an.anchors)
+    if choices <= cap and all(det % qq for det in an.anchor_determinants):
+        note = f"exhausted all {class_count} signature classes"
+        return OrderVerdict(REFUTED, qq, "oracle", notes=hyp_notes + (note,))
     if qq ** nv >= 2**62:
         note = f"modulus {qq} too large for exact vectorized enumeration"
         return OrderVerdict(UNRESOLVED, qq, "oracle", notes=hyp_notes + (note,))
-
-    i_star = _first_unit_weight_index(fam, p)
-    class_count = (qq ** (nv - 1) - (qq // p) ** (nv - 1)) // (qq - qq // p)
-    if budget is not None and class_count > budget:
+    if class_count > cap:
         note = f"at least {class_count} signature classes exceed the budget of {budget}"
         return OrderVerdict(UNRESOLVED, qq, "oracle", notes=hyp_notes + (note,))
-    choices = math.prod(len(rows) for rows in an.anchors)
-    if choices <= class_count and all(det % qq for det in an.anchor_determinants):
-        note = f"exhausted all {class_count} signature classes"
-        return OrderVerdict(REFUTED, qq, "oracle", notes=hyp_notes + (note,))
+    i_star = _first_unit_weight_index(fam, p)
     E = an.exponents.astype(np.int64)
     codes, code_of_row = an.patterns
     # the variable with the fewest anchors first: its buckets are the candidates
-    base_T, *others_T = sorted((E[rows].T for rows in an.anchors), key=lambda a: a.shape[1])
+    base_T, *others_T = sorted((rows.T for rows in an.anchors), key=lambda a: a.shape[1])
     chunk = max(1, _BUCKET_ELEMENTS // max(len(E), (nv + 1) << nv))
 
     examined = 0
@@ -970,12 +952,14 @@ def order_verdict(
     divides the degree; otherwise the coprime bound prunes large primes,
     one pass over the qualifying cycle chains certifies (sufficient
     condition) or refutes (necessary condition) where their hypotheses hold,
-    and the oracle settles whatever remains.  Budget exhaustion and violated
-    hypotheses are recorded in the verdict, never raised.
+    and the oracle settles whatever remains; the oracle's hard preconditions
+    bind every route.  Budget exhaustion and violated hypotheses are
+    recorded in the verdict, never raised.
     """
     an = analysis
     pp = as_prime_power(q)
     try:
+        an.oracle_hypotheses()  # for its raise; the oracle adds the soft note
         route = an.prime_route
         if pp.r == 1 and route is not None:
             if route.kind == "divides-d":

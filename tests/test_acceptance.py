@@ -349,14 +349,16 @@ def test_oracle_matches_reference_oracle(corpus):
 
 
 def test_anchors_match_the_tuple_rule(corpus):
-    # FamilyAnalysis.anchors, read off the pattern codes, against the rule
-    # applied to each exponent tuple, on every family of the corpus
+    # FamilyAnalysis.anchors, the closed form over the weight digraph, against
+    # the rule applied to each exponent tuple of the table, row for row and
+    # in the table's order, on every family of the corpus
     records, _ = corpus
     fams = dict.fromkeys(rec.fam for rec in records)
     for fam in fams:
         an = as_analysis(fam)
+        monos = an.system.monomials
         got = [rows.tolist() for rows in an.anchors]
-        assert got == brute_anchors(an.system.monomials, fam.nvars), fam
+        assert got == [[list(monos[r]) for r in rows] for rows in brute_anchors(monos, fam.nvars)], fam
     assert len(fams) >= 500
 
 

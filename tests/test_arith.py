@@ -7,6 +7,7 @@ from wpsauto.arith import (
     effective_order,
     gcd_all,
     is_prime,
+    linear_congruence_solutions,
     prime_power_decompose,
     prime_powers_up_to,
     primes_up_to,
@@ -169,3 +170,12 @@ def test_prime_powers_up_to():
     got = prime_powers_up_to(10**4)
     assert [(pp.p, pp.r, pp.q) for pp in got] == [(pp.p, pp.r, pp.q) for pp in expected]
     assert got == expected
+
+
+@pytest.mark.parametrize("q", [2, 4, 8, 9, 25, 27])
+def test_linear_congruence_solutions(q):
+    # the closed form against a scan of every residue, for k and c past q too
+    for k in range(3 * q):
+        for c in range(-q, 2 * q):
+            expected = [s for s in range(q) if (k * s + c) % q == 0]
+            assert linear_congruence_solutions(k, c, q) == expected, (k, c)

@@ -235,6 +235,18 @@ def test_scan_records_a_klein_budget_error_and_goes_on(tmp_path, capsys):
     assert cut == [([1, 1, 1], 4), ([1, 1, 1], 5), ([1, 1, 1], 7), ([1, 1, 1], 8), ([1, 1, 2], 7)]
 
 
+def test_scan_lines_are_orders_reports(capsys):
+    # scan and orders build one report; scan only adds "error" where one is raised
+    code, out, _ = run_cli(capsys, "scan", "--dim", "1", "--max-weight", "2", "--degree", "3..5")
+    assert code == 0
+    lines = [line for line in out.splitlines() if "error" not in json.loads(line)]
+    assert len(lines) == 5
+    for line in lines:
+        record = json.loads(line)
+        family = ("--weights", ",".join(map(str, record["weights"])), "--degree", str(record["degree"]))
+        assert run_cli(capsys, "orders", *family) == (0, line + "\n", "")
+
+
 def test_scan_empty_range(capsys):
     code, out, _ = run_cli(capsys, "scan", "--dim", "1", "--max-weight", "1", "--degree", "5..4")
     assert code == 0
@@ -294,6 +306,22 @@ def test_check_hypothesis_violated_exit_1(capsys):
     )
     assert code == 1
     assert json.loads(out)["verdicts"][0]["status"] == "hypothesis-violated"
+
+
+@pytest.mark.parametrize("weights, degree, order", [("1,1,3,3", 6, 2), ("1,1,1,1,4", 4, 3)])
+def test_check_enforces_the_preconditions_of_orders(capsys, weights, degree, order):
+    # both families pass the divides-d criterion's own tests, but their
+    # linear automorphism group is infinite: check agrees with orders
+    family = ("--weights", weights, "--degree", str(degree))
+    code, out, _ = run_cli(capsys, "check", *family, "--order", str(order))
+    assert code == 1
+    (verdict,) = json.loads(out)["verdicts"]
+    assert (verdict["status"], verdict["notes"]) == (
+        "hypothesis-violated",
+        ["the linear automorphism group is not finite"],
+    )
+    code, out, err = run_cli(capsys, "orders", *family)
+    assert (code, out, err) == (1, "", "error: the linear automorphism group is not finite\n")
 
 
 def test_seed_env_default(capsys, monkeypatch):

@@ -190,6 +190,11 @@ class TestDividesD:
         with pytest.raises(HypothesisViolated):
             divides_d_criterion(COUNTEREXAMPLE, 23)
 
+    def test_rejects_a_linear_cone(self):
+        # x_4 has degree d: case (b) once fired here at m = 0, with x_4 as x_0's near-power
+        with pytest.raises(HypothesisViolated, match="linear cones are excluded"):
+            divides_d_criterion(WeightedFamily((1, 1, 1, 1, 4), 4), 3)
+
 
 class TestBounds:
     def test_divides_d_sextic(self):
@@ -302,6 +307,34 @@ class TestOracle:
         # 5 divides none either, but its 6 classes cost less than the table
         with pytest.raises(AssertionError, match="scanned"):
             oracle_exists_order(fam, 5)
+
+    def test_anchor_refutations_build_no_monomial_table(self, monkeypatch):
+        # the anchors and their determinants are closed forms of (a, d)
+        def no_table(*args):
+            raise AssertionError("the monomial table was built")
+
+        monkeypatch.setattr(orders, "enumerate_monomials", no_table)
+        an = orders.FamilyAnalysis(WeightedFamily((1, 1, 3), 8), 10**6, 10**6)
+        verdict = oracle_exists_order(an, 5)
+        assert (verdict.status, verdict.notes[-1]) == (
+            "refuted",
+            "no pure-power or near-power monomial for variables [2]",
+        )
+        an = orders.FamilyAnalysis(WeightedFamily((1, 1, 1), 4), 10**6, 10**6)
+        verdict = oracle_exists_order(an, 25)
+        assert (verdict.status, verdict.notes[-1]) == ("refuted", "exhausted all 30 signature classes")
+        with pytest.raises(AssertionError, match="table was built"):
+            oracle_exists_order(an, 7)
+
+    def test_determinant_gate_runs_before_the_budget(self):
+        # (1,1,1,1,1) d=6 at q = 256: 31 457 280 classes, far above the budget,
+        # but 3125 anchor choices and no determinant divisible by 256
+        fam = WeightedFamily((1, 1, 1, 1, 1), 6)
+        verdict = oracle_exists_order(fam, 256)
+        assert (verdict.status, verdict.notes[-1]) == ("refuted", "exhausted all 31457280 signature classes")
+        # with a budget below the 3125 choices, the table is not consulted
+        verdict = oracle_exists_order(fam, 256, budget=3124)
+        assert verdict.status == "unresolved"
 
     # q = 61 and q = 64 lie on either side of q = 62, where the oracle once
     # switched from an int64 bitmask to Python sets to find candidate

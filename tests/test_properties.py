@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import (
+    brute_anchors,
     brute_effective_order,
     brute_eval_batch,
     brute_semigroup_contains,
@@ -21,8 +22,14 @@ from wpsauto.arith import (
     prime_power_decompose,
     semigroup_contains,
 )
-from wpsauto.errors import NotAPrimePower, NotNormalizable
-from wpsauto.orders import chain_from_cycle, signature_from_chain, chain_invariance_check, weight_digraph
+from wpsauto.errors import BudgetExceeded, NotAPrimePower, NotNormalizable
+from wpsauto.orders import (
+    FamilyAnalysis,
+    chain_from_cycle,
+    chain_invariance_check,
+    signature_from_chain,
+    weight_digraph,
+)
 from wpsauto.quasismooth import _LogSpace, pattern_codes, subset_criterion, subset_criterion_batch
 from wpsauto.cycles import simple_cycles
 
@@ -199,3 +206,23 @@ def test_log_space_evaluation_matches_brute(case):
     pts = np.array(points, dtype=np.int64)
     got = space.values(0, space.logs(pts))
     assert got.tolist() == brute_eval_batch(pts, monos, coeffs, p).tolist()
+
+
+@given(
+    st.lists(st.integers(1, 12), min_size=3, max_size=6).filter(lambda ws: gcd_all(ws) == 1),
+    st.integers(1, 40),
+)
+@settings(max_examples=150, deadline=None)
+def test_anchors_are_the_table_rows_the_rule_keeps(ws, d):
+    # FamilyAnalysis.anchors, read off (a, d), against the anchor rule applied
+    # to every row of the monomial table, in the table's order.  The analysis
+    # has a monomial budget of 0, so it would raise if it read its table.
+    # Tables of more than 50 000 rows (six weights of 1 near d = 40) are
+    # too slow for the reference to scan
+    fam = WeightedFamily(tuple(ws), d)
+    try:
+        monos = enumerate_monomials(fam, 50_000).monomials
+    except BudgetExceeded:
+        assume(False)
+    got = [rows.tolist() for rows in FamilyAnalysis(fam, 0, 0).anchors]
+    assert got == [[list(monos[r]) for r in rows] for rows in brute_anchors(monos, fam.nvars)]
