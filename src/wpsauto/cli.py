@@ -183,12 +183,15 @@ def _parser() -> _Parser:
 
 def _parse(argv: Optional[Sequence[str]]) -> argparse.Namespace:
     args = _parser().parse_args(argv)
+    source = "--seed"
     if args.seed is None:
-        text = os.environ.get("WPSAUTO_SEED", "0")
+        source, text = "WPSAUTO_SEED", os.environ.get("WPSAUTO_SEED", "0")
         try:
             args.seed = int(text)
         except ValueError:
             raise _UsageError(f"WPSAUTO_SEED must be an integer, got {text!r}") from None
+    if args.seed < 0:  # the falsifier's PCG64 stream takes no negative seed
+        raise _UsageError(f"{source} must be nonnegative, got {args.seed}")
     return args
 
 

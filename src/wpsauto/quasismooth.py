@@ -8,11 +8,15 @@ Two complementary verdicts are produced here and deliberately kept apart:
 * point-witness: `singular_point_search` hunts for an explicit singular
   point of one explicit polynomial over a prime field F_p, p < 2^16.  A
   witness refutes quasi-smoothness of that reduction; finding none proves
-  nothing.  Points are evaluated in discrete-log space: per prime, a log
-  table and a power table of p entries (built on first use); per search,
-  the power table tiled to D * (p - 1) + 1 entries, D the largest monomial
-  degree once every exponent is reduced into [0, p - 1], so
-  D <= nvars * (p - 1).
+  nothing.  Points are evaluated in discrete-log space, one float64 matrix
+  product per polynomial and block of points: each polynomial is a matrix
+  of its exponents and its coefficients' logs, which turns a block of
+  coordinate logs into every monomial's log sum; those index a power table,
+  whose sum over the monomials, mod p, is the value.  Per prime, a log
+  table and a power table of p entries are built on first use, and the
+  blocks of the grids swept are kept; per search, the power table is tiled
+  to (D + 1) * (p - 1) + 1 entries, D the largest monomial degree once
+  every exponent is reduced into [0, p - 1], so D <= nvars * (p - 1).
 """
 
 from __future__ import annotations
@@ -200,10 +204,12 @@ class ExplicitPolynomial:
 
     def __post_init__(self) -> None:
         coeffs = {}
-        members = set(self.system.monomials)
+        # every monomial of the system, in its order, needs no set to be checked
+        whole = tuple(self.coefficients) == self.system.monomials
+        members = () if whole else set(self.system.monomials)
         for mono, c in self.coefficients.items():
             mono = tuple(mono)
-            if mono not in members:
+            if not whole and mono not in members:
                 raise ValueError(f"monomial {mono} is not in the system")
             frac = Fraction(c)
             if frac == 0:
@@ -219,8 +225,8 @@ class ExplicitPolynomial:
 def random_member(system: MonomialSystem, seed: int = 0, coeff_bound: int = 10**4) -> ExplicitPolynomial:
     """A member of the system with seeded random coefficients in [1, coeff_bound]."""
     rng = random.Random(seed)
-    coeffs = {e: Fraction(rng.randint(1, coeff_bound)) for e in system.monomials}
-    return ExplicitPolynomial(system, coeffs)
+    # integers: ExplicitPolynomial makes each one a Fraction
+    return ExplicitPolynomial(system, {e: rng.randint(1, coeff_bound) for e in system.monomials})
 
 
 @dataclass(frozen=True)
@@ -259,7 +265,7 @@ def _reduce_coefficients(poly: ExplicitPolynomial, p: int) -> tuple[list[Monomia
 FIELD_PRIME_LIMIT = 1 << 16
 
 #: Entries one block of (monomial x point) log sums may hold.
-_BLOCK = 1 << 16
+_BLOCK = 1 << 14
 
 
 @lru_cache(maxsize=8)  # the CLI's three falsifier primes, with room to spare
@@ -286,20 +292,25 @@ def _log_tables(p: int) -> tuple[np.ndarray, np.ndarray]:
 
 class _LogSpace:
     """Polynomials over F_p (p < FIELD_PRIME_LIMIT) evaluated through
-    discrete logarithms, with no reduction mod p inside the sums.
+    discrete logarithms, one float64 matrix product per block of points.
 
     Each exponent e >= 1 is first reduced to (e - 1) mod (p - 1) + 1, which
     leaves x^e unchanged at every x in F_p; D is then the largest monomial
-    degree, at least 1, so D <= nvars * (p - 1).  A point's coordinates are
-    replaced by their logs, 0 by the sentinel cap = D * (p - 1).  A monomial
-    whose variables are all nonzero has the log sum e . log(x) <= D * (p - 2)
-    < cap; one holding a zero coordinate has a sum >= cap.  So a single
-    gather from exp tiled D times with a trailing 0, indices clipped to cap,
-    gives every monomial's value, and a dot product with the coefficients
-    sums them.  All of it is exact integer arithmetic: log sums are at most
-    D * cap, held in int32 below 2^31 and in int64 otherwise (2^63 and
-    beyond is refused), and a dot product, in int64, is at most
-    (#monomials) * (p - 1)^2 < 2^63 for fewer than 2^31 monomials.  The
+    degree, at least 1, so D <= nvars * (p - 1).  A polynomial becomes the
+    float64 matrix [E | log c]: one row per monomial, its reduced exponents
+    and the log of its coefficient.  A point becomes the column of its
+    coordinates' logs with a trailing 1, and 0, as a coordinate or as a
+    coefficient, takes the sentinel log cap = (D + 1) * (p - 1).  One
+    product then gives every monomial's log sum, which indexes exp tiled
+    D + 1 times with a trailing 0 at cap (indices clipped to cap); the sum
+    of the gathered values over the monomials, mod p, is the polynomial's
+    value.  This is exact in any summation order, fused multiply-adds or
+    not: a sum without the sentinel is an integer of at most (D + 1)(p - 2),
+    below cap and below 2^53, so float64 forms it exactly; a sum holding the
+    sentinel has only nonnegative terms, so rounding, being monotone, keeps
+    it at cap or above.  Sums are at most (D + 1) * cap and are converted to
+    int64 before the clip, so a space where that bound exceeds 2^62 (room
+    for rounding) is refused; below it, p < 2^16 keeps cap below 2^39.  The
     tiled table has cap + 1 entries and lives for one search; sums are
     formed `_BLOCK` entries at a time.
     """
@@ -308,84 +319,96 @@ class _LogSpace:
         reduced = []
         for monos, coeffs in polys:
             E = np.array(monos, dtype=np.int64).reshape(len(monos), nvars)
-            reduced.append((np.where(E > 0, (E - 1) % (p - 1) + 1, 0), coeffs))
+            c = np.asarray(coeffs, dtype=np.int64)
+            reduced.append((np.where(E > 0, (E - 1) % (p - 1) + 1, 0), c))
         degree = max(int(E.sum(axis=1).max(initial=1)) for E, _ in reduced)
-        cap = degree * (p - 1)
-        if degree * cap >= 1 << 63:
+        cap = (degree + 1) * (p - 1)
+        if (degree + 1) * cap > 1 << 62:
             raise ValueError(f"log sums of degree {degree} over F_{p} overflow int64")
-        dtype = np.int32 if degree * cap < 1 << 31 else np.int64  # int32 halves the traffic
-        self.polys = [(E.T.astype(dtype), np.array(c, dtype=np.int64)) for E, c in reduced]
         log, exp = _log_tables(p)
         self.p = p
-        self.log = log.astype(dtype)
+        self.log = log.astype(np.float64)
         self.log[0] = cap
-        self.exp = np.append(np.tile(exp, degree), 0).astype(dtype)
+        self.polys = [np.column_stack([E, self.log[c % p]]) for E, c in reduced]
+        self.exp = np.zeros(cap + 1, dtype=np.int64)
+        self.exp[:cap].reshape(degree + 1, p - 1)[:] = exp
 
     def logs(self, points: np.ndarray) -> np.ndarray:
-        """The logs of a block of points, one row per variable."""
-        return self.log[points.T]
+        """The logs of a block of points, one row per variable, and a row of
+        ones that picks up the coefficients' logs."""
+        out = np.ones((points.shape[1] + 1, len(points)))
+        out[:-1] = self.log[points.T]
+        return out
 
     def values(self, k: int, logs: np.ndarray) -> np.ndarray:
         """Polynomial k, reduced mod p, at the points whose `logs` are given."""
-        ET, c = self.polys[k]
+        A = self.polys[k]
         out = np.empty(logs.shape[1], dtype=np.int64)
-        step = max(1, _BLOCK // max(len(c), 1))
+        step = max(1, _BLOCK // max(len(A), 1))
         for start in range(0, logs.shape[1], step):
-            block = logs[:, start : start + step]
-            sums = np.zeros((len(c), block.shape[1]), dtype=logs.dtype)
-            for column, row in zip(ET, block):
-                sums += column[:, None] * row
-            out[start : start + step] = c @ np.take(self.exp, sums, mode="clip")
+            sums = (A @ logs[:, start : start + step]).astype(np.int64)
+            out[start : start + step] = np.take(self.exp, sums, mode="clip").sum(axis=0)
         return out % self.p
 
 
-def _partials(monos: Sequence[Monomial], coeffs: Sequence[int], nv: int, p: int):
-    """Coefficient data of all partial derivatives, reduced mod p."""
+def _partials(E: np.ndarray, c: np.ndarray, p: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(exponents, coefficients) of every partial derivative of the
+    polynomial with exponent rows E and coefficients c, reduced mod p:
+    terms that the derivative or the characteristic kills are dropped."""
     out = []
-    for v in range(nv):
-        pm, pc = [], []
-        for mono, c in zip(monos, coeffs):
-            if mono[v] == 0:
-                continue
-            dc = c * mono[v] % p
-            if dc == 0:  # characteristic kills this term
-                continue
-            de = list(mono)
-            de[v] -= 1
-            pm.append(tuple(de))
-            pc.append(dc)
-        out.append((pm, pc))
+    for v in range(E.shape[1]):
+        dc = c * (E[:, v] % p) % p
+        keep = dc != 0  # also drops the terms free of x_v
+        dE = E[keep]
+        dE[:, v] -= 1
+        out.append((dE, dc[keep]))
     return out
 
 
 def _find_witness(points: np.ndarray, space: _LogSpace) -> Optional[tuple[int, ...]]:
     """The first point of the block, other than the origin, where all the
-    polynomials of `space` vanish.  Each is evaluated only where those
-    before it vanish, so the first one is the costly one."""
+    polynomials of `space` vanish.  The first one, the costly one, is
+    evaluated on the whole block; each later one only where those before it
+    vanish, and the origin is dropped from the points left at the end."""
     logs = space.logs(points)
-    idx = np.flatnonzero(points.any(axis=1))
-    for k in range(len(space.polys)):
-        idx = idx[space.values(k, logs[:, idx]) == 0]
+    idx = np.flatnonzero(space.values(0, logs) == 0)
+    for k in range(1, len(space.polys)):
         if idx.size == 0:
             return None
-    return tuple(int(x) for x in points[idx[0]])
+        idx = idx[space.values(k, logs[:, idx]) == 0]
+    idx = idx[points[idx].any(axis=1)]
+    return tuple(int(x) for x in points[idx[0]]) if idx.size else None
 
 
-def _verify_witness(point: Sequence[int], monos, coeffs, parts, p: int) -> bool:
-    def ev(ms, cs):
+def _verify_witness(point: Sequence[int], polys, p: int) -> bool:
+    """Whether every (exponents, coefficients) polynomial of `polys` vanishes
+    at the nonzero `point`, by plain integer arithmetic."""
+
+    def ev(E, c):
         total = 0
-        for mono, c in zip(ms, cs):
-            term = c
-            for v, e in enumerate(mono):
-                term = term * pow(int(point[v]), e, p) % p
+        for mono, coeff in zip(E.tolist(), c.tolist()):
+            term = coeff
+            for x, e in zip(point, mono):
+                term = term * pow(x, e, p) % p
             total = (total + term) % p
         return total
 
-    if all(x % p == 0 for x in point):
-        return False
-    if ev(monos, coeffs) != 0:
-        return False
-    return all(ev(pm, pc) == 0 for pm, pc in parts)
+    return any(x % p for x in point) and all(ev(E, c) == 0 for E, c in polys)
+
+
+@lru_cache(maxsize=32)  # at most 32 * 4096 * nvars int64 entries
+def _grid_block(values: tuple[int, ...], nvars: int, start: int, stop: int) -> np.ndarray:
+    """Rows start..stop - 1 of values^nvars, the last coordinate varying
+    fastest, as a read-only int64 array kept for later searches over the
+    same grid."""
+    vals = np.array(values, dtype=np.int64)
+    ranks = np.arange(start, stop, dtype=np.int64)
+    block = np.empty((len(ranks), nvars), dtype=np.int64)
+    for v in range(nvars - 1, -1, -1):
+        block[:, v] = vals[ranks % len(values)]
+        ranks //= len(values)
+    block.flags.writeable = False
+    return block
 
 
 def singular_point_search(
@@ -399,17 +422,22 @@ def singular_point_search(
     Exhaustive when field_prime**nvars fits the budget.  Otherwise a
     deterministic small-coordinate box is swept first (singular loci defined
     over small integers are caught regardless of the prime), then seeded
-    random sampling consumes the rest of the budget.
+    random sampling (PCG64 from `seed`) consumes the rest of the budget.
 
-    The field prime must lie below FIELD_PRIME_LIMIT = 2^16; others raise
-    ValueError.  Points are tested 4096 at a time in discrete-log space
-    (`_LogSpace`): the polynomial and its partials are evaluated from one
-    gather of the block's coordinate logs into a power table.  The log and
-    power tables of F_p (p entries each) are built once per prime; each
-    search also tiles the power table to D * (p - 1) + 1 entries, D the
-    largest monomial degree once every exponent is reduced into [0, p - 1].
-    A returned witness is re-verified with plain integer arithmetic before
-    being reported.
+    The field prime must lie below FIELD_PRIME_LIMIT = 2^16, the budget and
+    the seed must be nonnegative; others raise ValueError.  Points are
+    tested 4096 at a time in discrete-log space (`_LogSpace`): each of the
+    polynomial and its partials is one float64 matrix product of its
+    exponents and coefficient log against the block's coordinate logs,
+    gathered from a power table and summed mod p.  The first of them, the
+    one with the fewest monomials, is evaluated on the whole block, the
+    others only where those before vanish.  The log and power tables of F_p
+    (p entries each) are built once per prime, and the blocks of the grid
+    (the whole space, or the box) are kept for later searches, the last 32
+    of them.  Each search tiles the power table to (D + 1) * (p - 1) + 1
+    entries, D the largest monomial degree once every exponent is reduced
+    into [0, p - 1].  A returned witness is re-verified with plain integer
+    arithmetic before being reported.
     """
     if not 2 <= field_prime < FIELD_PRIME_LIMIT:
         raise ValueError(f"field prime {field_prime} is outside [2, {FIELD_PRIME_LIMIT})")
@@ -417,42 +445,40 @@ def singular_point_search(
         raise ValueError(f"{field_prime} is not prime")
     if budget < 0:
         raise ValueError("budget must be nonnegative")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     p = field_prime
     nv = poly.system.family.nvars
     monos, coeffs = _reduce_coefficients(poly, p)
-    parts = _partials(monos, coeffs, nv, p)
+    E = np.array(monos, dtype=np.int64).reshape(len(monos), nv)
+    c = np.array(coeffs, dtype=np.int64)
+    polys = [(E, c), *_partials(E, c, p)]
     # the polynomial and its partials vanish on the same points whichever is
     # tested first, so the one with the fewest monomials goes first
-    space = _LogSpace(p, nv, sorted([(monos, coeffs), *parts], key=lambda poly: len(poly[0])))
+    space = _LogSpace(p, nv, sorted(polys, key=lambda poly: len(poly[0])))
 
     def result(witness, tested, mode, exhausted):
-        if witness is not None and not _verify_witness(witness, monos, coeffs, parts, p):
+        if witness is not None and not _verify_witness(witness, polys, p):
             raise AssertionError(f"witness {witness} failed exact re-verification")
         return SingularSearchResult(p, witness, tested, mode, exhausted, seed)
 
     chunk = 1 << 12
     if p**nv <= budget:
-        mode, values = "exhaustive", list(range(p))
+        mode, values = "exhaustive", tuple(range(p))
     else:
         # Deterministic box of small coordinates: values {0, 1..b, p-b..p-1}.
         b = 1
         while (2 * (b + 1) + 1) ** nv <= budget // 2:
             b += 1
-        mode, values = "sampled", []
+        mode, values = "sampled", ()
         if (2 * b + 1) ** nv <= budget // 2:
-            values = [0] + [x for k in range(1, b + 1) for x in (k, p - k)]
+            values = (0, *(x for k in range(1, b + 1) for x in (k, p - k)))
     grid = len(values) ** nv
     sample = budget - grid if mode == "sampled" else 0
 
     def batches():
-        vals = np.array(values, dtype=np.int64)
         for start in range(0, grid, chunk):
-            ranks = np.arange(start, min(start + chunk, grid), dtype=np.int64)
-            pts = np.empty((len(ranks), nv), dtype=np.int64)
-            for v in range(nv - 1, -1, -1):
-                pts[:, v] = vals[ranks % len(values)]
-                ranks //= len(values)
-            yield pts
+            yield _grid_block(values, nv, start, min(start + chunk, grid))
         rng = np.random.Generator(np.random.PCG64(seed))
         for start in range(0, sample, chunk):
             yield rng.integers(0, p, size=(min(chunk, sample - start), nv), dtype=np.int64)

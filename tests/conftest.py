@@ -11,6 +11,7 @@ import numpy as np
 from wpsauto import WeightedFamily
 from wpsauto.ambient import well_formed
 from wpsauto.arith import as_prime_power, gcd_all
+from wpsauto.errors import CoefficientCollision
 from wpsauto.orders import _canonical_rows, as_analysis
 
 
@@ -179,6 +180,54 @@ def brute_eval_batch(points: np.ndarray, monos, coeffs, p: int) -> np.ndarray:
                 term = term * pows[v][e] % p
         total = (total + term) % p
     return total
+
+
+def brute_singular_point_search(poly, p: int, budget: int, seed: int):
+    """(witness, tested, mode, exhausted) of the singular-point search, by
+    walking its point stream: all of F_p^nvars when it fits the budget,
+    else the box of coordinates {0, +-1, ..., +-b} (b as large as keeps the
+    box within half the budget; no box when b = 1 does not fit) and then
+    PCG64(seed) samples, in blocks of 4096.  At every point of a block the
+    polynomial and each partial derivative are evaluated by
+    `brute_eval_batch`; the first nonzero common zero is the witness, and
+    `tested` counts the points up to the end of its block."""
+    nv = poly.system.family.nvars
+    monos, coeffs = [], []
+    for mono, frac in sorted(poly.coefficients.items()):
+        if frac.numerator % p == 0 or frac.denominator % p == 0:
+            raise CoefficientCollision(f"coefficient of {mono} vanishes mod {p}")
+        monos.append(mono)
+        coeffs.append(frac.numerator * pow(frac.denominator, -1, p) % p)
+    polys = [(monos, coeffs)]
+    for v in range(nv):
+        held = [(mono, c) for mono, c in zip(monos, coeffs) if mono[v]]
+        polys.append(
+            (
+                [mono[:v] + (mono[v] - 1,) + mono[v + 1 :] for mono, _ in held],
+                [c * mono[v] % p for mono, c in held],
+            )
+        )
+    if p**nv <= budget:
+        mode, values = "exhaustive", list(range(p))
+    else:
+        mode, values, b = "sampled", [], 1
+        while (2 * b + 1) ** nv <= budget // 2:
+            values, b = [0] + [x for k in range(1, b + 1) for x in (k, p - k)], b + 1
+    grid = np.array(list(product(values, repeat=nv)), dtype=np.int64).reshape(-1, nv)
+    blocks = [grid[start : start + 4096] for start in range(0, len(grid), 4096)]
+    sample = budget - len(grid) if mode == "sampled" else 0
+    rng = np.random.Generator(np.random.PCG64(seed))
+    for start in range(0, sample, 4096):
+        blocks.append(rng.integers(0, p, size=(min(4096, sample - start), nv), dtype=np.int64))
+    tested = 0
+    for block in blocks:
+        tested += len(block)
+        hits = block.any(axis=1)
+        for ms, cs in polys:
+            hits &= brute_eval_batch(block, ms, cs, p) == 0
+        if hits.any():
+            return tuple(int(x) for x in block[np.argmax(hits)]), tested, mode, False
+    return None, tested, mode, mode == "sampled"
 
 
 def brute_anchors(monos, nvars: int) -> list[list[int]]:

@@ -352,6 +352,25 @@ def test_bad_seed_env_is_a_usage_error(capsys, monkeypatch):
     assert "WPSAUTO_SEED must be an integer, got 'x1'" in err
 
 
+@pytest.mark.parametrize("command", ["check", "orders", "klein", "scan"])
+def test_negative_seed_is_a_usage_error(capsys, monkeypatch, command):
+    # the falsifier's PCG64 stream takes no negative seed; check used to
+    # compute its verdict and then exit 1, the other commands to exit 0
+    args = {
+        "check": ["--weights", "1,1,1,1", "--degree", "3", "--order", "2"],
+        "orders": ["--weights", "1,1,1", "--degree", "4"],
+        "klein": ["--weights", "1,1,1", "--degree", "4"],
+        "scan": ["--dim", "1", "--max-weight", "1", "--degree", "3"],
+    }[command]
+    code, out, err = run_cli(capsys, "--seed", "-1", command, *args)
+    assert (code, out) == (64, "")
+    assert "--seed must be nonnegative, got -1" in err
+    monkeypatch.setenv("WPSAUTO_SEED", "-5")
+    code, out, err = run_cli(capsys, command, *args)
+    assert (code, out) == (64, "")
+    assert "WPSAUTO_SEED must be nonnegative, got -5" in err
+
+
 def test_check_all_chains(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -1,6 +1,7 @@
 """Property-based checks of the arithmetic and combinatorial invariants."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,11 +12,18 @@ from conftest import (
     brute_effective_order,
     brute_eval_batch,
     brute_semigroup_contains,
+    brute_singular_point_search,
     brute_subset_criterion,
     series_monomial_count,
 )
 
-from wpsauto.ambient import WeightedFamily, enumerate_monomials, well_form_normalize, well_formed
+from wpsauto.ambient import (
+    MonomialSystem,
+    WeightedFamily,
+    enumerate_monomials,
+    well_form_normalize,
+    well_formed,
+)
 from wpsauto.arith import (
     effective_order,
     gcd_all,
@@ -30,7 +38,14 @@ from wpsauto.orders import (
     signature_from_chain,
     weight_digraph,
 )
-from wpsauto.quasismooth import _LogSpace, pattern_codes, subset_criterion, subset_criterion_batch
+from wpsauto.quasismooth import (
+    ExplicitPolynomial,
+    _LogSpace,
+    pattern_codes,
+    singular_point_search,
+    subset_criterion,
+    subset_criterion_batch,
+)
 from wpsauto.cycles import simple_cycles
 
 weights_strategy = st.lists(st.integers(1, 6), min_size=3, max_size=5).filter(
@@ -199,6 +214,7 @@ def polynomials_and_points(draw):
 
 
 @given(polynomials_and_points())
+@example((2, 1, [(0,)], [0], [(0,)]))  # a zero coefficient takes the sentinel log
 @settings(max_examples=200, deadline=None)
 def test_log_space_evaluation_matches_brute(case):
     p, nv, monos, coeffs, points = case
@@ -206,6 +222,69 @@ def test_log_space_evaluation_matches_brute(case):
     pts = np.array(points, dtype=np.int64)
     got = space.values(0, space.logs(pts))
     assert got.tolist() == brute_eval_batch(pts, monos, coeffs, p).tolist()
+
+
+def _times(f: dict, g: dict) -> dict:
+    """The product of two polynomials, each a dict from exponent tuples to
+    integer coefficients."""
+    out: dict = {}
+    for e, c in f.items():
+        for h, k in g.items():
+            key = tuple(x + y for x, y in zip(e, h))
+            out[key] = out.get(key, 0) + c * k
+    return out
+
+
+@st.composite
+def planted_searches(draw):
+    """(nvars, degree, terms, p, budget, seed): a form of degree 2-4 in 3-4
+    variables of weight 1, as a dict from exponents to integer coefficients,
+    and a singular-point search over F_p.  Most forms are L1 * L2 * G or
+    L1^2 * G, with linear forms L1, L2 of small or arbitrary coefficients,
+    whose singular locus L1 = L2 = 0 (or L1 = 0) has nonzero points; the
+    rest are random.  Budgets reach the exhaustive grid, the box and the
+    random samples."""
+    p = draw(st.sampled_from((2, 3, 5, 7, 101)))
+    nv = draw(st.integers(3, 4))
+    d = draw(st.integers(2, 4))
+    units = [tuple(int(j == v) for j in range(nv)) for v in range(nv)]
+    coefficient = st.one_of(st.integers(-2, 2), st.integers(0, p - 1))
+
+    def form(degree):
+        monos = sorted(enumerate_monomials(WeightedFamily((1,) * nv, degree)).monomials)
+        return {e: draw(coefficient) for e in draw(st.lists(st.sampled_from(monos), max_size=8))}
+
+    kind = draw(st.sampled_from(("product", "square", "random")))
+    if kind == "random":
+        terms = form(d)
+    else:
+        L1 = {u: draw(coefficient) for u in units}
+        L2 = L1 if kind == "square" else {u: draw(coefficient) for u in units}
+        G = form(d - 2) if d > 2 else {(0,) * nv: 1}
+        terms = _times(_times(L1, L2), G)
+    budget = draw(st.one_of(st.integers(0, 3 * 4096), st.just(min(p**nv, 3 * 4096))))
+    return nv, d, terms, p, budget, draw(st.integers(0, 2**32))
+
+
+@given(planted_searches())
+# the pinned searches of TestSingularPointSearch: witnesses found in the
+# exhaustive grid, in the box and in the random samples
+@example((4, 2, {(1, 1, 0, 0): 1, (0, 1, 1, 0): 1, (0, 0, 1, 1): 1, (1, 0, 0, 1): 1}, 5, 10_000, 0))
+@example((4, 2, {(1, 1, 0, 0): 1, (0, 1, 1, 0): 1, (0, 0, 1, 1): 1, (1, 0, 0, 1): 1}, 101, 60_000, 0))
+@example((4, 2, {(1, 1, 0, 0): 1, (1, 0, 0, 1): -5, (0, 1, 1, 0): -5, (0, 0, 1, 1): 25}, 101, 20_000, 0))
+@settings(max_examples=120, deadline=None)
+def test_singular_point_search_matches_brute(case):
+    # the same form reduced mod p, its zero terms dropped, so that no
+    # coefficient collides with p
+    nv, d, terms, p, budget, seed = case
+    reduced = {e: c % p for e, c in terms.items() if c % p}
+    poly = ExplicitPolynomial(
+        MonomialSystem(WeightedFamily((1,) * nv, d), tuple(reduced)),
+        {e: Fraction(c) for e, c in reduced.items()},
+    )
+    result = singular_point_search(poly, p, budget, seed)
+    got = (result.witness, result.tested, result.mode, result.exhausted)
+    assert got == brute_singular_point_search(poly, p, budget, seed)
 
 
 @given(

@@ -196,6 +196,11 @@ class TestSingularPointSearch:
         with pytest.raises(ValueError, match="overflow int64"):
             singular_point_search(poly, 65521, budget=0)
 
+    @pytest.mark.parametrize("budget, seed, message", [(-1, 0, "budget"), (10, -1, "seed")])
+    def test_negative_budget_or_seed_raise(self, budget, seed, message):
+        with pytest.raises(ValueError, match=f"{message} must be nonnegative"):
+            singular_point_search(_klein_quadric_poly(), 101, budget, seed)
+
     def test_witness_refutes_only_that_reduction(self):
         # determinism: the same seed and budget give the same outcome
         a = singular_point_search(_klein_quadric_poly(), 499, budget=5000, seed=11)
@@ -248,6 +253,13 @@ class TestLogSpace:
         monos, coeffs = [(996, 996, 996), (5, 0, 1)], [3, 7]
         points = np.array([[1, 2, 3], [0, 1, 1], [4, 0, 0], [996, 995, 2]])
         space = _LogSpace(997, 3, [(monos, coeffs)])
-        assert space.log.dtype == np.int64
+        # at p = 65521, x0^120 * x1^61 at a point with x0 = x1 = 0 has a log
+        # sum past 2^31: 181 * cap, cap = (181 + 1) * 65520
+        wide, wide_coeffs = [(120, 61, 0), (0, 1, 1), (5, 0, 0)], [65520, 3, 1]
+        wide_points = np.array([[0, 0, 3], [0, 5, 0], [2, 7, 65520], [65519, 0, 1], [1, 1, 1]])
+        wide_space = _LogSpace(65521, 3, [(wide, wide_coeffs)])
+        assert (wide_space.polys[0] @ wide_space.logs(wide_points)).max() > 2**31
+        got = wide_space.values(0, wide_space.logs(wide_points))
+        assert got.tolist() == brute_eval_batch(wide_points, wide, wide_coeffs, 65521).tolist()
         got = space.values(0, space.logs(points))
         assert got.tolist() == brute_eval_batch(points, monos, coeffs, 997).tolist()
