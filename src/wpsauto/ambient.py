@@ -261,7 +261,7 @@ def enumerate_monomials(fam: WeightedFamily, budget: "int | None" = None) -> Mon
             keep = sums[k + 1](rest)
             count += np.count_nonzero(keep)
             if count > limit:
-                raise BudgetExceeded(f"more than {limit} monomials")
+                raise BudgetExceeded(limit, "monomials")
             kept.append((parent[keep], exponent[keep], rest[keep]))
         parent, exponent, left = (np.concatenate(part) for part in zip(*kept))
         steps.append((parent, exponent))

@@ -1,7 +1,7 @@
 """Exact integer primitives: primality, prime powers, gcd, numerical semigroups.
 
-Everything here is plain integer arithmetic; no floating point is used
-anywhere in this library.
+Everything here is plain integer arithmetic.  The falsifier's float64 log
+sums are exact where read: integers below 2^53 (`quasismooth._LogSpace`).
 """
 
 from __future__ import annotations

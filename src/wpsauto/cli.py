@@ -16,7 +16,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations_with_replacement
 from pathlib import Path
 from typing import Optional, Sequence
@@ -68,9 +68,12 @@ def _parse_weights(text: str) -> tuple[int, ...]:
 def _parse_degree_range(text: str) -> tuple[int, int]:
     lo, dots, hi = text.partition("..")
     try:
-        return int(lo), int(hi if dots else lo)
+        lo, hi = int(lo), int(hi if dots else lo)
+        if lo > hi:
+            raise ValueError(f"{lo} exceeds {hi}")
     except ValueError as exc:
         raise _UsageError(f"bad degree range {text!r}: {exc}") from exc
+    return lo, hi
 
 
 def _budget(text: str) -> int:
@@ -163,14 +166,14 @@ def _parser() -> _Parser:
 
     p_scan = sub.add_parser("scan", help="batch sweep over families, JSON lines out")
     p_scan.add_argument("--dim", required=True, type=_at_least(1), help="hypersurface dimension n")
-    p_scan.add_argument("--max-weight", required=True, type=int)
-    p_scan.add_argument("--max-degree", type=int, default=None)
+    p_scan.add_argument("--max-weight", required=True, type=_at_least(1))
+    p_scan.add_argument("--max-degree", type=_at_least(1), default=None)
     p_scan.add_argument("--degree", type=str, default=None, help="LO..HI or a single value")
     p_scan.add_argument("--max-order", type=_at_least(2), default=None)
     p_scan.add_argument("--divides-d", action="store_true", help="only families with all a_i | d")
     p_scan.add_argument("--coprime", action="store_true", help="only families with gcd(a_i, d) = 1")
     p_scan.add_argument("--out", type=str, default=None)
-    p_scan.add_argument("--resume", action="store_true")
+    p_scan.add_argument("--resume", action="store_true", help="continue the output --out names")
     p_scan.add_argument("--workers", type=_at_least(1), default=1)
     budget_args(p_scan)
 
@@ -326,78 +329,68 @@ def _scan_families(args) -> list[WeightedFamily]:
     return fams
 
 
-def _scan_record(payload) -> tuple[str, bool]:
-    """The family's JSON line, and whether a budget left it unresolved: a
-    verdict unresolved, or the whole family cut short by a budget."""
-    fam, seed, max_order, oracle_budget, cycle_budget, monomial_budget = payload
-    an = family_analysis(fam, monomial_budget, cycle_budget)
-    report = base_report(an, seed)
+def _scan_record(args, fam: WeightedFamily) -> str:
+    """The family's JSON line; a raised error is recorded in it as "error"."""
+    an = family_analysis(fam, args.monomial_budget, args.cycle_budget)
+    report = base_report(an, args.seed)
     try:
-        verdicts = _fill_orders_report(report, an, max_order, oracle_budget)
-        unresolved = any(v.status == "unresolved" for v in verdicts)
+        _fill_orders_report(report, an, args.max_order, args.oracle_budget)
     except (WpsautoError, _UsageError) as exc:
         report["error"] = str(exc)
         report["verdicts"] = []
-        unresolved = isinstance(exc, BudgetExceeded)
-    return dumps(report), unresolved
+    return dumps(report)
 
 
-def _family_key(fam: WeightedFamily) -> list:
-    return [fam.n, list(fam.weights), fam.degree]
+def _unresolved(record: dict) -> bool:
+    """Whether a budget left a scan line's family unresolved: a verdict
+    unresolved, or the whole family cut short by a budget error."""
+    return BudgetExceeded.describes(record.get("error", "")) or any(
+        v["status"] == "unresolved" for v in record["verdicts"]
+    )
+
+
+def _resume(out_path: Path, fams: Sequence[WeightedFamily]) -> tuple[int, bool]:
+    """How many of `fams` an interrupted scan's output holds, and whether a
+    budget left any unresolved.  Only lines ending in a newline count, a torn
+    tail is cut off, and line k must be the record of family k, else usage
+    error, with the file left as it is."""
+    data = out_path.read_bytes() if out_path.exists() else b""
+    *lines, torn = data.split(b"\n")
+    unresolved = []
+    for number, line in enumerate(lines, 1):
+        fam = fams[number - 1] if number <= len(fams) else None
+        try:
+            record = json.loads(line)
+            if fam and (tuple(record["weights"]), record["degree"]) == (fam.weights, fam.degree):
+                unresolved.append(_unresolved(record))
+                continue
+        except (ValueError, KeyError, TypeError):
+            pass
+        expected = f"family {fam}" if fam else f"any family: the scan has {len(fams)}"
+        raise _UsageError(f"cannot resume: line {number} of {out_path} is not the record of {expected}")
+    if torn:
+        os.truncate(out_path, len(data) - len(torn))
+    return len(unresolved), any(unresolved)
 
 
 def _cmd_scan(args) -> int:
     fams = _scan_families(args)
-    budgets = (args.oracle_budget, args.cycle_budget, args.monomial_budget)
-    payloads = [(fam, args.seed, args.max_order, *budgets) for fam in fams]
+    if args.resume and not args.out:
+        raise _UsageError("--resume needs --out, the output to continue")
     out_path = Path(args.out) if args.out else None
-    cursor_path = out_path.with_suffix(out_path.suffix + ".cursor") if out_path else None
-
-    done_key = None
-    kept_lines: list[str] = []
-    if out_path and args.resume and cursor_path and cursor_path.exists():
-        done_key = json.loads(cursor_path.read_text())["key"]
-        if out_path.exists():
-            for line in out_path.read_text().splitlines():
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    break  # torn tail line from an interrupted run
-                key = [len(record["weights"]) - 2, record["weights"], record["degree"]]
-                kept_lines.append(line)
-                if key == done_key:
-                    break
-
-    def keys_not_done(payload):
-        if done_key is None:
-            return True
-        return _family_key(payload[0]) > done_key
-
-    pending = [p for p in payloads if keys_not_done(p)]
-
-    mode = "w"
-    if args.resume and kept_lines:
-        tmp_out = out_path.with_suffix(out_path.suffix + ".tmp")
-        tmp_out.write_text("".join(line + "\n" for line in kept_lines))
-        tmp_out.replace(out_path)
-        mode = "a"
-
-    budget_hit = False
+    done, budget_hit = _resume(out_path, fams) if args.resume else (0, False)
     with ExitStack() as stack:
-        handle = stack.enter_context(out_path.open(mode)) if out_path else sys.stdout
+        handle = stack.enter_context(out_path.open("a" if args.resume else "w")) if out_path else sys.stdout
+        scan_one = partial(_scan_record, args)
         if args.workers > 1:
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=args.workers))
-            records = pool.map(_scan_record, pending, chunksize=4)
+            lines = pool.map(scan_one, fams[done:], chunksize=4)
         else:
-            records = map(_scan_record, pending)
-        for payload, (line, unresolved) in zip(pending, records):
-            budget_hit = budget_hit or unresolved
+            lines = map(scan_one, fams[done:])
+        for line in lines:
+            budget_hit = budget_hit or _unresolved(json.loads(line))
             handle.write(line + "\n")
             handle.flush()
-            if cursor_path is not None:
-                tmp = Path(str(cursor_path) + ".tmp")
-                tmp.write_text(json.dumps({"key": _family_key(payload[0])}))
-                tmp.replace(cursor_path)
     return EXIT_BUDGET if budget_hit else EXIT_OK
 
 

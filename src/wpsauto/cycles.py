@@ -46,7 +46,7 @@ def simple_cycles(
                 if nxt == start and min_len <= len(path) <= max_len:
                     emitted += 1
                     if emitted > budget:
-                        raise BudgetExceeded(f"more than {budget} cycles")
+                        raise BudgetExceeded(budget, "cycles")
                     yield tuple(path)
                     continue
                 if nxt <= start or nxt in on_path or len(path) >= max_len:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 
 class WpsautoError(Exception):
     """Base class for all library errors."""
@@ -43,4 +45,11 @@ class NoKleinHypersurface(WpsautoError):
 
 
 class BudgetExceeded(WpsautoError):
-    """An enumeration exceeded its configured work budget."""
+    """An enumeration went past its work budget: BudgetExceeded(limit, what)."""
+
+    def __str__(self) -> str:
+        return "more than {} {}".format(*self.args)
+
+    @staticmethod
+    def describes(message: str) -> bool:
+        return re.fullmatch(r"more than \d+ \w+", message) is not None

@@ -41,8 +41,9 @@ analysis, and then use the analysis' budgets; given a family, they use the
 default budgets.  `order_verdict` is the one routing path from (analysis,
 q) to a verdict, and `_verified_certificate` the one place that builds a
 certified verdict, after re-checking its witness and its induced order.
-The oracle's time and memory grow with the number of signature classes it
-examines, not with q, so its class budget alone bounds them.
+The oracle's scan grows with the signature classes it examines, not with q,
+so its class budget bounds it; not so `_canonical_full_signature`, which
+builds a certificate from all q translates in O(q * p**k), p**k < q.
 """
 
 from __future__ import annotations
@@ -330,11 +331,8 @@ def _chain_criteria(
     for chain in chains:
         first = first or chain
         comp = [i for i in range(nv) if i not in chain.indices]
-        cycle_monos = chain.monomials(nv)
-        chain_part = [tuple(e[i] for i in chain.indices) for e in cycle_monos]
-        if not subset_criterion(chain_part, len(chain.indices)):
-            continue
-        # the rows off the chain: none when the chain holds every variable
+        # the cycle monomials pass on the chain's own variables (the lemma in
+        # `klein_quasismooth`); only the rows off it, if any, are tested
         comp_rows = np.flatnonzero(~an.exponents[:, chain.indices].any(axis=1))
         if comp and (
             not comp_rows.size
@@ -344,7 +342,7 @@ def _chain_criteria(
         sigma = signature_from_chain(fam, chain, qq).padded().sigma
         if effective_order(sigma, fam.weights, qq) != qq:
             continue
-        witness = cycle_monos + [an.system.monomials[r] for r in comp_rows]
+        witness = chain.monomials(nv) + [an.system.monomials[r] for r in comp_rows]
         return _verified_certificate(fam, qq, "sufficient-condition", sigma, witness, chain), chain
     return None, first
 
@@ -682,7 +680,7 @@ class FamilyAnalysis:
             if signed % q == 1:
                 yield chain
         if truncated:
-            raise BudgetExceeded(f"more than {self.cycle_budget} cycles")
+            raise BudgetExceeded(self.cycle_budget, "cycles")
 
     @cached_property
     def klein(self):
@@ -879,7 +877,7 @@ def oracle_exists_order(
         return OrderVerdict(REFUTED, qq, "oracle", notes=hyp_notes + (note,))
 
     class_count = (qq ** (nv - 1) - (qq // p) ** (nv - 1)) // (qq - qq // p)
-    cap = class_count if budget is None else min(class_count, budget)
+    cap = min(class_count, budget)
     choices = math.prod(len(rows) for rows in an.anchors)
     if choices <= cap and all(det % qq for det in an.anchor_determinants):
         note = f"exhausted all {class_count} signature classes"

@@ -246,17 +246,16 @@ class SingularSearchResult:
 
 
 def _reduce_coefficients(poly: ExplicitPolynomial, p: int) -> tuple[list[Monomial], list[int]]:
-    monos = []
+    monos = sorted(poly.coefficients)
     coeffs = []
-    for mono in sorted(poly.coefficients):
+    for mono in monos:
         frac = poly.coefficients[mono]
         num, den = frac.numerator % p, frac.denominator % p
         if den == 0:
             raise CoefficientCollision(f"denominator of coefficient of {mono} vanishes mod {p}")
-        c = num * pow(den, -1, p) % p
+        c = num if den == 1 else num * pow(den, -1, p) % p  # random members have den 1
         if c == 0:
             raise CoefficientCollision(f"coefficient of {mono} vanishes mod {p}")
-        monos.append(mono)
         coeffs.append(c)
     return monos, coeffs
 

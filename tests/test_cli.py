@@ -194,16 +194,91 @@ def test_scan_resume_discards_torn_tail(tmp_path, capsys):
     lines = full.read_text().splitlines()
     assert len(lines) >= 3
 
-    # simulate an interrupted run: two complete records, a torn third line,
-    # and a cursor pointing at the second record
+    # simulate an interrupted run: two complete records, a torn third line
     part = tmp_path / "part.jsonl"
     part.write_text(lines[0] + "\n" + lines[1] + "\n" + lines[2][: len(lines[2]) // 2])
-    record = json.loads(lines[1])
-    key = [len(record["weights"]) - 2, record["weights"], record["degree"]]
-    (tmp_path / "part.jsonl.cursor").write_text(json.dumps({"key": key}))
 
     run_cli(capsys, *args, "--out", str(part), "--resume")
     assert part.read_bytes() == full.read_bytes()
+
+
+# nine families; the oracle budget of 3 classes leaves verdicts unresolved
+BUDGET_SCAN = ("scan", "--dim", "1", "--max-weight", "2", "--degree", "3..5", "--oracle-budget", "3")
+
+
+@pytest.fixture(scope="module")
+def uninterrupted(tmp_path_factory):
+    out = tmp_path_factory.mktemp("scan") / "full.jsonl"
+    assert main([*BUDGET_SCAN, "--out", str(out)]) == 2
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "kept, torn", [(k, torn) for k in range(10) for torn in (False, True) if k < 9 or not torn]
+)
+def test_scan_resumes_from_every_line(tmp_path, capsys, uninterrupted, kept, torn):
+    # an interrupted run leaves `kept` complete lines, and maybe a torn one;
+    # resuming finishes the uninterrupted bytes and exit code, and the
+    # output is the only file a scan writes
+    lines = uninterrupted.splitlines(keepends=True)
+    assert len(lines) == 9
+    part = tmp_path / "part.jsonl"
+    part.write_bytes(b"".join(lines[:kept]) + (lines[kept][:40] if torn else b""))
+    assert run_cli(capsys, *BUDGET_SCAN, "--out", str(part), "--resume") == (2, "", "")
+    assert part.read_bytes() == uninterrupted
+    assert [p.name for p in tmp_path.iterdir()] == ["part.jsonl"]
+
+
+def test_scan_resume_without_an_output_starts_afresh(tmp_path, capsys, uninterrupted):
+    part = tmp_path / "part.jsonl"
+    assert run_cli(capsys, *BUDGET_SCAN, "--out", str(part), "--resume") == (2, "", "")
+    assert part.read_bytes() == uninterrupted
+
+
+@pytest.mark.parametrize(
+    "foreign, line",
+    [
+        # another scan: its third family is 1,1,2 d=3, not 1,1,1 d=5
+        (("scan", "--dim", "1", "--max-weight", "2", "--degree", "3..4"), 3),
+        (None, 10),  # one line more than the scan has families
+        ("not a scan\n", 1),
+    ],
+)
+def test_scan_resume_refuses_a_foreign_output(tmp_path, capsys, uninterrupted, foreign, line):
+    part = tmp_path / "part.jsonl"
+    if foreign is None:
+        part.write_bytes(uninterrupted + uninterrupted.splitlines(keepends=True)[-1])
+    elif isinstance(foreign, str):
+        part.write_text(foreign)
+    else:
+        run_cli(capsys, *foreign, "--out", str(part))
+    before = part.read_bytes()
+    code, out, err = run_cli(capsys, *BUDGET_SCAN, "--out", str(part), "--resume")
+    assert (code, out) == (64, "")
+    assert err.startswith(f"usage error: cannot resume: line {line} of ")
+    assert part.read_bytes() == before
+
+
+def test_scan_resume_needs_an_output(capsys):
+    assert run_cli(capsys, *BUDGET_SCAN, "--resume") == (
+        64, "", "usage error: --resume needs --out, the output to continue\n"
+    )
+
+
+def test_scan_resume_counts_a_kept_budget_error(tmp_path, capsys):
+    # line 4 of the --monomial-budget 3 scan below is 1,1,1 d=4, cut short
+    # by the budget.  Kept as the whole output of a scan of that one family,
+    # it holds no verdict, so only its error can make the resumed run exit 2
+    budget = ("--monomial-budget", "3")
+    wide = tmp_path / "wide.jsonl"
+    run_cli(capsys, "scan", "--dim", "1", "--max-weight", "2", "--max-degree", "8", *budget, "--out", str(wide))
+    line = wide.read_text().splitlines()[3]
+    assert json.loads(line)["error"] == "more than 3 monomials"
+    part = tmp_path / "part.jsonl"
+    part.write_text(line + "\n")
+    args = ("scan", "--dim", "1", "--max-weight", "1", "--degree", "4", *budget, "--out", str(part))
+    assert run_cli(capsys, *args, "--resume") == (2, "", "")
+    assert part.read_text() == line + "\n"
 
 
 @pytest.mark.parametrize("to_file", [False, True])
@@ -247,10 +322,18 @@ def test_scan_lines_are_orders_reports(capsys):
         assert run_cli(capsys, "orders", *family) == (0, line + "\n", "")
 
 
-def test_scan_empty_range(capsys):
-    code, out, _ = run_cli(capsys, "scan", "--dim", "1", "--max-weight", "1", "--degree", "5..4")
-    assert code == 0
-    assert out.strip() == ""
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        pytest.param(("--max-weight", "1", "--degree", "5..4"), id="reversed-degree-range"),
+        pytest.param(("--max-weight", "0", "--degree", "4"), id="max-weight-0"),
+        pytest.param(("--max-weight", "1", "--max-degree", "0"), id="max-degree-0"),
+    ],
+)
+def test_scan_empty_range_is_a_usage_error(capsys, bounds):
+    code, out, err = run_cli(capsys, "scan", "--dim", "1", *bounds)
+    assert (code, out) == (64, "")
+    assert err.startswith("usage error: ")
 
 
 def test_scan_divides_d_respects_bound(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Property-based checks of the arithmetic and combinatorial invariants."""
 
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -32,6 +33,7 @@ from wpsauto.arith import (
 )
 from wpsauto.errors import BudgetExceeded, NotAPrimePower, NotNormalizable
 from wpsauto.orders import (
+    CycleChain,
     FamilyAnalysis,
     chain_from_cycle,
     chain_invariance_check,
@@ -175,6 +177,28 @@ def exponent_lists(draw, min_size=0):
 def test_subset_criterion_matches_bruteforce(case):
     exps, nvars = case
     assert subset_criterion(exps, nvars) == brute_subset_criterion(exps, nvars)
+
+
+@given(st.lists(st.integers(1, 6), min_size=2, max_size=7))
+@settings(max_examples=300, deadline=None)
+def test_cycle_monomials_pass_the_subset_criterion(exponents):
+    # the lemma that lets the chain criteria test only the rows off a chain:
+    # a subset I of the chain holds two cyclically adjacent i, i+1, and so
+    # x_i^m_i * x_(i+1), or else each i in I has its own i+1 outside I
+    L = len(exponents)
+    monomials = CycleChain(tuple(range(L)), tuple(exponents)).monomials(L)
+    assert subset_criterion(monomials, L)
+    assert brute_subset_criterion(monomials, L)
+
+
+@given(st.integers(0, 10**12), st.sampled_from(["monomials", "cycles"]))
+def test_budget_messages_are_recognized(limit, what):
+    # scan tells a budget error from any other by its recorded message, and
+    # a pool worker's error reaches the parent pickled
+    exc = pickle.loads(pickle.dumps(BudgetExceeded(limit, what)))
+    assert str(exc) == f"more than {limit} {what}"
+    assert BudgetExceeded.describes(str(exc))
+    assert not BudgetExceeded.describes(f"no intrinsic bound; {exc}")
 
 
 @given(st.lists(exponent_lists(min_size=1), min_size=1, max_size=6), st.integers(1, 6))
