@@ -7,8 +7,6 @@ exactly the cycle polynomial.  The script also shows the one genuinely
 singular case being caught by the finite-field falsifier.
 """
 
-from fractions import Fraction
-
 from wpsauto import (
     ExplicitPolynomial,
     MonomialSystem,
@@ -50,7 +48,7 @@ for weights, degree in [
 # singular point over any prime field.
 quadric = WeightedFamily((1, 1, 1, 1), 2)
 monos = ((1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (1, 0, 0, 1))
-poly = ExplicitPolynomial(MonomialSystem(quadric, monos), {m: Fraction(1) for m in monos})
+poly = ExplicitPolynomial(MonomialSystem(quadric, monos), (1,) * len(monos))
 print(f"P(1,1,1,1), d = 2: quasi-smooth per classification: {klein_quasismooth(quadric)}")
 for prime in (101, 499, 997):
     found = singular_point_search(poly, prime, budget=60_000)

@@ -349,25 +349,34 @@ def _unresolved(record: dict) -> bool:
     )
 
 
-def _resume(out_path: Path, fams: Sequence[WeightedFamily]) -> tuple[int, bool]:
+def _resume(args, out_path: Path, fams: Sequence[WeightedFamily]) -> tuple[int, bool]:
     """How many of `fams` an interrupted scan's output holds, and whether a
     budget left any unresolved.  Only lines ending in a newline count, a torn
-    tail is cut off, and line k must be the record of family k, else usage
-    error, with the file left as it is."""
+    tail is cut off, and line k must be the record of family k, written under
+    this run's seed and max order, else usage error, with the file left as it
+    is.  The budgets are not in the record, so they go unchecked."""
     data = out_path.read_bytes() if out_path.exists() else b""
     *lines, torn = data.split(b"\n")
     unresolved = []
     for number, line in enumerate(lines, 1):
         fam = fams[number - 1] if number <= len(fams) else None
+        where = f"line {number} of {out_path}"
         try:
             record = json.loads(line)
-            if fam and (tuple(record["weights"]), record["degree"]) == (fam.weights, fam.degree):
-                unresolved.append(_unresolved(record))
-                continue
+            kept = fam and (tuple(record["weights"]), record["degree"]) == (fam.weights, fam.degree)
+            unresolved.append(_unresolved(record))
         except (ValueError, KeyError, TypeError):
-            pass
-        expected = f"family {fam}" if fam else f"any family: the scan has {len(fams)}"
-        raise _UsageError(f"cannot resume: line {number} of {out_path} is not the record of {expected}")
+            kept = False
+        if not kept:
+            expected = f"family {fam}" if fam else f"any family: the scan has {len(fams)}"
+            raise _UsageError(f"cannot resume: {where} is not the record of {expected}")
+        if record.get("seed") != args.seed:
+            raise _UsageError(f"cannot resume: {where} was written under seed {record.get('seed')}, not {args.seed}")
+        if "max_order" in record:
+            an = family_analysis(fam, args.monomial_budget, args.cycle_budget)
+            max_order = _default_max_order(an, args.max_order)
+            if record["max_order"] != max_order:
+                raise _UsageError(f"cannot resume: {where} has max order {record['max_order']}, not {max_order}")
     if torn:
         os.truncate(out_path, len(data) - len(torn))
     return len(unresolved), any(unresolved)
@@ -378,9 +387,12 @@ def _cmd_scan(args) -> int:
     if args.resume and not args.out:
         raise _UsageError("--resume needs --out, the output to continue")
     out_path = Path(args.out) if args.out else None
-    done, budget_hit = _resume(out_path, fams) if args.resume else (0, False)
     with ExitStack() as stack:
-        handle = stack.enter_context(out_path.open("a" if args.resume else "w")) if out_path else sys.stdout
+        try:
+            done, budget_hit = _resume(args, out_path, fams) if args.resume else (0, False)
+            handle = stack.enter_context(out_path.open("a" if args.resume else "w")) if out_path else sys.stdout
+        except OSError as exc:
+            raise _UsageError(f"cannot write {out_path}: {exc.strerror or exc}") from None
         scan_one = partial(_scan_record, args)
         if args.workers > 1:
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=args.workers))

@@ -6,7 +6,9 @@ Two complementary verdicts are produced here and deliberately kept apart:
   `general_member_quasismooth`) decides whether the general member of a
   monomial linear system has a smooth affine cone away from the origin;
 * point-witness: `singular_point_search` hunts for an explicit singular
-  point of one explicit polynomial over a prime field F_p, p < 2^16.  A
+  point of one explicit polynomial over a prime field F_p, p < 2^16.  The
+  polynomial is a member of a monomial system, one integer coefficient per
+  row of the system, reduced mod p per prime in the system's order.  A
   witness refutes quasi-smoothness of that reduction; finding none proves
   nothing.  Points are evaluated in discrete-log space, one float64 matrix
   product per polynomial and block of points: each polynomial is a matrix
@@ -21,12 +23,12 @@ Two complementary verdicts are produced here and deliberately kept apart:
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -197,36 +199,27 @@ def required_monomial(system: MonomialSystem, i: int) -> Optional[Monomial]:
 
 @dataclass(frozen=True)
 class ExplicitPolynomial:
-    """A member of a monomial system with explicit nonzero coefficients."""
+    """A member of a monomial system: one nonzero integer coefficient per
+    monomial, in the system's order.  A non-integer coefficient raises
+    TypeError (`operator.index`), a wrong count or a zero ValueError."""
 
     system: MonomialSystem
-    coefficients: Mapping[Monomial, Fraction]
+    coefficients: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        coeffs = {}
-        # every monomial of the system, in its order, needs no set to be checked
-        whole = tuple(self.coefficients) == self.system.monomials
-        members = () if whole else set(self.system.monomials)
-        for mono, c in self.coefficients.items():
-            mono = tuple(mono)
-            if not whole and mono not in members:
-                raise ValueError(f"monomial {mono} is not in the system")
-            frac = Fraction(c)
-            if frac == 0:
-                raise ValueError(f"zero coefficient stored for {mono}")
-            coeffs[mono] = frac
+        coeffs = tuple(map(operator.index, self.coefficients))
+        if len(coeffs) != len(self.system):
+            raise ValueError(f"{len(coeffs)} coefficients given for {len(self.system)} monomials")
+        if 0 in coeffs:
+            raise ValueError(f"zero coefficient stored for {self.system.monomials[coeffs.index(0)]}")
         object.__setattr__(self, "coefficients", coeffs)
-
-    @property
-    def monomials(self) -> list[Monomial]:
-        return sorted(self.coefficients)
 
 
 def random_member(system: MonomialSystem, seed: int = 0, coeff_bound: int = 10**4) -> ExplicitPolynomial:
-    """A member of the system with seeded random coefficients in [1, coeff_bound]."""
+    """A member of the system with seeded random coefficients in [1, coeff_bound],
+    drawn one per monomial in the system's order."""
     rng = random.Random(seed)
-    # integers: ExplicitPolynomial makes each one a Fraction
-    return ExplicitPolynomial(system, {e: rng.randint(1, coeff_bound) for e in system.monomials})
+    return ExplicitPolynomial(system, tuple(rng.randint(1, coeff_bound) for _ in system.monomials))
 
 
 @dataclass(frozen=True)
@@ -243,21 +236,6 @@ class SingularSearchResult:
     @property
     def found(self) -> bool:
         return self.witness is not None
-
-
-def _reduce_coefficients(poly: ExplicitPolynomial, p: int) -> tuple[list[Monomial], list[int]]:
-    monos = sorted(poly.coefficients)
-    coeffs = []
-    for mono in monos:
-        frac = poly.coefficients[mono]
-        num, den = frac.numerator % p, frac.denominator % p
-        if den == 0:
-            raise CoefficientCollision(f"denominator of coefficient of {mono} vanishes mod {p}")
-        c = num if den == 1 else num * pow(den, -1, p) % p  # random members have den 1
-        if c == 0:
-            raise CoefficientCollision(f"coefficient of {mono} vanishes mod {p}")
-        coeffs.append(c)
-    return monos, coeffs
 
 
 #: The falsifier's fields are F_p for the primes p below this limit.
@@ -424,7 +402,10 @@ def singular_point_search(
     random sampling (PCG64 from `seed`) consumes the rest of the budget.
 
     The field prime must lie below FIELD_PRIME_LIMIT = 2^16, the budget and
-    the seed must be nonnegative; others raise ValueError.  Points are
+    the seed must be nonnegative; others raise ValueError.  The member's
+    exponents are its system's rows (`MonomialSystem.exponents`), and its
+    coefficients are reduced mod p in the same order; the first coefficient,
+    in that order, to vanish raises CoefficientCollision.  Points are
     tested 4096 at a time in discrete-log space (`_LogSpace`): each of the
     polynomial and its partials is one float64 matrix product of its
     exponents and coefficient log against the block's coordinate logs,
@@ -448,9 +429,11 @@ def singular_point_search(
         raise ValueError(f"seed must be nonnegative, got {seed}")
     p = field_prime
     nv = poly.system.family.nvars
-    monos, coeffs = _reduce_coefficients(poly, p)
-    E = np.array(monos, dtype=np.int64).reshape(len(monos), nv)
-    c = np.array(coeffs, dtype=np.int64)
+    c = [x % p for x in poly.coefficients]
+    if 0 in c:
+        raise CoefficientCollision(f"coefficient of {poly.system.monomials[c.index(0)]} vanishes mod {p}")
+    E = poly.system.exponents.astype(np.int64)
+    c = np.array(c, dtype=np.int64)
     polys = [(E, c), *_partials(E, c, p)]
     # the polynomial and its partials vanish on the same points whichever is
     # tested first, so the one with the fewest monomials goes first

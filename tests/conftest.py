@@ -193,11 +193,11 @@ def brute_singular_point_search(poly, p: int, budget: int, seed: int):
     `tested` counts the points up to the end of its block."""
     nv = poly.system.family.nvars
     monos, coeffs = [], []
-    for mono, frac in sorted(poly.coefficients.items()):
-        if frac.numerator % p == 0 or frac.denominator % p == 0:
+    for mono, coeff in sorted(zip(poly.system.monomials, poly.coefficients)):
+        if coeff % p == 0:
             raise CoefficientCollision(f"coefficient of {mono} vanishes mod {p}")
         monos.append(mono)
-        coeffs.append(frac.numerator * pow(frac.denominator, -1, p) % p)
+        coeffs.append(coeff % p)
     polys = [(monos, coeffs)]
     for v in range(nv):
         held = [(mono, c) for mono, c in zip(monos, coeffs) if mono[v]]

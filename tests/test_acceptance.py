@@ -313,9 +313,7 @@ def test_criterion_7_falsifier_soundness(corpus):
     # the singular Klein quadric must be caught over every tested prime
     quadric = WeightedFamily((1, 1, 1, 1), 2)
     monos = ((1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (1, 0, 0, 1))
-    poly = ExplicitPolynomial(
-        MonomialSystem(quadric, monos), {m: Fraction(1) for m in monos}
-    )
+    poly = ExplicitPolynomial(MonomialSystem(quadric, monos), (1,) * len(monos))
     for prime in FALSIFIER_PRIMES:
         result = singular_point_search(poly, prime, budget=60_000, seed=SEED)
         assert result.witness is not None, prime

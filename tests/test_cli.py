@@ -265,6 +265,48 @@ def test_scan_resume_needs_an_output(capsys):
     )
 
 
+@pytest.mark.parametrize("resume", [(), ("--resume",)])
+def test_scan_to_a_directory_is_a_usage_error(tmp_path, capsys, resume):
+    # it used to end in an IsADirectoryError traceback
+    args = ("scan", "--dim", "1", "--max-weight", "1", "--degree", "3", "--out", str(tmp_path), *resume)
+    assert run_cli(capsys, *args) == (64, "", f"usage error: cannot write {tmp_path}: Is a directory\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "seed, max_order, message",
+    [
+        (("--seed", "5"), (), "was written under seed 0, not 5"),
+        ((), ("--max-order", "7"), "has max order 4, not 7"),
+        (("--seed", "5"), ("--max-order", "7"), "was written under seed 0, not 5"),
+    ],
+)
+def test_scan_resume_refuses_lines_of_another_seed_or_max_order(tmp_path, capsys, seed, max_order, message):
+    # three lines of a scan under seed 0 and the default max orders (4, 9
+    # and 16), resumed under another seed or max order: the rest used to be
+    # appended under the new ones
+    args = ("scan", "--dim", "1", "--max-weight", "2", "--degree", "3..5")
+    part = tmp_path / "part.jsonl"
+    run_cli(capsys, *args, "--out", str(part))
+    part.write_text("".join(part.read_text().splitlines(keepends=True)[:3]))
+    before = part.read_bytes()
+    code, out, err = run_cli(capsys, *seed, *args, *max_order, "--out", str(part), "--resume")
+    assert (code, out) == (64, "")
+    assert err == f"usage error: cannot resume: line 1 of {part} {message}\n"
+    assert part.read_bytes() == before
+
+
+def test_scan_resume_checks_an_explicit_max_order(tmp_path, capsys):
+    # lines written under --max-order 7 are kept only under --max-order 7
+    args = ("scan", "--dim", "1", "--max-weight", "2", "--degree", "3..5", "--out", str(tmp_path / "m.jsonl"))
+    run_cli(capsys, *args, "--max-order", "7")
+    full = (tmp_path / "m.jsonl").read_bytes()
+    (tmp_path / "m.jsonl").write_bytes(b"".join(full.splitlines(keepends=True)[:3]))
+    assert run_cli(capsys, *args, "--resume")[0] == 64
+    assert run_cli(capsys, *args, "--max-order", "7", "--resume")[0] == 0
+    assert (tmp_path / "m.jsonl").read_bytes() == full
+
+
 def test_scan_resume_counts_a_kept_budget_error(tmp_path, capsys):
     # line 4 of the --monomial-budget 3 scan below is 1,1,1 d=4, cut short
     # by the budget.  Kept as the whole output of a scan of that one family,

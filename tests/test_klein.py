@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 
 import pytest
 
@@ -62,7 +61,7 @@ class TestKleinQuasismooth:
         # x0*x2 + x2*x1 + x1*x3 + x3*x0 = (x0 + x1)(x2 + x3)
         fam = WeightedFamily((1, 1, 2, 2), 3)
         monos = tuple(klein_exists(fam).monomials)
-        poly = ExplicitPolynomial(MonomialSystem(fam, monos), {m: Fraction(1) for m in monos})
+        poly = ExplicitPolynomial(MonomialSystem(fam, monos), (1,) * len(monos))
         assert singular_point_search(poly, 101, budget=4096).witness == (0, 0, 1, 100)
 
     def test_rule_matches_the_jacobian_ideal(self):

@@ -529,6 +529,26 @@ class TestCanonicalFullSignature:
                 want = brute_canonical_full_signature(weights, sigma, pp.q)
                 assert _canonical_full_signature(weights, sigma, pp.q) == want, (sigma, pp.q)
 
+    @pytest.mark.parametrize("weights", [(1, 2, 3), (5, 2, 3), (7, 4, 6), (1, 1, 2, 2), (3, 7, 2, 4)])
+    def test_is_the_identity_on_the_oracle_rows_when_p_does_not_divide_a0(self, weights):
+        # then i* = 0, and every translate by c != 0 has first entry c * a_0,
+        # a nonzero entry before the row's leading zero, so the row itself
+        # is the least
+        rows = 0
+        for pp in prime_powers_up_to(27):
+            if weights[0] % pp.p == 0:
+                continue
+            for _, block in _canonical_rows(pp.q, pp.p, pp.r, len(weights), 0):
+                for row in block.tolist():
+                    assert _canonical_full_signature(weights, row, pp.q) == tuple(row), (row, pp.q)
+                    rows += 1
+        assert rows > 100
+
+    def test_may_move_the_oracle_rows_when_p_divides_a0(self):
+        # (2, 3, 5) at q = 8 pins i* = 1; the lemma above needs i* = 0
+        rows = [row for _, block in _canonical_rows(8, 2, 3, 3, 1) for row in block.tolist()]
+        assert any(_canonical_full_signature((2, 3, 5), row, 8) != tuple(row) for row in rows)
+
 
 class TestChainValidation:
     def test_telescoping_holds(self):

@@ -2,7 +2,6 @@
 
 import math
 import pickle
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -303,12 +302,30 @@ def test_singular_point_search_matches_brute(case):
     nv, d, terms, p, budget, seed = case
     reduced = {e: c % p for e, c in terms.items() if c % p}
     poly = ExplicitPolynomial(
-        MonomialSystem(WeightedFamily((1,) * nv, d), tuple(reduced)),
-        {e: Fraction(c) for e, c in reduced.items()},
+        MonomialSystem(WeightedFamily((1,) * nv, d), tuple(reduced)), tuple(reduced.values())
     )
     result = singular_point_search(poly, p, budget, seed)
     got = (result.witness, result.tested, result.mode, result.exhausted)
     assert got == brute_singular_point_search(poly, p, budget, seed)
+
+
+@given(planted_searches().filter(lambda case: case[3] in (5, 101)), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_singular_point_search_ignores_monomial_order(case, rng):
+    # a member over a shuffled copy of its system, its coefficients shuffled
+    # alike, is the same polynomial: the search reads its rows in system
+    # order and must find what it finds on the sorted member
+    nv, d, terms, p, budget, seed = case
+    rows = sorted((e, c % p) for e, c in terms.items() if c % p)
+    shuffled = rng.sample(rows, len(rows))
+    fam = WeightedFamily((1,) * nv, d)
+    members = [
+        ExplicitPolynomial(MonomialSystem(fam, tuple(e for e, _ in rs)), tuple(c for _, c in rs))
+        for rs in (rows, shuffled)
+    ]
+    assert singular_point_search(members[1], p, budget, seed) == singular_point_search(
+        members[0], p, budget, seed
+    )
 
 
 @given(

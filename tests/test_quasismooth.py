@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -101,22 +102,20 @@ class TestRequiredMonomial:
 def _klein_quadric_poly():
     fam = WeightedFamily((1, 1, 1, 1), 2)
     monos = ((1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (1, 0, 0, 1))
-    return ExplicitPolynomial(MonomialSystem(fam, monos), {m: Fraction(1) for m in monos})
+    return ExplicitPolynomial(MonomialSystem(fam, monos), (1,) * len(monos))
 
 
 def _fermat_sextic_poly():
     fam = WeightedFamily((1, 1, 1, 2, 3), 6)
     monos = ((6, 0, 0, 0, 0), (0, 6, 0, 0, 0), (0, 0, 6, 0, 0), (0, 0, 0, 3, 0), (0, 0, 0, 0, 2))
-    return ExplicitPolynomial(MonomialSystem(fam, monos), {m: Fraction(1) for m in monos})
+    return ExplicitPolynomial(MonomialSystem(fam, monos), (1,) * len(monos))
 
 
 def _split_quadric_poly(c):
     """(x0 - c*x2)(x1 - c*x3): singular along x0 = c*x2, x1 = c*x3."""
     fam = WeightedFamily((1, 1, 1, 1), 2)
     coeffs = {(1, 1, 0, 0): 1, (1, 0, 0, 1): -c, (0, 1, 1, 0): -c, (0, 0, 1, 1): c * c}
-    return ExplicitPolynomial(
-        MonomialSystem(fam, tuple(coeffs)), {m: Fraction(v) for m, v in coeffs.items()}
-    )
+    return ExplicitPolynomial(MonomialSystem(fam, tuple(coeffs)), tuple(coeffs.values()))
 
 
 class TestSingularPointSearch:
@@ -170,10 +169,16 @@ class TestSingularPointSearch:
     def test_coefficient_collision(self):
         fam = WeightedFamily((1, 1, 1, 1), 2)
         monos = ((1, 1, 0, 0), (0, 0, 1, 1))
-        poly = ExplicitPolynomial(
-            MonomialSystem(fam, monos), {monos[0]: Fraction(5), monos[1]: Fraction(1)}
-        )
+        poly = ExplicitPolynomial(MonomialSystem(fam, monos), (5, 1))
         with pytest.raises(CoefficientCollision):
+            singular_point_search(poly, 5, budget=10)
+
+    def test_collision_names_the_first_vanishing_monomial_in_system_order(self):
+        fam = WeightedFamily((1, 1, 1, 1), 2)
+        # sorted, (0, 0, 1, 1) would come first; the system puts (0, 1, 1, 0) first
+        monos = ((1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1))
+        poly = ExplicitPolynomial(MonomialSystem(fam, monos), (1, 5, 10))
+        with pytest.raises(CoefficientCollision, match=r"^coefficient of \(0, 1, 1, 0\) vanishes mod 5$"):
             singular_point_search(poly, 5, budget=10)
 
     @pytest.mark.parametrize("prime", [5, 7, 101, 499, 997, 65521])
@@ -192,7 +197,7 @@ class TestSingularPointSearch:
         nv = 200  # degree 200 * 65520, log sums up to 65520 * degree^2 > 2^63
         fam = WeightedFamily((1,) * nv, nv * 65520)
         mono = (65520,) * nv
-        poly = ExplicitPolynomial(MonomialSystem(fam, (mono,)), {mono: Fraction(1)})
+        poly = ExplicitPolynomial(MonomialSystem(fam, (mono,)), (1,))
         with pytest.raises(ValueError, match="overflow int64"):
             singular_point_search(poly, 65521, budget=0)
 
@@ -211,21 +216,40 @@ class TestSingularPointSearch:
 class TestExplicitPolynomial:
     def test_rejects_zero_coefficient(self):
         fam = WeightedFamily((1, 1, 1), 3)
-        system = MonomialSystem(fam, ((3, 0, 0),))
-        with pytest.raises(ValueError):
-            ExplicitPolynomial(system, {(3, 0, 0): Fraction(0)})
+        system = MonomialSystem(fam, ((3, 0, 0), (0, 3, 0)))
+        with pytest.raises(ValueError, match=r"zero coefficient stored for \(0, 3, 0\)"):
+            ExplicitPolynomial(system, (1, 0))
 
-    def test_rejects_foreign_monomial(self):
-        fam = WeightedFamily((1, 1, 1), 3)
-        system = MonomialSystem(fam, ((3, 0, 0),))
-        with pytest.raises(ValueError):
-            ExplicitPolynomial(system, {(0, 3, 0): Fraction(1)})
+    @pytest.mark.parametrize("coefficients", [(), (1,), (1, 1, 1)])
+    def test_rejects_wrong_count(self, coefficients):
+        system = MonomialSystem(WeightedFamily((1, 1, 1), 3), ((3, 0, 0), (0, 3, 0)))
+        with pytest.raises(ValueError, match="2 monomials"):
+            ExplicitPolynomial(system, coefficients)
+
+    @pytest.mark.parametrize("coefficient", [Fraction(1, 2), Fraction(1), 1.0])
+    def test_rejects_non_integers(self, coefficient):
+        system = MonomialSystem(WeightedFamily((1, 1, 1), 3), ((3, 0, 0),))
+        with pytest.raises(TypeError):
+            ExplicitPolynomial(system, (coefficient,))
+
+    def test_coefficients_are_an_int_tuple(self):
+        system = MonomialSystem(WeightedFamily((1, 1, 1), 3), ((3, 0, 0), (0, 3, 0)))
+        poly = ExplicitPolynomial(system, [np.int64(-2), 7])
+        assert poly.coefficients == (-2, 7)
+        assert [type(c) for c in poly.coefficients] == [int, int]
 
     def test_random_member_deterministic(self):
         fam = WeightedFamily((1, 1, 1), 4)
         system = enumerate_monomials(fam)
         assert random_member(system, seed=7) == random_member(system, seed=7)
-        assert all(c != 0 for c in random_member(system, seed=7).coefficients.values())
+        assert all(c != 0 for c in random_member(system, seed=7).coefficients)
+
+    def test_random_member_draws_one_integer_per_row(self):
+        # one randint per monomial, in the system's order, from Random(seed)
+        system = enumerate_monomials(WeightedFamily((1, 1, 2), 4))
+        rng = random.Random(7)
+        expected = tuple(rng.randint(1, 50) for _ in range(len(system)))
+        assert random_member(system, seed=7, coeff_bound=50).coefficients == expected
 
 
 def test_subset_criterion_permutation_invariant():
