@@ -53,6 +53,8 @@ class WeightedFamily:
             raise ValueError("weights must have gcd 1 (faithful torus action)")
         if self.degree < 1:
             raise ValueError("degree must be positive")
+        if self.degree >= 2**63:  # exponent tables are int64
+            raise ValueError("degree must be below 2**63")
 
     @property
     def n(self) -> int:

@@ -216,8 +216,8 @@ def primes_up_to(limit: int) -> list[int]:
 def prime_powers_up_to(limit: int) -> list[PrimePowerOrder]:
     """All prime powers p**r <= limit in increasing order of value.
 
-    Raises ValueError, not MemoryError, when the sieve or the list does not
-    fit in memory.
+    Raises ValueError, not MemoryError or OverflowError, when the sieve or
+    the list does not fit in memory (or the sieve's length in an index).
     """
     try:
         powers = []
@@ -229,5 +229,5 @@ def prime_powers_up_to(limit: int) -> list[PrimePowerOrder]:
                 r += 1
         powers.sort()
         return [PrimePowerOrder(p, r) for _, p, r in powers]
-    except MemoryError:
+    except (MemoryError, OverflowError):
         raise ValueError(f"not enough memory to sieve the prime powers up to {limit}") from None

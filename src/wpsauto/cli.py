@@ -96,9 +96,11 @@ def _at_least(low: int):
     return parse
 
 
-def _analysis(args) -> FamilyAnalysis:
-    fam = WeightedFamily(_parse_weights(args.weights), args.degree)
-    return family_analysis(fam, args.monomial_budget, args.cycle_budget)
+def _analysis(args, fam: Optional[WeightedFamily] = None) -> FamilyAnalysis:
+    """The analysis of `fam` (else of --weights, --degree) under the request's budgets."""
+    if fam is None:
+        fam = WeightedFamily(_parse_weights(args.weights), args.degree)
+    return family_analysis(fam, args.monomial_budget, args.cycle_budget, args.oracle_budget)
 
 
 def _default_max_order(an: FamilyAnalysis, explicit: Optional[int]) -> int:
@@ -167,8 +169,9 @@ def _parser() -> _Parser:
     p_scan = sub.add_parser("scan", help="batch sweep over families, JSON lines out")
     p_scan.add_argument("--dim", required=True, type=_at_least(1), help="hypersurface dimension n")
     p_scan.add_argument("--max-weight", required=True, type=_at_least(1))
-    p_scan.add_argument("--max-degree", type=_at_least(1), default=None)
-    p_scan.add_argument("--degree", type=str, default=None, help="LO..HI or a single value")
+    degrees = p_scan.add_mutually_exclusive_group(required=True)
+    degrees.add_argument("--max-degree", type=_at_least(1), default=None)
+    degrees.add_argument("--degree", type=str, default=None, help="LO..HI or a single value")
     p_scan.add_argument("--max-order", type=_at_least(2), default=None)
     p_scan.add_argument("--divides-d", action="store_true", help="only families with all a_i | d")
     p_scan.add_argument("--coprime", action="store_true", help="only families with gcd(a_i, d) = 1")
@@ -198,16 +201,14 @@ def _parse(argv: Optional[Sequence[str]]) -> argparse.Namespace:
     return args
 
 
-def _fill_orders_report(
-    report: dict, an: FamilyAnalysis, max_order: Optional[int], oracle_budget: int
-) -> list[OrderVerdict]:
+def _fill_orders_report(report: dict, an: FamilyAnalysis, max_order: Optional[int]) -> list[OrderVerdict]:
     """Add the sections of an `orders` report to `report` (a `base_report`)
     one at a time, and return the verdicts.  `scan` writes the same report
     per family; when a section raises, the ones added before it stay."""
     report["bounds"] = bounds_section(an)
     report["klein"] = klein_section(an)
     max_order = _default_max_order(an, max_order)
-    verdicts = [v for _, v in admissible_orders(an, max_order, oracle_budget)]
+    verdicts = [v for _, v in admissible_orders(an, max_order)]
     report["max_order"] = max_order
     report["verdicts"] = [verdict_json(v) for v in verdicts]
     return verdicts
@@ -217,7 +218,7 @@ def _cmd_orders(args) -> int:
     an = _analysis(args)
     started = time.monotonic()
     report = base_report(an, args.seed)
-    verdicts = _fill_orders_report(report, an, args.max_order, args.oracle_budget)
+    verdicts = _fill_orders_report(report, an, args.max_order)
     if args.timings:
         report["timings"] = {"total_s": round(time.monotonic() - started, 3)}
     print(dumps(report))
@@ -254,19 +255,27 @@ def _explain_offchain(an: FamilyAnalysis, q: int, chain) -> dict:
 def _cmd_check(args) -> int:
     an = _analysis(args)
     pp = as_prime_power(args.order)
-    verdict = order_verdict(an, pp, args.oracle_budget)
+    verdict = order_verdict(an, pp)
     report = base_report(an, args.seed)
     report["bounds"] = bounds_section(an)
     report["verdicts"] = [verdict_json(verdict)]
-    if args.explain or args.all:
+    if args.explain:
         try:
             chain = necessary_condition(an, pp)
         except (HypothesisViolated, BudgetExceeded):
             chain = None
-        if chain is not None and args.explain:
+        if chain is not None:
             report["explain"] = _explain_offchain(an, pp.q, chain)
-        if args.all:
-            report["all_chains"] = _all_qualifying_chains(an, pp)
+    exhausted = None
+    if args.all:  # the chains walked before a cycle budget runs out, if it does
+        report["all_chains"] = chains = []
+        try:
+            for c in an.qualifying_chains(pp):
+                chains.append({"indices": list(c.indices), "exponents": list(c.exponents)})
+        except HypothesisViolated:
+            pass
+        except BudgetExceeded as exc:
+            exhausted = exc
     if verdict.status == "certified":
         member = random_member(verdict.witness_system, args.seed)
         summary = []
@@ -288,15 +297,9 @@ def _cmd_check(args) -> int:
             )
         report["falsifier"] = summary
     print(dumps(report))
+    if exhausted:
+        raise exhausted  # after the report: `main` names it on stderr and exits 2
     return _exit_code_for([verdict])
-
-
-def _all_qualifying_chains(an: FamilyAnalysis, pp) -> list[dict]:
-    try:
-        chains = an.qualifying_chains(pp)
-    except HypothesisViolated:
-        return []
-    return [{"indices": list(c.indices), "exponents": list(c.exponents)} for c in chains]
 
 
 def _cmd_klein(args) -> int:
@@ -309,12 +312,7 @@ def _cmd_klein(args) -> int:
 
 def _scan_families(args) -> list[WeightedFamily]:
     nvars = args.dim + 2
-    if args.degree is not None:
-        lo, hi = _parse_degree_range(args.degree)
-    elif args.max_degree is not None:
-        lo, hi = 1, args.max_degree
-    else:
-        raise _UsageError("scan needs --max-degree or --degree")
+    lo, hi = (1, args.max_degree) if args.degree is None else _parse_degree_range(args.degree)
     fams = []
     for weights in combinations_with_replacement(range(1, args.max_weight + 1), nvars):
         if gcd_all(weights) != 1:
@@ -331,10 +329,10 @@ def _scan_families(args) -> list[WeightedFamily]:
 
 def _scan_record(args, fam: WeightedFamily) -> str:
     """The family's JSON line; a raised error is recorded in it as "error"."""
-    an = family_analysis(fam, args.monomial_budget, args.cycle_budget)
+    an = _analysis(args, fam)
     report = base_report(an, args.seed)
     try:
-        _fill_orders_report(report, an, args.max_order, args.oracle_budget)
+        _fill_orders_report(report, an, args.max_order)
     except (WpsautoError, _UsageError) as exc:
         report["error"] = str(exc)
         report["verdicts"] = []
@@ -373,8 +371,7 @@ def _resume(args, out_path: Path, fams: Sequence[WeightedFamily]) -> tuple[int, 
         if record.get("seed") != args.seed:
             raise _UsageError(f"cannot resume: {where} was written under seed {record.get('seed')}, not {args.seed}")
         if "max_order" in record:
-            an = family_analysis(fam, args.monomial_budget, args.cycle_budget)
-            max_order = _default_max_order(an, args.max_order)
+            max_order = _default_max_order(_analysis(args, fam), args.max_order)
             if record["max_order"] != max_order:
                 raise _UsageError(f"cannot resume: {where} has max order {record['max_order']}, not {max_order}")
     if torn:
@@ -393,12 +390,13 @@ def _cmd_scan(args) -> int:
             handle = stack.enter_context(out_path.open("a" if args.resume else "w")) if out_path else sys.stdout
         except OSError as exc:
             raise _UsageError(f"cannot write {out_path}: {exc.strerror or exc}") from None
-        scan_one = partial(_scan_record, args)
-        if args.workers > 1:
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=args.workers))
-            lines = pool.map(scan_one, fams[done:], chunksize=4)
+        scan_one, todo = partial(_scan_record, args), fams[done:]
+        workers = min(args.workers, len(todo))  # a forked pool starts them all at once
+        if workers > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            lines = pool.map(scan_one, todo, chunksize=4)
         else:
-            lines = map(scan_one, fams[done:])
+            lines = map(scan_one, todo)
         for line in lines:
             budget_hit = budget_hit or _unresolved(json.loads(line))
             handle.write(line + "\n")

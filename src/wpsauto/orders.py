@@ -30,17 +30,18 @@ subset-criterion kernel call per chunk of buckets, on the pattern codes of
 the monomial table.
 
 Everything that depends on (a, d) alone lives in one `FamilyAnalysis` per
-family and pair of budgets (`family_analysis`): the hypothesis flags, the
+family and set of budgets (`family_analysis`): the hypothesis flags, the
 bounds and the prime routing they decide, the monomial table, the weight
 digraph with its cycle chains, the anchors (read off the digraph and the
 pure powers, never off the table) and their determinants, and the Klein
 data.  Only the oracle's bucket test reads the table rows' pattern codes
-(their support and exponent-one bitmasks).  Budgets are arguments, never
-process-wide settings.  Functions taking a family also accept its
-analysis, and then use the analysis' budgets; given a family, they use the
-default budgets.  `order_verdict` is the one routing path from (analysis,
-q) to a verdict, and `_verified_certificate` the one place that builds a
-certified verdict, after re-checking its witness and its induced order.
+(their support and exponent-one bitmasks).  The three budgets (monomials,
+cycles, oracle classes) are fields of the analysis, never process-wide
+settings.  Functions taking a family also accept its analysis, and then
+use the analysis' budgets; given a family, they use the default budgets.
+`order_verdict` is the one routing path from (family or analysis, q) to a
+verdict, and `_verified_certificate` the one place that builds a certified
+verdict, after re-checking its witness, induced order and bucket.
 The oracle's scan grows with the signature classes it examines, not with q,
 so its class budget bounds it; not so `_canonical_full_signature`, which
 builds a certificate from all q translates in O(q * p**k), p**k < q.
@@ -375,13 +376,15 @@ def _verified_certificate(
     notes: tuple[str, ...] = (),
 ) -> OrderVerdict:
     """The one way to a certified verdict: the witness monomials must pass
-    the subset criterion and sigma must induce order exactly q, else
-    AssertionError (a criterion built an unsound certificate).  The
-    signature is stored reduced mod q, the witness sorted and deduplicated."""
+    the subset criterion and share one bucket sigma . e mod q, and sigma
+    must induce order exactly q, else AssertionError (an unsound criterion).
+    The signature is stored reduced mod q, the witness sorted and deduplicated."""
     if not subset_criterion(monomials, fam.nvars):
         raise AssertionError(f"constructed witness for q={q} fails the subset criterion")
     if effective_order(sigma, fam.weights, q) != q:
         raise AssertionError(f"constructed signature for q={q} has the wrong induced order")
+    if len({sum(s * x for s, x in zip(sigma, e)) % q for e in monomials}) > 1:
+        raise AssertionError(f"constructed witness for q={q} spans several eigenvalue buckets")
     sig = Signature(q, tuple(s % q for s in sigma))
     # dict.fromkeys keeps the order, so a sorted witness sorts in one pass
     witness = MonomialSystem(fam, tuple(sorted(dict.fromkeys(monomials))))
@@ -481,8 +484,10 @@ def bound_coprime(fam: WeightedFamily) -> BoundReport:
     return BoundReport(bound, "coprime", _multiplicities(fam), mx)
 
 
+@dataclass(eq=False)
 class FamilyAnalysis:
-    """Everything about a family (a, d) that does not depend on the order q.
+    """Everything about a family (a, d) that does not depend on the order q,
+    under the budgets on its monomials, cycles and oracle classes per order.
 
     Each field is computed on first use and kept, except one that raises (a
     budget exceeded, a hypothesis violated): it raises again when used again.
@@ -491,10 +496,10 @@ class FamilyAnalysis:
     `family_analysis`.
     """
 
-    def __init__(self, fam: WeightedFamily, monomial_budget: int, cycle_budget: int):
-        self.family = fam
-        self.monomial_budget = monomial_budget
-        self.cycle_budget = cycle_budget
+    family: WeightedFamily
+    monomial_budget: int
+    cycle_budget: int
+    oracle_budget: int
 
     @cached_property
     def flags(self) -> dict[str, bool]:
@@ -691,19 +696,22 @@ class FamilyAnalysis:
 
 @lru_cache(maxsize=512)
 def family_analysis(
-    fam: WeightedFamily, monomial_budget: int, cycle_budget: int
+    fam: WeightedFamily,
+    monomial_budget: int = MONOMIAL_BUDGET,
+    cycle_budget: int = CYCLE_BUDGET,
+    oracle_budget: int = ORACLE_CLASS_BUDGET,
 ) -> FamilyAnalysis:
     """The analysis of `fam` under these budgets, shared by every caller
-    passing the same three; a smaller budget is never bypassed."""
-    return FamilyAnalysis(fam, monomial_budget, cycle_budget)
+    passing the same four; a smaller budget is never bypassed."""
+    return FamilyAnalysis(fam, monomial_budget, cycle_budget, oracle_budget)
 
 
 def as_analysis(fam: "WeightedFamily | FamilyAnalysis") -> FamilyAnalysis:
-    """`fam` itself if it is an analysis, whose budgets then apply; else the
-    family's analysis under the default budgets."""
+    """`fam` if it is an analysis (its budgets apply), else its analysis under the defaults."""
     if isinstance(fam, FamilyAnalysis):
         return fam
-    return family_analysis(fam, MONOMIAL_BUDGET, CYCLE_BUDGET)
+    # spelled as the CLI spells it, since lru_cache keys on the spelling
+    return family_analysis(fam, MONOMIAL_BUDGET, CYCLE_BUDGET, ORACLE_CLASS_BUDGET)
 
 
 def _canonical_full_signature(
@@ -799,11 +807,7 @@ def _canonical_rows(q: int, p: int, r: int, nv: int, pinned: int):
             yield ranks[keep], out
 
 
-def oracle_exists_order(
-    fam: "WeightedFamily | FamilyAnalysis",
-    q: "int | PrimePowerOrder",
-    budget: int = ORACLE_CLASS_BUDGET,
-) -> OrderVerdict:
+def oracle_exists_order(fam: "WeightedFamily | FamilyAnalysis", q: "int | PrimePowerOrder") -> OrderVerdict:
     """Decide order q = p**r by exhausting diagonal signature classes.
 
     Signatures are enumerated modulo translation by (a mod q) and unit
@@ -857,13 +861,15 @@ def oracle_exists_order(
     A full-order vector has a unit entry, so no unit other than 1 fixes it:
     the unit orbits in the slice all have phi(q) members and the slice holds
     exactly (q**m - (q/p)**m) / phi(q) classes, m = nvars - 1.  Unless the
-    gate refutes q, that count is compared with the budget before anything
-    is scanned, and the scan examines no more: above the budget the verdict
-    is unresolved, never a refutation.  It is the only cap on the work: the
-    candidate rows, about r*(p-1)/p per class, are built `_CHUNK` ranks at
-    a time, a variable has at most nvars anchors, so a class has at most
-    nvars hit pairs, and no array has a dimension of size q.  Apart from
-    it, only q**nvars >= 2**62 (inexact int64 ranks) is unresolved.
+    gate refutes q, that count is compared with the analysis' class budget
+    (`oracle_budget`) before anything is scanned, and the scan examines no
+    more: above the budget the verdict is unresolved, never a refutation.
+    It is the only cap on the work: the candidate rows, about r*(p-1)/p per
+    class, are built `_CHUNK` ranks at a time, a variable has at most nvars
+    anchors, so a class has at most nvars hit pairs, and no array has a
+    dimension of size q.  Apart from it, only q**nvars >= 2**62 (inexact
+    int64 ranks) is unresolved; the products read exponents reduced mod q,
+    so no sum exceeds nvars * q**2.
     """
     pp = as_prime_power(q)
     qq, p = pp.q, pp.p
@@ -877,7 +883,7 @@ def oracle_exists_order(
         return OrderVerdict(REFUTED, qq, "oracle", notes=hyp_notes + (note,))
 
     class_count = (qq ** (nv - 1) - (qq // p) ** (nv - 1)) // (qq - qq // p)
-    cap = min(class_count, budget)
+    cap = min(class_count, an.oracle_budget)
     choices = math.prod(len(rows) for rows in an.anchors)
     if choices <= cap and all(det % qq for det in an.anchor_determinants):
         note = f"exhausted all {class_count} signature classes"
@@ -886,13 +892,13 @@ def oracle_exists_order(
         note = f"modulus {qq} too large for exact vectorized enumeration"
         return OrderVerdict(UNRESOLVED, qq, "oracle", notes=hyp_notes + (note,))
     if class_count > cap:
-        note = f"at least {class_count} signature classes exceed the budget of {budget}"
+        note = f"at least {class_count} signature classes exceed the budget of {an.oracle_budget}"
         return OrderVerdict(UNRESOLVED, qq, "oracle", notes=hyp_notes + (note,))
     i_star = _first_unit_weight_index(fam, p)
-    E = an.exponents.astype(np.int64)
+    E = an.exponents.astype(np.int64) % qq  # sums below nv * q**2, whatever d
     codes, code_of_row = an.patterns
     # the variable with the fewest anchors first: its buckets are the candidates
-    base_T, *others_T = sorted((rows.T for rows in an.anchors), key=lambda a: a.shape[1])
+    base_T, *others_T = sorted((rows.T % qq for rows in an.anchors), key=lambda a: a.shape[1])
     chunk = max(1, _BUCKET_ELEMENTS // max(len(E), (nv + 1) << nv))
 
     examined = 0
@@ -928,23 +934,17 @@ def oracle_exists_order(
 
 
 def admissible_orders(
-    fam: "WeightedFamily | FamilyAnalysis",
-    max_q: int,
-    oracle_budget: int = ORACLE_CLASS_BUDGET,
+    fam: "WeightedFamily | FamilyAnalysis", max_q: int
 ) -> list[tuple[PrimePowerOrder, OrderVerdict]]:
     """Tri-state verdict (`order_verdict`) for every prime power q <= max_q,
     after checking the oracle's hard preconditions once."""
     an = as_analysis(fam)
     an.oracle_hypotheses()
-    return [(pp, order_verdict(an, pp, oracle_budget)) for pp in prime_powers_up_to(max_q)]
+    return [(pp, order_verdict(an, pp)) for pp in prime_powers_up_to(max_q)]
 
 
-def order_verdict(
-    analysis: FamilyAnalysis,
-    q: "int | PrimePowerOrder",
-    oracle_budget: int = ORACLE_CLASS_BUDGET,
-) -> OrderVerdict:
-    """Tri-state verdict for order q, by the one routing path.
+def order_verdict(fam: "WeightedFamily | FamilyAnalysis", q: "int | PrimePowerOrder") -> OrderVerdict:
+    """Tri-state verdict for order q by the one routing path, under the analysis' budgets.
 
     Prime orders go through the divides-d criterion when every weight
     divides the degree; otherwise the coprime bound prunes large primes,
@@ -954,7 +954,7 @@ def order_verdict(
     bind every route.  Budget exhaustion and violated hypotheses are
     recorded in the verdict, never raised.
     """
-    an = analysis
+    an = as_analysis(fam)
     pp = as_prime_power(q)
     try:
         an.oracle_hypotheses()  # for its raise; the oracle adds the soft note
@@ -978,7 +978,7 @@ def order_verdict(
             notes = ("a qualifying chain exists but no split witness was found; oracle decides",)
         except HypothesisViolated as exc:
             notes = (f"chain criteria not applicable: {exc}",)
-        verdict = oracle_exists_order(an, pp, oracle_budget)
+        verdict = oracle_exists_order(an, pp)
         return replace(verdict, notes=notes + verdict.notes)
     except BudgetExceeded as exc:
         return OrderVerdict(UNRESOLVED, pp.q, "budget", notes=(str(exc),))

@@ -38,6 +38,12 @@ class TestWeightedFamily:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             WeightedFamily((1, 0, 1), 3)
+
+    def test_degree_fits_int64(self):
+        # the exponent tables are int64, so x_0^d must fit
+        assert WeightedFamily((1, 1, 1), 2**63 - 1).degree == 2**63 - 1
+        with pytest.raises(ValueError, match="below 2\\*\\*63"):
+            WeightedFamily((1, 1, 1), 2**63)
         with pytest.raises(ValueError):
             WeightedFamily((1, 1, 1), 0)
 

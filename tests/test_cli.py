@@ -542,11 +542,13 @@ def test_report_bytes_are_pinned(capsys, argv, code, digest):
 
 
 def test_all_chains_past_the_cycle_budget_exits_2(capsys):
-    code, out, err = run_cli(
-        capsys, "check", "--weights", "3,7,2,4,5", "--degree", "37", "--order", "23",
-        "--explain", "--all", "--cycle-budget", "1",
-    )
-    assert (code, out, err) == (2, "", "budget exhausted: more than 1 cycles\n")
+    # the report is printed, with the chains walked before the budget ran out
+    argv = ("check", "--weights", "3,7,2,4,5", "--degree", "37", "--order", "23", "--explain", "--cycle-budget", "1")
+    code, out, err = run_cli(capsys, *argv, "--all")
+    assert (code, err) == (2, "budget exhausted: more than 1 cycles\n")
+    report = json.loads(out)
+    assert report.pop("all_chains") == [{"exponents": [10, 5, 17], "indices": [0, 1, 2]}]
+    assert report == json.loads(run_cli(capsys, *argv)[1])
 
 
 def test_max_order_too_large_to_sieve_is_an_error(capsys):
@@ -557,6 +559,23 @@ def test_max_order_too_large_to_sieve_is_an_error(capsys):
     )
     assert (code, out) == (1, "")
     assert err == "error: not enough memory to sieve the prime powers up to 1000000000000000000\n"
+
+
+@pytest.mark.parametrize(
+    "family",
+    [("orders", "--weights", "1,1,1", "--degree", "4"), ("scan", "--dim", "1", "--max-weight", "1", "--degree", "4")],
+    ids=["orders", "scan"],
+)
+def test_max_order_beyond_a_bytearray_is_an_error(capsys, family):
+    # 10^20 is no bytearray length: exit 1, not an OverflowError
+    code, out, err = run_cli(capsys, *family, "--max-order", str(10**20))
+    assert (code, out) == (1, "")
+    assert err == f"error: not enough memory to sieve the prime powers up to {10**20}\n"
+
+
+def test_degree_beyond_int64_is_an_error(capsys):
+    code, out, err = run_cli(capsys, "check", "--weights", "1,1,1", "--degree", str(10**19), "--order", "7")
+    assert (code, out, err) == (1, "", "error: degree must be below 2**63\n")
 
 
 def test_monomial_budget_zero_is_honoured(capsys):
@@ -612,6 +631,11 @@ def test_one_analysis_per_request(capsys):
     argv = ("orders", "--weights", "1,1,1,2,3", "--degree", "6", "--monomial-budget", "1000")
     code, _, _ = run_cli(capsys, *argv)
     assert code == 0
+    assert family_analysis.cache_info().misses == 1
+    # a bare family's analysis is the one a request under default budgets builds
+    family_analysis.cache_clear()
+    run_cli(capsys, "klein", "--weights", "1,1,1", "--degree", "4")
+    run_cli(capsys, "orders", "--weights", "1,1,1", "--degree", "4")
     assert family_analysis.cache_info().misses == 1
 
 
@@ -718,3 +742,38 @@ def test_pooled_scan_to_stdout(capsys, monkeypatch):
     monkeypatch.setattr(wpsauto.cli, "ProcessPoolExecutor", CountedPool)
     assert run_cli(capsys, *args, "--workers", "2") == serial
     assert len(pools) == 1
+
+
+def test_scan_workers_are_capped_by_the_families_left(capsys, monkeypatch):
+    # a forked pool starts all its workers at its first task
+    pools = []
+
+    class RecordingPool:  # records its size and starts no process
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(wpsauto.cli, "ProcessPoolExecutor", RecordingPool)
+    nine = ("scan", "--dim", "1", "--max-weight", "2", "--degree", "3..5")
+    serial = run_cli(capsys, *nine)
+    assert run_cli(capsys, *nine, "--workers", "64") == serial
+    assert pools == [9]
+    # one family: no pool at all
+    code, out, _ = run_cli(capsys, "scan", "--dim", "1", "--max-weight", "1", "--degree", "4", "--workers", "64")
+    assert (code, len(out.splitlines()), pools) == (0, 1, [9])
+
+
+@pytest.mark.parametrize("degrees", [("--max-degree", "3", "--degree", "5"), ()])
+def test_scan_takes_exactly_one_degree_flag(capsys, degrees):
+    # --max-degree was once dropped without a word when --degree was given
+    code, out, err = run_cli(capsys, "scan", "--dim", "1", "--max-weight", "1", *degrees)
+    assert (code, out) == (64, "")
+    assert err.startswith("usage error: ")

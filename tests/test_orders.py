@@ -1,9 +1,15 @@
 import math
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
-from conftest import brute_canonical_full_signature, brute_canonical_mask, brute_subset_criterion
+from conftest import (
+    brute_canonical_full_signature,
+    brute_canonical_mask,
+    brute_effective_order,
+    brute_subset_criterion,
+)
 
 from wpsauto.ambient import WeightedFamily, enumerate_monomials
 from wpsauto.arith import as_prime_power, effective_order, prime_powers_up_to
@@ -23,8 +29,10 @@ from wpsauto.orders import (
     chain_from_cycle,
     chain_invariance_check,
     divides_d_criterion,
+    family_analysis,
     necessary_condition,
     oracle_exists_order,
+    order_verdict,
     signature_from_chain,
     sufficient_condition,
     weight_digraph,
@@ -271,7 +279,7 @@ class TestOracle:
             oracle_exists_order(WeightedFamily((1, 1, 1, 2, 3), 3), 7)  # linear cone
 
     def test_budget_returns_unresolved(self):
-        verdict = oracle_exists_order(COUNTEREXAMPLE, 23, budget=10)
+        verdict = oracle_exists_order(family_analysis(COUNTEREXAMPLE, oracle_budget=10), 23)
         assert verdict.status == "unresolved"
 
     # The slice of (1,1,1,1,1) d=4 at q = 81 has 81**4 rows, more than the
@@ -281,7 +289,7 @@ class TestOracle:
         verdict = oracle_exists_order(fam, 81)
         assert verdict.status == "certified"
         assert verdict.notes[-1] == "classes examined: 67860"
-        verdict = oracle_exists_order(fam, 81, budget=787319)
+        verdict = oracle_exists_order(family_analysis(fam, oracle_budget=787319), 81)
         assert verdict.status == "unresolved"
         assert verdict.notes == ("at least 787320 signature classes exceed the budget of 787319",)
 
@@ -314,13 +322,13 @@ class TestOracle:
             raise AssertionError("the monomial table was built")
 
         monkeypatch.setattr(orders, "enumerate_monomials", no_table)
-        an = orders.FamilyAnalysis(WeightedFamily((1, 1, 3), 8), 10**6, 10**6)
+        an = orders.FamilyAnalysis(WeightedFamily((1, 1, 3), 8), 10**6, 10**6, 10**6)
         verdict = oracle_exists_order(an, 5)
         assert (verdict.status, verdict.notes[-1]) == (
             "refuted",
             "no pure-power or near-power monomial for variables [2]",
         )
-        an = orders.FamilyAnalysis(WeightedFamily((1, 1, 1), 4), 10**6, 10**6)
+        an = orders.FamilyAnalysis(WeightedFamily((1, 1, 1), 4), 10**6, 10**6, 10**6)
         verdict = oracle_exists_order(an, 25)
         assert (verdict.status, verdict.notes[-1]) == ("refuted", "exhausted all 30 signature classes")
         with pytest.raises(AssertionError, match="table was built"):
@@ -333,7 +341,7 @@ class TestOracle:
         verdict = oracle_exists_order(fam, 256)
         assert (verdict.status, verdict.notes[-1]) == ("refuted", "exhausted all 31457280 signature classes")
         # with a budget below the 3125 choices, the table is not consulted
-        verdict = oracle_exists_order(fam, 256, budget=3124)
+        verdict = oracle_exists_order(family_analysis(fam, oracle_budget=3124), 256)
         assert verdict.status == "unresolved"
 
     # q = 61 and q = 64 lie on either side of q = 62, where the oracle once
@@ -382,10 +390,41 @@ class TestOracle:
         ],
     )
     def test_class_counts_at_64(self, weights, degree, budget, status, sigma, note):
-        verdict = oracle_exists_order(WeightedFamily(weights, degree), 64, budget=budget)
+        verdict = oracle_exists_order(family_analysis(WeightedFamily(weights, degree), oracle_budget=budget), 64)
         assert verdict.status == status
         assert (verdict.signature and verdict.signature.sigma) == sigma
         assert verdict.notes == (note,)
+
+    # Exponents near 2**63 once wrapped the oracle's int64 bucket sums: it
+    # certified both orders with witnesses spanning the buckets 3, 1 and 3.
+    # Only the last variable has weight 1, so the monomials are x^i y^j z^k
+    # with k = d - a_0*i - a_1*j, a few each.
+    @pytest.mark.parametrize(
+        "weights, degree, q, classes",
+        [
+            ((3074457345618258527, 2305843009213693895, 1), 9223372036854775581, 19, 20),
+            ((3074457345618258431, 2305843009213693823, 1), 9223372036854775293, 43, 44),
+        ],
+    )
+    def test_buckets_are_exact_near_the_int64_limit(self, weights, degree, q, classes):
+        a0, a1, _ = weights
+        monos = [
+            (i, j, degree - a0 * i - a1 * j)
+            for i in range(degree // a0 + 1)
+            for j in range((degree - a0 * i) // a1 + 1)
+        ]
+        # exact reference over the whole slice: no signature of order q has a
+        # bucket passing the subset criterion
+        pinned = next(v for v, w in enumerate(weights) if w % q)
+        for sigma in product(range(q), repeat=3):
+            if sigma[pinned] or brute_effective_order(sigma, weights, q) != q:
+                continue
+            buckets: dict[int, list] = {}
+            for e in monos:
+                buckets.setdefault(sum(s * x for s, x in zip(sigma, e)) % q, []).append(e)
+            assert not any(brute_subset_criterion(b, 3) for b in buckets.values())
+        verdict = oracle_exists_order(WeightedFamily(weights, degree), q)
+        assert (verdict.status, verdict.notes[-1]) == ("refuted", f"exhausted all {classes} signature classes")
 
 
 class TestVerifiedCertificate:
@@ -393,10 +432,16 @@ class TestVerifiedCertificate:
     FERMAT = ((0, 0, 4), (4, 0, 0), (0, 4, 0), (4, 0, 0))
 
     def test_builds_the_verdict(self):
-        verdict = _verified_certificate(self.QUARTIC, 9, "test", (0, 10, 2), self.FERMAT)
+        # every Fermat monomial lies in bucket 0 of (0, 5, 2) mod 4
+        verdict = _verified_certificate(self.QUARTIC, 4, "test", (0, 5, 2), self.FERMAT)
         assert (verdict.status, verdict.provenance) == ("certified", "test")
-        assert verdict.signature == Signature(9, (0, 1, 2))
+        assert verdict.signature == Signature(4, (0, 1, 2))
         assert verdict.witness_system.monomials == ((0, 0, 4), (0, 4, 0), (4, 0, 0))
+
+    def test_rejects_a_witness_spanning_several_buckets(self):
+        # (0, 10, 2) . e mod 9 is 8, 0 and 4 on the three Fermat monomials
+        with pytest.raises(AssertionError, match="eigenvalue buckets"):
+            _verified_certificate(self.QUARTIC, 9, "test", (0, 10, 2), self.FERMAT)
 
     def test_rejects_a_signature_of_lower_order(self):
         # 3 * (0, 3, 6) = 0 mod 9: the signature induces order 3
@@ -562,6 +607,17 @@ class TestChainValidation:
         # the return edge 1 -> 0 would need 7 to divide 37 - 3 = 34
         with pytest.raises(ValueError):
             chain_from_cycle(COUNTEREXAMPLE, (0, 1))
+
+
+def test_order_verdict_takes_a_family_or_its_analysis():
+    fam = WeightedFamily((1, 1, 1), 4)
+    assert order_verdict(fam, 7) == order_verdict(family_analysis(fam), 7)
+    assert order_verdict(fam, 7).status == "certified"
+    capped = order_verdict(family_analysis(fam, oracle_budget=0), 7)
+    assert (capped.status, capped.notes[-1]) == (
+        "unresolved",
+        "at least 8 signature classes exceed the budget of 0",
+    )
 
 
 def test_analysis_reads_the_enumerated_matrix():

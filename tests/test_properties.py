@@ -344,5 +344,5 @@ def test_anchors_are_the_table_rows_the_rule_keeps(ws, d):
         monos = enumerate_monomials(fam, 50_000).monomials
     except BudgetExceeded:
         assume(False)
-    got = [rows.tolist() for rows in FamilyAnalysis(fam, 0, 0).anchors]
+    got = [rows.tolist() for rows in FamilyAnalysis(fam, 0, 0, 0).anchors]
     assert got == [[list(monos[r]) for r in rows] for rows in brute_anchors(monos, fam.nvars)]
