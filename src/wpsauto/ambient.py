@@ -115,6 +115,10 @@ class MonomialSystem:
         failing[0, n] = n < len(given)
         failing[1, :n] = (table < 0).any(axis=1)
         failing[2, :n] = table @ np.array(fam.weights, dtype=np.int64) != fam.degree
+        if n and int(table.max()) * max(fam.weights) * fam.nvars >= 2**63:
+            # the int64 products may have wrapped (to d, even): sum them exactly
+            degrees = [sum(x * w for x, w in zip(e, fam.weights)) for e in entries]
+            failing[2, :n] = [degree != fam.degree for degree in degrees]
         if len(first) < n:  # then some entry repeats an earlier one
             failing[3, :n] = np.fromiter(map(first.get, entries), dtype=np.int64, count=n) != np.arange(n)
         if failing.any():

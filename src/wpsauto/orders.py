@@ -20,11 +20,14 @@ representative per equivalence class, the lexicographically least member of
 its unit orbit.  Only a vector whose first nonzero entry is a power of p can
 be least, so the oracle builds those candidates alone, in increasing rank,
 and decides each in one closed-form pass over its entries (see
-`_canonical_rows`).  A class certifies q only if q divides the determinant
-of the anchor monomials (x_v^k or x_v^k * x_j, one per variable) of its
-bucket, so before it scans, the oracle refutes every q that divides none
-of the family's anchor determinants (`FamilyAnalysis.anchor_determinants`,
-a closed form over the functional graph the anchors define).  It tests
+`_canonical_rows`).  A class certifies q only if q divides det K / d, K the
+matrix of the anchor monomials (x_v^k or x_v^k * x_j, one per variable) of
+its bucket, so before it scans, the oracle refutes every q that divides
+none of the family's quotients det K / d (`FamilyAnalysis.anchor_determinants`,
+a closed form over the functional graph the anchors define): for the
+weighted Klein hypersurface, one of them is its maximal prime.  Nor does
+it scan for p**r once it has refuted p**(r-1) for the same analysis, as a
+class certifying p**r reduces to one certifying p**(r-1).  It tests
 the eigenvalue buckets of a block of candidates together, in one batched
 subset-criterion kernel call per chunk of buckets, on the pattern codes of
 the monomial table.
@@ -50,7 +53,7 @@ builds a certificate from all q translates in O(q * p**k), p**k < q.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterator, Optional, Sequence
@@ -371,23 +374,31 @@ def _verified_certificate(
     q: int,
     provenance: str,
     sigma: Sequence[int],
-    monomials: Sequence[tuple[int, ...]],
+    monomials: "Sequence[tuple[int, ...]] | np.ndarray",
     chain: Optional[CycleChain] = None,
     notes: tuple[str, ...] = (),
 ) -> OrderVerdict:
-    """The one way to a certified verdict: the witness monomials must pass
-    the subset criterion and share one bucket sigma . e mod q, and sigma
-    must induce order exactly q, else AssertionError (an unsound criterion).
-    The signature is stored reduced mod q, the witness sorted and deduplicated."""
-    if not subset_criterion(monomials, fam.nvars):
+    """The one way to a certified verdict: the witness monomials (tuples, or
+    the rows of an integer matrix) must pass the subset criterion and share
+    one bucket sigma . e mod q, and sigma must induce order exactly q, else
+    AssertionError (an unsound criterion).  The signature is stored reduced
+    mod q, the witness sorted and deduplicated."""
+    table = np.asarray(monomials, dtype=np.int64).reshape(len(monomials), fam.nvars)
+    if not subset_criterion(table, fam.nvars):
         raise AssertionError(f"constructed witness for q={q} fails the subset criterion")
     if effective_order(sigma, fam.weights, q) != q:
         raise AssertionError(f"constructed signature for q={q} has the wrong induced order")
-    if len({sum(s * x for s, x in zip(sigma, e)) % q for e in monomials}) > 1:
-        raise AssertionError(f"constructed witness for q={q} spans several eigenvalue buckets")
     sig = Signature(q, tuple(s % q for s in sigma))
-    # dict.fromkeys keeps the order, so a sorted witness sorts in one pass
-    witness = MonomialSystem(fam, tuple(sorted(dict.fromkeys(monomials))))
+    if fam.nvars * q * q < 2**62:  # sums of residue products stay exact in int64
+        buckets = table % q @ np.array(sig.sigma, dtype=np.int64) % q
+    else:
+        buckets = np.array([sum(s * x for s, x in zip(sig.sigma, e)) % q for e in table.tolist()])
+    if (buckets != buckets[0]).any():
+        raise AssertionError(f"constructed witness for q={q} spans several eigenvalue buckets")
+    table = table[np.lexsort(table.T[::-1])]
+    distinct = np.ones(len(table), dtype=bool)
+    distinct[1:] = (table[1:] != table[:-1]).any(axis=1)
+    witness = MonomialSystem(fam, table[distinct])
     return OrderVerdict(CERTIFIED, q, provenance, chain, sig, witness, notes)
 
 
@@ -493,13 +504,16 @@ class FamilyAnalysis:
     budget exceeded, a hypothesis violated): it raises again when used again.
     The anchors come from the digraph, not from the monomial table, whose
     pattern codes serve only the oracle's bucket test.  Get instances from
-    `family_analysis`.
+    `family_analysis`.  `oracle_refuted` is not a field of the family but a
+    record of the oracle's calls: the orders it has refuted so far, which
+    refute their multiples by p at once (`oracle_exists_order`).
     """
 
     family: WeightedFamily
     monomial_budget: int
     cycle_budget: int
     oracle_budget: int
+    oracle_refuted: set[int] = field(default_factory=set, init=False, repr=False)
 
     @cached_property
     def flags(self) -> dict[str, bool]:
@@ -837,39 +851,56 @@ def oracle_exists_order(fam: "WeightedFamily | FamilyAnalysis", q: "int | PrimeP
     "classes examined: N" counts the classes whose rank lies below the end
     of the `_CHUNK`-row block of the slice that holds the certifying class.
     q is refuted only after every class is ruled out: by the scan, or at
-    once by the anchor determinants (`FamilyAnalysis.anchor_determinants`).
-    Let a class sigma certify q in bucket h, and let K be the matrix whose
-    row v is the exponent vector of the anchor of v in bucket h, so K @ sigma
-    = h * 1 (mod q).  Every anchor has degree d, so K @ a = d * 1, and c =
-    adj(K) @ 1 satisfies d * c = det(K) * a; as gcd(a) = 1 (the family is
-    well formed), d divides det K and c = (det K / d) * a.  Multiplying
-    K @ sigma = h * 1 by adj(K) gives det(K) * sigma = h * (det K / d) * a
-    (mod q).  At the pinned coordinate, sigma_i* = 0 and a_i* is prime to p,
-    so h * (det K / d) = 0 and det(K) * sigma = 0 (mod q).  sigma has full
-    order, so some entry is a unit, and q divides det K.  When q divides
-    none of the determinants, no class certifies q, and the verdict is the
-    scan's own refutation: its note "exhausted all N signature classes"
-    then counts the N classes ruled out, none of them built.  A zero
-    determinant is divisible by every q, so a family with one always falls
-    through to the scan.  The anchors and their determinants are closed
-    forms of (a, d), so this gate and the missing-anchor refutation build
-    no monomial table.  The determinant table costs no more per anchor
-    choice than the scan per class, so it is built, once per family, and
-    consulted, before the budget and the int64 range are, when a call has
-    at least as many classes, and as much budget, as there are choices.
+    once by one of two gates.  The quotient gate reads the anchor
+    determinants (`FamilyAnalysis.anchor_determinants`).  Let a class sigma
+    certify q in bucket h, and let K be the matrix whose row v is the
+    exponent vector of the anchor of v in bucket h, so K @ sigma = h * 1
+    (mod q).  Every anchor has degree d, so K @ a = d * 1, and c = adj(K) @ 1
+    satisfies d * c = det(K) * a; as gcd(a) = 1 (the family is well formed),
+    d divides det K and c = (det K / d) * a.  With sigma_i* = 0, the vector
+    x = (sigma, h) solves M @ x = 0 (mod q) for the square matrix
+    M = [[K, -1], [e_i*, 0]], whose determinant, expanded along its last row
+    and column, is e_i* @ adj(K) @ 1 = a_i* * det K / d.  Then
+    det(M) * x = adj(M) @ M @ x = 0 (mod q); sigma has full order, so some
+    entry is a unit, and q divides det M.  a_i* is prime to p, so q divides
+    det K / d.  When q divides none of the quotients, no class certifies q,
+    and the verdict is the scan's own refutation: its note "exhausted all N
+    signature classes" then counts the N classes ruled out, none of them
+    built.  A zero determinant is divisible by every q, so a family with
+    one always falls through to the scan.  For the Klein quartic (1, 1, 1)
+    d = 4 the cycle x0^3 x1, x1^3 x2, x2^3 x0 has det K = 28, and 28 / 4 = 7
+    is the maximal prime of the weighted Klein hypersurface.  The anchors
+    and their determinants are closed forms of (a, d), so this gate and the
+    missing-anchor refutation build no monomial table.  The determinant
+    table costs no more per anchor choice than the scan per class, so it is
+    built, once per family, and consulted, before the budget and the int64
+    range are, when a call has at least as many classes, and as much
+    budget, as there are choices.
+
+    The descent gate refutes q = p**r, r > 1, when the oracle has refuted
+    q / p for the same analysis (`FamilyAnalysis.oracle_refuted`, which
+    every refutation here adds to).  Let sigma certify q in bucket h;
+    reduce sigma and h mod q / p.  The new bucket holds the old one, and
+    the subset criterion only gains from more monomials.  As sigma_i* = 0
+    and a_i* is a unit, the induced order of a pinned vector is its own
+    additive order, and the reduced vector keeps the unit entry of sigma,
+    so its order is q / p.  So the reduced class certifies q / p.  The
+    record is consulted only where the scan would start, after the budget
+    and the int64 range, so that it changes no verdict, only its cost,
+    whatever order the calls come in.
 
     A full-order vector has a unit entry, so no unit other than 1 fixes it:
     the unit orbits in the slice all have phi(q) members and the slice holds
     exactly (q**m - (q/p)**m) / phi(q) classes, m = nvars - 1.  Unless the
-    gate refutes q, that count is compared with the analysis' class budget
-    (`oracle_budget`) before anything is scanned, and the scan examines no
-    more: above the budget the verdict is unresolved, never a refutation.
-    It is the only cap on the work: the candidate rows, about r*(p-1)/p per
-    class, are built `_CHUNK` ranks at a time, a variable has at most nvars
-    anchors, so a class has at most nvars hit pairs, and no array has a
-    dimension of size q.  Apart from it, only q**nvars >= 2**62 (inexact
-    int64 ranks) is unresolved; the products read exponents reduced mod q,
-    so no sum exceeds nvars * q**2.
+    quotient gate refutes q, that count is compared with the analysis'
+    class budget (`oracle_budget`) before anything is scanned, and the scan
+    examines no more: above the budget the verdict is unresolved, never a
+    refutation.  It is the only cap on the work: the candidate rows, about
+    r*(p-1)/p per class, are built `_CHUNK` ranks at a time, a variable has
+    at most nvars anchors, so a class has at most nvars hit pairs, and no
+    array has a dimension of size q.  Apart from it, only q**nvars >= 2**62
+    (inexact int64 ranks) is unresolved; the products read exponents
+    reduced mod q, so no sum exceeds nvars * q**2.
     """
     pp = as_prime_power(q)
     qq, p = pp.q, pp.p
@@ -877,23 +908,29 @@ def oracle_exists_order(fam: "WeightedFamily | FamilyAnalysis", q: "int | PrimeP
     fam = an.family
     hyp_notes = an.oracle_hypotheses()
     nv = fam.nvars
-    missing = [v for v, rows in enumerate(an.anchors) if not rows.size]
-    if missing:
-        note = f"no pure-power or near-power monomial for variables {missing}"
+
+    def refuted(note: str) -> OrderVerdict:
+        an.oracle_refuted.add(qq)
         return OrderVerdict(REFUTED, qq, "oracle", notes=hyp_notes + (note,))
 
+    missing = [v for v, rows in enumerate(an.anchors) if not rows.size]
+    if missing:
+        return refuted(f"no pure-power or near-power monomial for variables {missing}")
+
     class_count = (qq ** (nv - 1) - (qq // p) ** (nv - 1)) // (qq - qq // p)
+    exhausted = f"exhausted all {class_count} signature classes"
     cap = min(class_count, an.oracle_budget)
     choices = math.prod(len(rows) for rows in an.anchors)
-    if choices <= cap and all(det % qq for det in an.anchor_determinants):
-        note = f"exhausted all {class_count} signature classes"
-        return OrderVerdict(REFUTED, qq, "oracle", notes=hyp_notes + (note,))
+    if choices <= cap and all(det // fam.degree % qq for det in an.anchor_determinants):
+        return refuted(exhausted)
     if qq ** nv >= 2**62:
         note = f"modulus {qq} too large for exact vectorized enumeration"
         return OrderVerdict(UNRESOLVED, qq, "oracle", notes=hyp_notes + (note,))
     if class_count > cap:
         note = f"at least {class_count} signature classes exceed the budget of {an.oracle_budget}"
         return OrderVerdict(UNRESOLVED, qq, "oracle", notes=hyp_notes + (note,))
+    if pp.r > 1 and qq // p in an.oracle_refuted:
+        return refuted(exhausted)
     i_star = _first_unit_weight_index(fam, p)
     E = an.exponents.astype(np.int64) % qq  # sums below nv * q**2, whatever d
     codes, code_of_row = an.patterns
@@ -924,13 +961,12 @@ def oracle_exists_order(fam: "WeightedFamily | FamilyAnalysis", q: "int | PrimeP
             if not passed.size:
                 continue
             won = passed[0]
-            exps = [an.system.monomials[r] for r in np.flatnonzero(members[won])]
+            exps = an.exponents[members[won]]
             canon = _canonical_full_signature(fam.weights, S[cls[won]].tolist(), qq)
             note = f"classes examined: {examined}"
             return _verified_certificate(fam, qq, "oracle", canon, exps, notes=hyp_notes + (note,))
 
-    note = f"exhausted all {examined} signature classes"
-    return OrderVerdict(REFUTED, qq, "oracle", notes=hyp_notes + (note,))
+    return refuted(f"exhausted all {examined} signature classes")
 
 
 def admissible_orders(

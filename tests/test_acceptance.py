@@ -373,34 +373,60 @@ def test_anchor_determinants_match_brute_force(corpus):
 
 def test_determinant_gate_refutes_as_the_scan(corpus):
     # Every pair whose variables all have anchors and whose q divides no
-    # anchor determinant, the pairs the oracle may refute without a scan:
-    # the reference oracle's per-class loop refutes each of them too, with
-    # the same status and notes.  So no pair it certifies fails the test.
+    # quotient det K / d of an anchor determinant, the pairs the oracle may
+    # refute without a scan: the reference oracle's per-class loop refutes
+    # each of them too, with the same status and notes.  So no pair it
+    # certifies fails the test.  The quotient gates strictly more pairs
+    # than det K itself, which it contains.
     records, _ = corpus
-    anchored = gated = 0
+    anchored = gated = by_quotient_alone = 0
     for rec in records:
         an = as_analysis(rec.fam)
         if not all(rows.size for rows in an.anchors):
             continue
         anchored += 1
-        if any(det % rec.q == 0 for det in an.anchor_determinants):
+        if any(det // rec.fam.degree % rec.q == 0 for det in an.anchor_determinants):
             continue
         status, _, _, notes = reference_oracle(rec.fam, rec.q)
         assert status == "refuted", (rec.fam, rec.q)
         assert (rec.oracle.status, rec.oracle.notes) == (status, notes), (rec.fam, rec.q)
         gated += 1
-    assert gated >= 900 and anchored >= 3000, (gated, anchored)
+        by_quotient_alone += any(det % rec.q == 0 for det in an.anchor_determinants)
+    counts = (gated, anchored, by_quotient_alone)
+    assert gated >= 900 and anchored >= 3000 and by_quotient_alone >= 60, counts
+
+
+def test_descent_gate_refutes_as_the_scan(corpus):
+    # Every pair q = p^r, r > 1, whose p^(r-1) the oracle refuted for the
+    # same family, the pairs the oracle may refute by descent: the reference
+    # oracle refutes each of them too, with the same notes
+    records, _ = corpus
+    refuted = {(rec.fam, rec.q) for rec in records if rec.oracle.status == "refuted"}
+    descended = 0
+    for rec in records:
+        pp = prime_power_decompose(rec.q)
+        if pp.r == 1 or (rec.fam, rec.q // pp.p) not in refuted:
+            continue
+        status, _, _, notes = reference_oracle(rec.fam, rec.q)
+        assert status == "refuted", (rec.fam, rec.q)
+        assert (rec.oracle.status, rec.oracle.notes) == (status, notes), (rec.fam, rec.q)
+        descended += 1
+    assert descended >= 800, descended
 
 
 def test_certified_orders_divide_an_anchor_determinant(corpus):
-    # A certified q, by any route, divides the determinant of the anchors of
-    # its witness's bucket (proof in oracle_exists_order)
+    # A certified q, by any route, divides det K / d for the anchors K of its
+    # witness's bucket (proof in oracle_exists_order)
     records, _ = corpus
     certified = 0
     for rec in records:
         dets = as_analysis(rec.fam).anchor_determinants
         for verdict in (rec.oracle, rec.divides, rec.sufficient):
             if verdict is not None and verdict.status == "certified":
-                assert any(det % rec.q == 0 for det in dets), (rec.fam, rec.q, verdict.provenance)
+                assert any(det // rec.fam.degree % rec.q == 0 for det in dets), (
+                    rec.fam,
+                    rec.q,
+                    verdict.provenance,
+                )
                 certified += 1
     assert certified >= 1000, certified

@@ -264,6 +264,21 @@ class TestMonomialSystem:
         with pytest.raises(ValueError, match=re.escape(message) + "$"):
             MonomialSystem(fam, monomials)
 
+    @pytest.mark.parametrize(
+        "weights, degree, monomial",
+        [
+            # 3 * 6148914691236517207 = 2**64 + 5, which an int64 product wraps to 5
+            ((3, 1, 1), 5, (6148914691236517207, 0, 0)),
+            # every exponent at most d / a_i, but the sum 2**64 + d wraps to d
+            ((1, 1, 1, 1), 2**63 - 1, (2**63 - 1, 2**63 - 1, 2**63 - 1, 2)),
+        ],
+    )
+    def test_rejects_degrees_that_wrap_in_int64(self, weights, degree, monomial):
+        fam = WeightedFamily(weights, degree)
+        message = f"monomial {monomial} does not have weighted degree {degree}"
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            MonomialSystem(fam, (monomial,))
+
     def test_stores_plain_integer_tuples(self):
         fam = WeightedFamily((1, 1, 2), 4)
         for given in ([[4, 0, 0], (0, 2, 1)], np.array([[4, 0, 0], [0, 2, 1]])):

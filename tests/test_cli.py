@@ -639,6 +639,26 @@ def test_one_analysis_per_request(capsys):
     assert family_analysis.cache_info().misses == 1
 
 
+def test_check_bytes_do_not_depend_on_an_earlier_sweep(capsys, monkeypatch):
+    # (1,1,1,1) d=4 at q = 64, which no anchor quotient det K / d refutes:
+    # alone, the oracle scans its 7168 classes to refute it.  After a sweep
+    # to 64 the shared analysis records that the oracle refuted 32, and 64
+    # is refuted by descent, with no scan, in the same bytes
+    family = ("--weights", "1,1,1,1", "--degree", "4")
+    family_analysis.cache_clear()
+    alone = run_cli(capsys, "check", *family, "--order", "64")
+    assert json.loads(alone[1])["verdicts"][0]["notes"][-1] == "exhausted all 7168 signature classes"
+    family_analysis.cache_clear()
+    run_cli(capsys, "orders", *family, "--max-order", "64")
+
+    def no_scan(*args):
+        raise AssertionError("the oracle scanned its classes")
+
+    monkeypatch.setattr(orders, "_canonical_rows", no_scan)
+    assert run_cli(capsys, "check", *family, "--order", "64") == alone
+    family_analysis.cache_clear()
+
+
 def test_order_with_two_large_prime_factors_fails_fast(capsys):
     q = (10**9 + 7) * (10**9 + 9)
     start = time.perf_counter()

@@ -343,6 +343,25 @@ class TestOracle:
         # with a budget below the 3125 choices, the table is not consulted
         verdict = oracle_exists_order(family_analysis(fam, oracle_budget=3124), 256)
         assert verdict.status == "unresolved"
+        # 128 divides the determinant 3456 = 2**7 * 27, but no quotient by
+        # d = 6 (3456 / 6 = 2**6 * 9): refuted by the quotient alone
+        dets = as_analysis(fam).anchor_determinants
+        assert any(det % 128 == 0 for det in dets) and all(det // 6 % 128 for det in dets)
+        verdict = oracle_exists_order(fam, 128)
+        assert (verdict.status, verdict.notes[-1]) == ("refuted", "exhausted all 3932160 signature classes")
+
+    def test_descent_waits_for_the_budget(self):
+        # (1,1,1,1) d=4: the oracle refutes 32 by scanning its 1792 classes,
+        # but 64 has 7168, over the budget, and stays unresolved even so:
+        # its verdict does not depend on whether 32 was asked for first
+        an = family_analysis(WeightedFamily((1, 1, 1, 1), 4), oracle_budget=2000)
+        assert oracle_exists_order(an, 32).notes[-1] == "exhausted all 1792 signature classes"
+        assert 32 in an.oracle_refuted
+        verdict = oracle_exists_order(an, 64)
+        assert (verdict.status, verdict.notes[-1]) == (
+            "unresolved",
+            "at least 7168 signature classes exceed the budget of 2000",
+        )
 
     # q = 61 and q = 64 lie on either side of q = 62, where the oracle once
     # switched from an int64 bitmask to Python sets to find candidate
@@ -452,6 +471,25 @@ class TestVerifiedCertificate:
         # no monomial lies inside the subset {x_2}
         with pytest.raises(AssertionError, match="subset criterion"):
             _verified_certificate(self.QUARTIC, 9, "test", (0, 1, 2), self.FERMAT[1:3])
+
+
+    # From nvars * q**2 >= 2**62 the bucket sums are formed in Python ints:
+    # q = 2**61 - 1 is prime, and (0, 2**32, 0) . (0, 2**32, q - 2**32) = 2**64,
+    # which int64 wraps to 0, the bucket of the Fermat monomials x_i^q
+    BIG = 2**61 - 1
+    BIG_FERMAT = ((BIG, 0, 0), (0, BIG, 0), (0, 0, BIG))
+
+    def test_builds_the_verdict_past_int64_sums(self):
+        fam = WeightedFamily((1, 1, 1), self.BIG)
+        verdict = _verified_certificate(fam, self.BIG, "test", (0, 2**32, 0), self.BIG_FERMAT[::-1])
+        assert verdict.signature == Signature(self.BIG, (0, 2**32, 0))
+        assert verdict.witness_system.monomials == self.BIG_FERMAT[::-1]
+
+    def test_rejects_several_buckets_past_int64_sums(self):
+        fam = WeightedFamily((1, 1, 1), self.BIG)
+        witness = self.BIG_FERMAT + ((0, 2**32, self.BIG - 2**32),)
+        with pytest.raises(AssertionError, match="eigenvalue buckets"):
+            _verified_certificate(fam, self.BIG, "test", (0, 2**32, 0), witness)
 
 
 class TestAdmissibleOrders:

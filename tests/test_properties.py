@@ -14,6 +14,8 @@ from conftest import (
     brute_semigroup_contains,
     brute_singular_point_search,
     brute_subset_criterion,
+    families,
+    reference_oracle,
     series_monomial_count,
 )
 
@@ -21,6 +23,8 @@ from wpsauto.ambient import (
     MonomialSystem,
     WeightedFamily,
     enumerate_monomials,
+    is_linear_cone,
+    lin_finite,
     well_form_normalize,
     well_formed,
 )
@@ -34,6 +38,7 @@ from wpsauto.errors import BudgetExceeded, NotAPrimePower, NotNormalizable
 from wpsauto.orders import (
     CycleChain,
     FamilyAnalysis,
+    as_analysis,
     chain_from_cycle,
     chain_invariance_check,
     signature_from_chain,
@@ -346,3 +351,27 @@ def test_anchors_are_the_table_rows_the_rule_keeps(ws, d):
         assume(False)
     got = [rows.tolist() for rows in FamilyAnalysis(fam, 0, 0, 0).anchors]
     assert got == [[list(monos[r]) for r in rows] for rows in brute_anchors(monos, fam.nvars)]
+
+
+#: The families of the criterion-5 corpus with n <= 2 that the oracle accepts
+ORACLE_FAMILIES = [
+    fam for fam in families((1, 2), 5, range(3, 13)) if lin_finite(fam) and not is_linear_cone(fam)
+]
+
+
+@given(
+    st.sampled_from(ORACLE_FAMILIES),
+    st.sampled_from([2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 32]),
+)
+@settings(max_examples=300, deadline=None)
+def test_gated_orders_are_refuted_by_the_reference(fam, q):
+    # The oracle's two closed-form refutations, against its per-class
+    # reference loop: q divides no quotient det K / d of the anchor
+    # determinants (the quotient gate), or q = p^r, r > 1, and the reference
+    # refutes p^(r-1) (the descent gate).  Either way the reference refutes q.
+    an = as_analysis(fam)
+    pp = prime_power_decompose(q)
+    dets = an.anchor_determinants
+    quotient = all(rows.size for rows in an.anchors) and all(det // fam.degree % q for det in dets)
+    assume(quotient or pp.r > 1 and reference_oracle(fam, q // pp.p)[0] == "refuted")
+    assert reference_oracle(fam, q)[0] == "refuted"
