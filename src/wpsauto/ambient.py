@@ -109,7 +109,6 @@ class MonomialSystem:
             table = np.array(given[:good], dtype=np.int64).reshape(good, fam.nvars)
         entries = tuple(zip(*(column.tolist() for column in table.T)))
         n = len(entries)
-        first = dict(zip(reversed(entries), range(n - 1, -1, -1)))  # each entry's first index
         # per check, the entries failing it; the entry after the table fails only its arity
         failing = np.zeros((4, n + 1), dtype=bool)
         failing[0, n] = n < len(given)
@@ -119,7 +118,9 @@ class MonomialSystem:
             # the int64 products may have wrapped (to d, even): sum them exactly
             degrees = [sum(x * w for x, w in zip(e, fam.weights)) for e in entries]
             failing[2, :n] = [degree != fam.degree for degree in degrees]
-        if len(first) < n:  # then some entry repeats an earlier one
+        ranked = table[np.lexsort(table.T)]  # equal entries end up next to each other
+        if (ranked[1:] == ranked[:-1]).all(axis=1).any():  # then some entry repeats an earlier one
+            first = dict(zip(reversed(entries), range(n - 1, -1, -1)))  # each entry's first index
             failing[3, :n] = np.fromiter(map(first.get, entries), dtype=np.int64, count=n) != np.arange(n)
         if failing.any():
             index = int(np.argmax(failing.any(axis=0)))

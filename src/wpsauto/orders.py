@@ -28,9 +28,12 @@ a closed form over the functional graph the anchors define): for the
 weighted Klein hypersurface, one of them is its maximal prime.  Nor does
 it scan for p**r once it has refuted p**(r-1) for the same analysis, as a
 class certifying p**r reduces to one certifying p**(r-1).  It tests
-the eigenvalue buckets of a block of candidates together, in one batched
-subset-criterion kernel call per chunk of buckets, on the pattern codes of
-the monomial table.
+a block of candidates in prefixes that grow fourfold, so that a class
+certifying early in its block costs what its prefix costs; within a prefix,
+the eigenvalue buckets of all its classes are formed by one exact float64
+matrix product (`_bucket_members`) and decided together, one float32 product
+per chunk of buckets, against closed rows built once per call from the
+pattern codes of the monomial table (`subset_closures`).
 
 Everything that depends on (a, d) alone lives in one `FamilyAnalysis` per
 family and set of budgets (`family_analysis`): the hypothesis flags, the
@@ -79,7 +82,7 @@ from .arith import (
 )
 from .cycles import CYCLE_BUDGET, simple_cycles
 from .errors import BudgetExceeded, HypothesisViolated
-from .quasismooth import pattern_codes, subset_criterion, subset_criterion_batch
+from .quasismooth import pattern_codes, subset_closures, subset_criterion, subset_criterion_batch
 
 __all__ = [
     "CycleChain",
@@ -112,8 +115,14 @@ ORACLE_CLASS_BUDGET = 2_000_000
 _CHUNK = 1 << 16
 
 #: Elements per (class, bucket) chunk that the oracle tests at once: a chunk
-#: of k buckets builds k x (monomials) and k x (nvars + 1) x 2**nvars arrays.
+#: of k buckets builds a k x (monomials) float64 matrix of bucket sums, a
+#: k x (pattern codes) float32 presence matrix and its k x (nvars + 1) *
+#: 2**nvars product with the closed rows; no table has more codes than rows.
 _BUCKET_ELEMENTS = 1 << 16
+
+#: Classes in the first prefix of a block that the oracle tests; each prefix
+#: after it ends at four times the end of the one before.
+_FIRST_PREFIX = 8
 
 CERTIFIED = "certified"
 REFUTED = "refuted"
@@ -821,6 +830,29 @@ def _canonical_rows(q: int, p: int, r: int, nv: int, pinned: int):
             yield ranks[keep], out
 
 
+def _bucket_members(sigma: np.ndarray, table_T: np.ndarray, h: np.ndarray, q: int) -> np.ndarray:
+    """members[i, r]: whether row r of a monomial table lies in bucket h[i] of
+    the signature sigma[i], that is sigma[i] . e_r = h[i] (mod q).  The
+    entries of sigma are residues mod q, table_T is the transposed table in
+    float64 with its exponents reduced mod q, and 0 <= h < q.
+
+    One float64 product, exact whenever nvars * q**2 < 2**53, which the
+    oracle's guard q**nvars < 2**62 gives for nvars >= 3 (q**2 < 2**(124 /
+    nvars), and nvars * 2**(124 / nvars) < 2**43).  Every product of
+    entries is an integer below q**2, so every partial sum, in any order of
+    summation and with fused multiply-adds or not, is an integer below 2**53
+    and is formed exactly; so is x = sum - h.  If q divides x, then x / q is
+    an integer below 2**53, which the correctly rounded division returns
+    exactly.  Otherwise the quotient x / q lies at least 1 / q away from
+    every integer, and rounding moves it by at most |x / q| * 2**-53 < 1 / q,
+    so the computed quotient is not an integer either.
+    """
+    x = sigma.astype(np.float64) @ table_T
+    x -= h[:, None]
+    x /= q
+    return np.floor(x) == x
+
+
 def oracle_exists_order(fam: "WeightedFamily | FamilyAnalysis", q: "int | PrimePowerOrder") -> OrderVerdict:
     """Decide order q = p**r by exhausting diagonal signature classes.
 
@@ -841,15 +873,25 @@ def oracle_exists_order(fam: "WeightedFamily | FamilyAnalysis", q: "int | PrimeP
     class are those of the anchors of the variable with the fewest, S @
     E[rows].T mod q; a candidate is hit when every other variable has an
     anchor in it too, which takes (anchors of the first) x (anchors of the
-    other) comparisons per class and variable, whatever q is.  The hit
-    (class, h) pairs of a block are decided together: for chunks of at most
-    about `_BUCKET_ELEMENTS` array elements, one `subset_criterion_batch`
-    call reads which pattern codes each bucket holds.  The winner is the
-    first passing pair in increasing class rank and then increasing h, as
-    if buckets were tried one by one; only its monomials are gathered, and
+    other) comparisons per class and variable, whatever q is.  The classes
+    of a block are tested in prefixes: the first `_FIRST_PREFIX` rows, then
+    up to four times that, and so on, each prefix the rows after the last.
+    The hit (class, h) pairs of a prefix are decided together, in chunks of
+    at most about `_BUCKET_ELEMENTS` array elements.  A chunk's bucket
+    members come from one float64 product of its classes and the table's
+    exponents reduced mod q, exact below the int64 guard on q (proof in
+    `_bucket_members`); which pattern codes each bucket holds is then
+    decided by one `subset_criterion_batch` call, a float32 product with
+    the closed rows of the table's distinct codes (`subset_closures`), built
+    once per call.  The winner is the first passing pair in increasing
+    class rank and then increasing h, as if buckets were tried one by one:
+    prefixes, chunks and the pairs in them all follow that order, so the
+    first prefix with a passing pair holds the winner, and no later class
+    needs a test.  Only the winner's monomials are gathered, and
     `_verified_certificate` re-checks them and the induced order.  The note
     "classes examined: N" counts the classes whose rank lies below the end
-    of the `_CHUNK`-row block of the slice that holds the certifying class.
+    of the `_CHUNK`-row block of the slice that holds the certifying class,
+    however few of them its prefixes reached; a refutation tests them all.
     q is refuted only after every class is ruled out: by the scan, or at
     once by one of two gates.  The quotient gate reads the anchor
     determinants (`FamilyAnalysis.anchor_determinants`).  Let a class sigma
@@ -900,7 +942,7 @@ def oracle_exists_order(fam: "WeightedFamily | FamilyAnalysis", q: "int | PrimeP
     at most nvars anchors, so a class has at most nvars hit pairs, and no
     array has a dimension of size q.  Apart from it, only q**nvars >= 2**62
     (inexact int64 ranks) is unresolved; the products read exponents
-    reduced mod q, so no sum exceeds nvars * q**2.
+    reduced mod q, so no sum exceeds nvars * q**2, below 2**53.
     """
     pp = as_prime_power(q)
     qq, p = pp.q, pp.p
@@ -932,15 +974,15 @@ def oracle_exists_order(fam: "WeightedFamily | FamilyAnalysis", q: "int | PrimeP
     if pp.r > 1 and qq // p in an.oracle_refuted:
         return refuted(exhausted)
     i_star = _first_unit_weight_index(fam, p)
-    E = an.exponents.astype(np.int64) % qq  # sums below nv * q**2, whatever d
+    E_T = (an.exponents.astype(np.int64) % qq).T.astype(np.float64)
     codes, code_of_row = an.patterns
+    closures = subset_closures(codes, nv)
     # the variable with the fewest anchors first: its buckets are the candidates
     base_T, *others_T = sorted((rows.T % qq for rows in an.anchors), key=lambda a: a.shape[1])
-    chunk = max(1, _BUCKET_ELEMENTS // max(len(E), (nv + 1) << nv))
+    chunk = max(1, _BUCKET_ELEMENTS // max(E_T.shape[1], (nv + 1) << nv))
 
-    examined = 0
-    for _, S in _canonical_rows(qq, p, pp.r, nv, i_star):
-        examined += len(S)  # a certificate counts the whole block
+    def first_winner(S: np.ndarray) -> Optional[tuple[int, np.ndarray]]:
+        """(row of S, its bucket's members) of the first passing pair, if any."""
         # hit[c, k]: every variable has an anchor in bucket cand[c, k] of
         # class c; each class's buckets increase, and each is kept once
         cand = np.sort(S @ base_T % qq, axis=1)
@@ -953,18 +995,28 @@ def oracle_exists_order(fam: "WeightedFamily | FamilyAnalysis", q: "int | PrimeP
         buckets = cand[classes, k]
         for start in range(0, len(classes), chunk):
             cls, h = classes[start : start + chunk], buckets[start : start + chunk]
-            members = S[cls] @ E.T % qq == h[:, None]  # (pairs, rows)
-            presence = np.zeros((len(cls), len(codes)), dtype=bool)
+            members = _bucket_members(S[cls], E_T, h, qq)  # (pairs, rows)
+            presence = np.zeros((len(cls), len(codes)), dtype=np.float32)
             pair, row = np.nonzero(members)
-            presence[pair, code_of_row[row]] = True
-            passed = np.flatnonzero(subset_criterion_batch(codes, presence, nv))
-            if not passed.size:
-                continue
-            won = passed[0]
-            exps = an.exponents[members[won]]
-            canon = _canonical_full_signature(fam.weights, S[cls[won]].tolist(), qq)
-            note = f"classes examined: {examined}"
-            return _verified_certificate(fam, qq, "oracle", canon, exps, notes=hyp_notes + (note,))
+            presence[pair, code_of_row[row]] = 1
+            passed = np.flatnonzero(subset_criterion_batch(closures, presence, nv))
+            if passed.size:
+                return cls[passed[0]], members[passed[0]]
+        return None
+
+    examined = 0
+    for _, S in _canonical_rows(qq, p, pp.r, nv, i_star):
+        examined += len(S)  # a certificate counts the whole block
+        start, stop = 0, _FIRST_PREFIX
+        while start < len(S):  # prefixes in increasing rank: the first winner is the block's
+            won = first_winner(S[start:stop])
+            if won is not None:
+                sigma = S[start + won[0]].tolist()
+                exps = an.exponents[won[1]]
+                canon = _canonical_full_signature(fam.weights, sigma, qq)
+                note = f"classes examined: {examined}"
+                return _verified_certificate(fam, qq, "oracle", canon, exps, notes=hyp_notes + (note,))
+            start, stop = stop, 4 * stop
 
     return refuted(f"exhausted all {examined} signature classes")
 

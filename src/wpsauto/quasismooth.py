@@ -45,6 +45,7 @@ __all__ = [
     "general_member_quasismooth",
     "subset_criterion",
     "subset_criterion_batch",
+    "subset_closures",
     "pattern_codes",
     "required_monomial",
     "singular_point_search",
@@ -93,6 +94,11 @@ def exists_quasismooth(fam: WeightedFamily) -> bool:
     return semigroup_subset_condition(fam)
 
 
+#: Entries per matrix of closure rows (`subset_closures`): a matrix of k
+#: pattern codes is k x (nvars + 1) * 2**nvars, and so are its temporaries.
+_CLOSURE_ELEMENTS = 1 << 16
+
+
 def pattern_codes(exponents: np.ndarray) -> np.ndarray:
     """One integer per row of an exponent matrix: bit j is set when x_j occurs
     (the support) and bit nvars + j when x_j occurs to exactly the first
@@ -102,47 +108,65 @@ def pattern_codes(exponents: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _mask_tables(nvars: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per subset mask I: its size; per (j, I): the mask I | {j}."""
+def _subset_sizes(nvars: int) -> np.ndarray:
+    """Per subset mask I of nvars variables: its size |I|."""
     masks = np.arange(1 << nvars, dtype=np.int64)
-    j = np.arange(nvars, dtype=np.int64)[:, None]
-    tables = ((masks >> j) & 1).sum(axis=0), masks | (1 << j)
-    for table in tables:
-        table.flags.writeable = False  # shared by every caller
-    return tables
+    sizes = ((masks >> np.arange(nvars, dtype=np.int64)[:, None]) & 1).sum(axis=0)
+    sizes.flags.writeable = False  # shared by every caller
+    return sizes
 
 
-def subset_criterion_batch(codes: np.ndarray, presence: np.ndarray, nvars: int) -> np.ndarray:
+def subset_closures(codes: np.ndarray, nvars: int) -> tuple[np.ndarray, ...]:
+    """The closed row of each pattern code (`pattern_codes`) that
+    `subset_criterion_batch` sums, as float32 0/1 matrices over consecutive
+    codes of at most `_CLOSURE_ELEMENTS` entries each.  Over the masks I, the
+    row of a code with support s holds [s inside I] (t = 0) and then, per
+    variable j, [x_j has exponent 1, and s inside I | {j}] (t = 1 + j)."""
+    size = 1 << nvars
+    dtype = np.min_scalar_type(2 * size - 1)  # the masks, with room for bit nvars
+    outside = ~np.arange(size).astype(dtype)  # per mask I, the bits outside it
+    added = np.concatenate([[0], 1 << np.arange(nvars, dtype=np.int64)])  # per t
+    step = max(1, _CLOSURE_ELEMENTS // ((nvars + 1) * size))
+    out = []
+    for start in range(0, len(codes), step):
+        block = codes[start : start + step, None]
+        applies = (block >> nvars) & added | (added == 0)  # t = 0, or exponent 1 at x_j
+        # the support that must lie inside I; bit nvars, inside no I, where t does not apply
+        rest = np.where(applies != 0, block & (size - 1) & ~added, size).astype(dtype)
+        rows = (rest[:, :, None] & outside) == 0
+        out.append(rows.reshape(len(block), -1).astype(np.float32))
+    return tuple(out)
+
+
+def subset_criterion_batch(closures: Sequence[np.ndarray], presence: np.ndarray, nvars: int) -> np.ndarray:
     """The subset criterion (see `subset_criterion`) for many monomial sets at
-    once: row b of the boolean matrix `presence` holds the set whose monomials
-    have the pattern codes (`pattern_codes`) `codes[c]` with presence[b, c].
+    once: row b of the float32 0/1 matrix `presence` holds the set whose
+    monomials have the pattern codes c with presence[b, c], and `closures`
+    are those codes' rows (`subset_closures`), in the same order.
 
     For each set, f[t, s] marks a present pattern with support s, where t = 0
     takes any pattern and t = 1 + j only those with exponent 1 at x_j.  Its
     closure over the subset lattice, F[t, I] = OR of f[t, s] over s inside I,
     gives (a) as F[0, I], and j outside I counts for (b) exactly when
     F[1 + j, I | {j}] holds.  For j inside I that is F[1 + j, I], which
-    implies (a), so every j is counted.  Integer and boolean arithmetic only.
+    implies (a), so every j is counted.  The closure is an OR over the
+    present patterns, so G[0, I] = F[0, I] and G[1 + j, I] = F[1 + j, I | {j}]
+    are the OR, over the set's codes, of each code's own closed row: [s inside
+    I], and [exponent 1 at x_j, and s inside I | {j}].  So G is presence @
+    rows > 0, one float32 product: every term is 0 or 1, and a sum of
+    nonnegative terms is positive exactly when one of them is, whatever the
+    rounding and the order of summation.  Then I passes when G[0, I] holds or
+    at least |I| of the G[1 + j, I] do.
     """
-    size = 1 << nvars
-    support = codes & (size - 1)
-    # (source, target): pattern codes[source] sets f[t, s], flattened to t * size + s
-    coded, var = np.nonzero((codes[:, None] >> (nvars + np.arange(nvars))) & 1)
-    source = np.concatenate([np.arange(len(codes)), coded])
-    target = np.concatenate([support, (var + 1) * size + support[coded]])
-    order = np.argsort(target, kind="stable")
-    source, target = source[order], target[order]
-    starts = np.flatnonzero(np.diff(target, prepend=-1))  # each run of equal targets
-    f = np.zeros((len(presence), (nvars + 1) * size), dtype=bool)
-    if len(source):
-        f[:, target[starts]] = np.logical_or.reduceat(presence[:, source], starts, axis=1)
-    for i in range(nvars):  # close f over the subset lattice, one variable at a time
-        view = f.reshape(-1, size >> (i + 1), 2, 1 << i)
-        view[:, :, 1, :] |= view[:, :, 0, :]
-    F = f.reshape(len(presence), nvars + 1, size)
-    sizes, joined = _mask_tables(nvars)
-    counted = F[:, 1 + np.arange(nvars)[:, None], joined].sum(axis=1)
-    return (F[:, 0, :] | (counted >= sizes))[:, 1:].all(axis=1)
+    width = (nvars + 1) << nvars
+    total = np.zeros((len(presence), width), dtype=np.float32)
+    start = 0
+    for rows in closures:
+        total += presence[:, start : start + len(rows)] @ rows
+        start += len(rows)
+    G = (total > 0).reshape(len(presence), nvars + 1, 1 << nvars)
+    counted = G[:, 1:, :].sum(axis=1)
+    return (G[:, 0, :] | (counted >= _subset_sizes(nvars)))[:, 1:].all(axis=1)
 
 
 def subset_criterion(exponents: Sequence[Sequence[int]], nvars: int) -> bool:
@@ -163,8 +187,11 @@ def subset_criterion(exponents: Sequence[Sequence[int]], nvars: int) -> bool:
     if len(exponents) == 0:
         return False
     table = np.array(exponents, dtype=np.int64).reshape(len(exponents), -1)[:, :nvars]
-    codes = pattern_codes(table)  # repeated codes do no harm
-    return bool(subset_criterion_batch(codes, np.ones((1, len(codes)), dtype=bool), nvars)[0])
+    # the distinct codes, at most 3**nvars of them, as the ones lie in the support
+    codes = np.sort(pattern_codes(table))
+    codes = codes[np.diff(codes, prepend=-1) != 0]
+    presence = np.ones((1, len(codes)), dtype=np.float32)
+    return bool(subset_criterion_batch(subset_closures(codes, nvars), presence, nvars)[0])
 
 
 def general_member_quasismooth(fam: WeightedFamily, system: MonomialSystem) -> bool:

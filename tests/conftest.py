@@ -159,6 +159,40 @@ def brute_subset_criterion(exponents, nvars: int) -> bool:
     return True
 
 
+def lattice_subset_criterion_batch(codes: np.ndarray, presence: np.ndarray, nvars: int) -> np.ndarray:
+    """The subset criterion for many monomial sets at once by the closure over
+    the subset lattice, the kernel the closed rows of `subset_closures`
+    replaced: row b of the boolean matrix `presence` holds the set whose
+    monomials have the pattern codes `codes[c]` with presence[b, c].
+
+    For each set, f[t, s] marks a present pattern with support s, where t = 0
+    takes any pattern and t = 1 + j only those with exponent 1 at x_j.  Its
+    closure over the subset lattice, F[t, I] = OR of f[t, s] over s inside I,
+    is formed one variable at a time; (a) holds when F[0, I] does, and j
+    counts for (b) when F[1 + j, I | {j}] does."""
+    size = 1 << nvars
+    support = codes & (size - 1)
+    # (source, target): pattern codes[source] sets f[t, s], flattened to t * size + s
+    coded, var = np.nonzero((codes[:, None] >> (nvars + np.arange(nvars))) & 1)
+    source = np.concatenate([np.arange(len(codes)), coded])
+    target = np.concatenate([support, (var + 1) * size + support[coded]])
+    order = np.argsort(target, kind="stable")
+    source, target = source[order], target[order]
+    starts = np.flatnonzero(np.diff(target, prepend=-1))  # each run of equal targets
+    f = np.zeros((len(presence), (nvars + 1) * size), dtype=bool)
+    if len(source):
+        f[:, target[starts]] = np.logical_or.reduceat(presence[:, source], starts, axis=1)
+    for i in range(nvars):  # close f over the subset lattice, one variable at a time
+        view = f.reshape(-1, size >> (i + 1), 2, 1 << i)
+        view[:, :, 1, :] |= view[:, :, 0, :]
+    F = f.reshape(len(presence), nvars + 1, size)
+    masks = np.arange(size)
+    j = np.arange(nvars)[:, None]
+    sizes, joined = ((masks >> j) & 1).sum(axis=0), masks | (1 << j)
+    counted = F[:, 1 + j, joined].sum(axis=1)
+    return (F[:, 0, :] | (counted >= sizes))[:, 1:].all(axis=1)
+
+
 def brute_eval_batch(points: np.ndarray, monos, coeffs, p: int) -> np.ndarray:
     """sum(c * x^e) mod p at every row of `points`, one monomial at a time
     from per-variable power tables, in int64: exact while (p - 1)^2 < 2^63."""
@@ -279,12 +313,14 @@ def brute_anchor_determinants(monos, nvars: int) -> set[int]:
 
 
 def reference_oracle(fam: WeightedFamily, q: int):
-    """(status, signature, witness monomials, notes) of the signature-class
-    oracle, by its per-class, per-bucket loop: the candidate classes come
-    from the production `_canonical_rows`, and each bucket that anchors
-    every variable (`brute_anchors`) is tested alone with
+    """(status, signature, witness monomials, notes, reach) of the
+    signature-class oracle, by its per-class, per-bucket loop: the candidate
+    classes come from the production `_canonical_rows`, and each bucket that
+    anchors every variable (`brute_anchors`) is tested alone with
     `brute_subset_criterion`, classes in increasing rank and buckets in
-    increasing h.  Covers the verdicts that the class budget leaves alone."""
+    increasing h.  Covers the verdicts that the class budget leaves alone.
+    `reach` is the position of the certifying class in its block, or, for a
+    refutation, the most classes any block held (0 if none was scanned)."""
     an = as_analysis(fam)
     pp = as_prime_power(q)
     notes = an.oracle_hypotheses()
@@ -294,12 +330,13 @@ def reference_oracle(fam: WeightedFamily, q: int):
     missing = [v for v in range(nv) if not anchor_rows[v]]
     if missing:
         note = f"no pure-power or near-power monomial for variables {missing}"
-        return "refuted", None, None, notes + (note,)
+        return "refuted", None, None, notes + (note,), 0
     pinned = next(i for i, w in enumerate(fam.weights) if w % pp.p)
     E = np.array(monos, dtype=np.int64)
-    examined = 0
+    examined = reach = 0
     for _, S in _canonical_rows(pp.q, pp.p, pp.r, nv, pinned):
         examined += len(S)
+        reach = max(reach, len(S))
         dots = S @ E.T % pp.q
         # hits[c, h]: every variable has an anchor in bucket h of class c
         hits = np.ones((len(S), pp.q), dtype=bool)
@@ -312,5 +349,5 @@ def reference_oracle(fam: WeightedFamily, q: int):
             if brute_subset_criterion(bucket, nv):
                 signature = brute_canonical_full_signature(fam.weights, S[c].tolist(), pp.q)
                 note = f"classes examined: {examined}"
-                return "certified", signature, tuple(bucket), notes + (note,)
-    return "refuted", None, None, notes + (f"exhausted all {examined} signature classes",)
+                return "certified", signature, tuple(bucket), notes + (note,), int(c)
+    return "refuted", None, None, notes + (f"exhausted all {examined} signature classes",), reach

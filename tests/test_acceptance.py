@@ -35,6 +35,7 @@ from wpsauto.klein import (
     klein_quasismooth,
 )
 from wpsauto.orders import (
+    _FIRST_PREFIX,
     OrderVerdict,
     admissible_orders,
     as_analysis,
@@ -329,21 +330,32 @@ def test_oracle_matches_reference_oracle(corpus):
     # The batched oracle against the per-class, per-bucket loop it replaced
     # (conftest.reference_oracle).  Every second criterion-5 pair: a family
     # contributes 9 orders, an odd number, so each order is still compared
-    # on half of the families.
+    # on half of the families.  The oracle tests a block's classes in
+    # growing prefixes, the first of _FIRST_PREFIX classes: both a
+    # certificate found past it and a refutation whose block outgrows it
+    # must occur, so that equal notes show the prefix boundaries are crossed.
     records, _ = corpus
     t0 = time.monotonic()
     compared = {"certified": 0, "refuted": 0}
+    past_first_prefix = {"certified": 0, "refuted": 0}
     for rec in records[::2]:
         got = rec.oracle
+        *want, reach = reference_oracle(rec.fam, rec.q)
         assert (
             got.status,
             got.signature and got.signature.sigma,
             got.witness_system and got.witness_system.monomials,
             got.notes,
-        ) == reference_oracle(rec.fam, rec.q), (rec.fam, rec.q)
+        ) == tuple(want), (rec.fam, rec.q)
         compared[got.status] += 1
+        # a certificate's reach is its class's position, a refutation's its largest block
+        past_first_prefix[got.status] += reach >= _FIRST_PREFIX + (got.status == "refuted")
     assert compared["certified"] >= 500 and compared["refuted"] >= 500, compared
-    print(f"reference oracle on {compared}: PASS ({time.monotonic() - t0:.2f}s)")
+    assert past_first_prefix["certified"] >= 100 and past_first_prefix["refuted"] >= 100, past_first_prefix
+    print(
+        f"reference oracle on {compared}, past the first prefix {past_first_prefix}: "
+        f"PASS ({time.monotonic() - t0:.2f}s)"
+    )
 
 
 def test_anchors_match_the_tuple_rule(corpus):
@@ -387,7 +399,7 @@ def test_determinant_gate_refutes_as_the_scan(corpus):
         anchored += 1
         if any(det // rec.fam.degree % rec.q == 0 for det in an.anchor_determinants):
             continue
-        status, _, _, notes = reference_oracle(rec.fam, rec.q)
+        status, _, _, notes, _ = reference_oracle(rec.fam, rec.q)
         assert status == "refuted", (rec.fam, rec.q)
         assert (rec.oracle.status, rec.oracle.notes) == (status, notes), (rec.fam, rec.q)
         gated += 1
@@ -407,7 +419,7 @@ def test_descent_gate_refutes_as_the_scan(corpus):
         pp = prime_power_decompose(rec.q)
         if pp.r == 1 or (rec.fam, rec.q // pp.p) not in refuted:
             continue
-        status, _, _, notes = reference_oracle(rec.fam, rec.q)
+        status, _, _, notes, _ = reference_oracle(rec.fam, rec.q)
         assert status == "refuted", (rec.fam, rec.q)
         assert (rec.oracle.status, rec.oracle.notes) == (status, notes), (rec.fam, rec.q)
         descended += 1

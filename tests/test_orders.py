@@ -19,6 +19,7 @@ from wpsauto.orders import (
     ORACLE_CLASS_BUDGET,
     CycleChain,
     Signature,
+    _bucket_members,
     _canonical_full_signature,
     _canonical_rows,
     _verified_certificate,
@@ -664,3 +665,25 @@ def test_analysis_reads_the_enumerated_matrix():
     assert an.exponents is an.system.exponents
     assert an.exponents.tolist() == [list(e) for e in an.system.monomials]
     assert oracle_exists_order(an, 5).status in ("certified", "refuted")
+
+
+def test_bucket_members_exact_at_the_int64_edge():
+    # the largest prime q with q**3 < 2**62, the oracle's range guard at three
+    # variables: bucket sums reach 3 * (q - 1)**2, about 2**43, and the
+    # float64 membership must agree with Python integers on every pair.  Half
+    # of the buckets are those of a row, so that members occur
+    q = 1664501
+    assert q**3 < 2**62 < (q + 10) ** 3
+    rng = np.random.default_rng(0)
+    table = np.vstack([rng.integers(0, q, (300, 3)), np.full((1, 3), q - 1), np.eye(3, dtype=np.int64)])
+    sigma = np.vstack([rng.integers(0, q, (100, 3)), np.full((1, 3), q - 1)])
+    rows = rng.integers(0, len(table), len(sigma))
+    own = [sum(s * e for s, e in zip(sig, table[r].tolist())) % q for sig, r in zip(sigma.tolist(), rows)]
+    h = np.where(np.arange(len(sigma)) % 2, own, rng.integers(0, q, len(sigma)))
+    got = _bucket_members(sigma, table.T.astype(np.float64), h, q)
+    want = [
+        [sum(s * x for s, x in zip(sig, e)) % q == b for e in table.tolist()]
+        for sig, b in zip(sigma.tolist(), h.tolist())
+    ]
+    assert got.tolist() == want
+    assert got[1::2].any(axis=1).all()

@@ -15,6 +15,7 @@ from conftest import (
     brute_singular_point_search,
     brute_subset_criterion,
     families,
+    lattice_subset_criterion_batch,
     reference_oracle,
     series_monomial_count,
 )
@@ -45,10 +46,12 @@ from wpsauto.orders import (
     weight_digraph,
 )
 from wpsauto.quasismooth import (
+    _CLOSURE_ELEMENTS,
     ExplicitPolynomial,
     _LogSpace,
     pattern_codes,
     singular_point_search,
+    subset_closures,
     subset_criterion,
     subset_criterion_batch,
 )
@@ -161,9 +164,9 @@ def test_subset_criterion_permutation_invariant(exps, perm):
 
 @st.composite
 def exponent_lists(draw, min_size=0):
-    """(exponent vectors over 1-6 variables with entries 0-3, nvars); the
+    """(exponent vectors over 1-7 variables with entries 0-3, nvars); the
     vectors may repeat."""
-    nvars = draw(st.integers(1, 6))
+    nvars = draw(st.integers(1, 7))
     rows = draw(
         st.lists(
             st.lists(st.integers(0, 3), min_size=nvars, max_size=nvars),
@@ -205,16 +208,50 @@ def test_budget_messages_are_recognized(limit, what):
     assert not BudgetExceeded.describes(f"no intrinsic bound; {exc}")
 
 
-@given(st.lists(exponent_lists(min_size=1), min_size=1, max_size=6), st.integers(1, 6))
-@settings(max_examples=150, deadline=None)
-def test_batched_criterion_decides_each_row(cases, nvars):
-    # one kernel call over several sets of the same variables
-    sets = [[e[:nvars] + (0,) * (nvars - len(e)) for e in exps] for exps, _ in cases]
-    per_set = [np.unique(pattern_codes(np.array(rows, dtype=np.int64))) for rows in sets]
-    codes = np.unique(np.concatenate(per_set))
-    presence = np.array([np.isin(codes, own) for own in per_set])
-    got = subset_criterion_batch(codes, presence, nvars)
-    assert got.tolist() == [brute_subset_criterion(rows, nvars) for rows in sets]
+@st.composite
+def criterion_batches(draw):
+    """(sets, nvars): 1-40 monomial sets over 1-7 variables, each of up to 10
+    vectors drawn from one pool of at most 16, so that sets share codes."""
+    nvars = draw(st.integers(1, 7))
+    vector = st.tuples(*[st.integers(0, 3)] * nvars)
+    pool = draw(st.lists(vector, min_size=1, max_size=16))
+    sets = draw(st.lists(st.lists(st.sampled_from(pool), max_size=10), min_size=1, max_size=40))
+    return sets, nvars
+
+
+@given(criterion_batches())
+@settings(max_examples=200, deadline=None)
+def test_batched_criterion_decides_each_row(case):
+    # one kernel call over up to 40 sets of the same variables, against the
+    # retained lattice kernel and the definition.  The codes are every set's
+    # codes in turn, so a code repeats within a set and across sets, and a
+    # set holds each column of one of its codes; at 6 and 7 variables the
+    # closed rows span several matrices
+    sets, nvars = case
+    per_set = [pattern_codes(np.array(rows, dtype=np.int64).reshape(len(rows), nvars)) for rows in sets]
+    codes = np.concatenate(per_set)
+    presence = np.array([np.isin(codes, own) for own in per_set]).reshape(len(sets), len(codes))
+    want = [brute_subset_criterion(rows, nvars) for rows in sets]
+    assert lattice_subset_criterion_batch(codes, presence, nvars).tolist() == want
+    got = subset_criterion_batch(subset_closures(codes, nvars), presence.astype(np.float32), nvars)
+    assert got.tolist() == want
+
+
+def test_closed_rows_span_bounded_matrices():
+    # every code of 7 variables, 3**7 of them as the ones lie in the support:
+    # their closed rows span several matrices, none over the cap, and sets of
+    # about 2 to 220 codes each are decided as the lattice kernel decides them
+    nvars = 7
+    codes = np.arange(4**nvars)
+    codes = codes[(codes >> nvars) & ~codes & (2**nvars - 1) == 0]
+    closures = subset_closures(codes, nvars)
+    assert len(codes) == 3**nvars and len(closures) > 1
+    assert max(rows.size for rows in closures) <= _CLOSURE_ELEMENTS
+    rng = np.random.default_rng(0)
+    presence = rng.random((40, len(codes))) < np.linspace(0.001, 0.1, 40)[:, None]
+    got = subset_criterion_batch(closures, presence.astype(np.float32), nvars)
+    assert got.tolist() == lattice_subset_criterion_batch(codes, presence, nvars).tolist()
+    assert 0 < got.sum() < len(got)
 
 
 def test_subset_criterion_edge_cases():
