@@ -14,7 +14,6 @@ from .arith import (
     gcd_all,
     is_prime,
     prime_power_decompose,
-    semigroup_contains,
 )
 from .ambient import (
     MonomialSystem,
@@ -80,7 +79,6 @@ __all__ = [
     "is_prime",
     "prime_power_decompose",
     "gcd_all",
-    "semigroup_contains",
     "effective_order",
     "well_formed",
     "well_form_normalize",

@@ -9,6 +9,7 @@ preconditions by the order criteria live here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -27,6 +28,7 @@ __all__ = [
     "lin_finite",
     "is_linear_cone",
     "enumerate_monomials",
+    "rows_increase",
 ]
 
 #: Exponent vector of a monomial, one entry per variable.
@@ -81,24 +83,24 @@ class WeightedFamily:
             raise ValueError(f"cannot parse family from {text!r}: {exc}") from exc
 
 
-@dataclass(frozen=True)
 class MonomialSystem:
     """A finite, duplicate-free set of degree-d exponent vectors for one family.
 
     The monomials may be given as any sequence of integer sequences, or as
-    an integer matrix with one row per monomial; they are stored as a tuple
-    of tuples, and as the read-only matrix `exponents`.  Each entry is
-    checked for its arity, its signs, its weighted degree and for repeating
-    an earlier entry; each check yields one mask over the whole table, and
-    the first entry failing a check is named, with the first check it fails.
+    an integer matrix with one row per monomial; they are stored only as the
+    read-only matrix `exponents`, and `monomials`, their tuple of tuples of
+    Python ints, is built from it on first read.  Two systems are equal when
+    their families and their rows, in order, are.  Each entry is checked for
+    its arity, its signs, its weighted degree and for repeating an earlier
+    entry; each check yields one mask over the whole table, and the first
+    entry failing a check is named, with the first check it fails.  Rows in
+    increasing order, as enumerated tables and witnesses come, repeat none,
+    and are not sorted to look for repeats.
     """
 
-    family: WeightedFamily
-    monomials: tuple[Monomial, ...]
-
-    def __post_init__(self) -> None:
-        fam = self.family
-        given = self.monomials
+    def __init__(self, family: WeightedFamily, monomials: "Sequence[Sequence[int]] | np.ndarray") -> None:
+        fam = family
+        given = monomials
         if isinstance(given, np.ndarray) and given.shape[1:] == (fam.nvars,):
             table = given
         else:
@@ -107,8 +109,7 @@ class MonomialSystem:
             good = int(np.argmax(wrong)) if wrong.any() else len(given)
             # the entries before the first one of the wrong arity
             table = np.array(given[:good], dtype=np.int64).reshape(good, fam.nvars)
-        entries = tuple(zip(*(column.tolist() for column in table.T)))
-        n = len(entries)
+        n = len(table)
         # per check, the entries failing it; the entry after the table fails only its arity
         failing = np.zeros((4, n + 1), dtype=bool)
         failing[0, n] = n < len(given)
@@ -116,15 +117,17 @@ class MonomialSystem:
         failing[2, :n] = table @ np.array(fam.weights, dtype=np.int64) != fam.degree
         if n and int(table.max()) * max(fam.weights) * fam.nvars >= 2**63:
             # the int64 products may have wrapped (to d, even): sum them exactly
-            degrees = [sum(x * w for x, w in zip(e, fam.weights)) for e in entries]
+            degrees = [sum(x * w for x, w in zip(e, fam.weights)) for e in table.tolist()]
             failing[2, :n] = [degree != fam.degree for degree in degrees]
-        ranked = table[np.lexsort(table.T)]  # equal entries end up next to each other
-        if (ranked[1:] == ranked[:-1]).all(axis=1).any():  # then some entry repeats an earlier one
-            first = dict(zip(reversed(entries), range(n - 1, -1, -1)))  # each entry's first index
-            failing[3, :n] = np.fromiter(map(first.get, entries), dtype=np.int64, count=n) != np.arange(n)
+        if not rows_increase(table):  # else no entry repeats another
+            ranked = table[np.lexsort(table.T)]  # equal entries end up next to each other
+            if (ranked[1:] == ranked[:-1]).all(axis=1).any():  # then some entry repeats an earlier one
+                entries = list(map(tuple, table.tolist()))
+                first = dict(zip(reversed(entries), range(n - 1, -1, -1)))  # each entry's first index
+                failing[3, :n] = np.fromiter(map(first.get, entries), dtype=np.int64, count=n) != np.arange(n)
         if failing.any():
             index = int(np.argmax(failing.any(axis=0)))
-            e = entries[index] if index < n else tuple(int(x) for x in given[index])
+            e = tuple(int(x) for x in (table[index] if index < n else given[index]))
             raise ValueError(
                 (
                     f"monomial {e} has wrong arity",
@@ -133,11 +136,15 @@ class MonomialSystem:
                     f"duplicate monomial {e}",
                 )[int(np.argmax(failing[:, index]))]
             )
-        object.__setattr__(self, "monomials", entries)
         # no exponent exceeds d, so the narrowest signed type holding d holds them all
         exponents = table.astype(np.min_scalar_type(-fam.degree - 1))
         exponents.flags.writeable = False  # shared by every reader
-        object.__setattr__(self, "_exponents", exponents)
+        self._family = fam
+        self._exponents = exponents
+
+    @property
+    def family(self) -> WeightedFamily:
+        return self._family
 
     @property
     def exponents(self) -> np.ndarray:
@@ -145,11 +152,36 @@ class MonomialSystem:
         integer type that holds d."""
         return self._exponents
 
+    @cached_property
+    def monomials(self) -> tuple[Monomial, ...]:
+        """The rows of `exponents` as a tuple of tuples of Python ints."""
+        return tuple(zip(*(column.tolist() for column in self._exponents.T)))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, MonomialSystem):
+            return NotImplemented
+        return self._family == other._family and np.array_equal(self._exponents, other._exponents)
+
+    def __hash__(self) -> int:
+        return hash((self._family, self._exponents.shape, self._exponents.tobytes()))
+
+    def __repr__(self) -> str:
+        return f"MonomialSystem(family={self._family!r}, monomials={self.monomials!r})"
+
     def __len__(self) -> int:
-        return len(self.monomials)
+        return len(self._exponents)
 
     def __iter__(self) -> Iterator[Monomial]:
         return iter(self.monomials)
+
+
+def rows_increase(table: np.ndarray) -> bool:
+    """Whether each row of an integer matrix is lexicographically larger than
+    the one before it: then no row repeats another."""
+    later, earlier = table[1:], table[:-1]
+    greater = later > earlier
+    first = (greater | (later < earlier)).argmax(axis=1)  # where two rows first differ, if they do
+    return bool(greater[np.arange(len(first)), first].all())
 
 
 def well_formed(fam: WeightedFamily) -> bool:

@@ -17,9 +17,9 @@ __all__ = [
     "PrimePowerOrder",
     "as_prime_power",
     "is_prime",
+    "PRIMALITY_LIMIT",
     "prime_power_decompose",
     "gcd_all",
-    "semigroup_contains",
     "semigroup_reachable",
     "effective_order",
     "linear_congruence_solutions",
@@ -29,7 +29,9 @@ __all__ = [
 
 # Witnesses proving Miller-Rabin deterministic for n < 3.317e24 (Sorenson-Webster).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+#: `is_prime` decides every n below this, and raises ValueError from it on.
+PRIMALITY_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
@@ -41,8 +43,8 @@ def is_prime(n: int) -> bool:
     """
     if n < 0:
         raise ValueError("is_prime expects a nonnegative integer")
-    if n >= _MR_LIMIT:
-        raise ValueError(f"deterministic primality is only supported below {_MR_LIMIT}")
+    if n >= PRIMALITY_LIMIT:
+        raise ValueError(f"deterministic primality is only supported below {PRIMALITY_LIMIT}")
     if n < 2:
         return False
     for p in _MR_WITNESSES:
@@ -155,13 +157,6 @@ def semigroup_reachable(generators: Iterable[int], limit: int) -> list[bool]:
             if table[k - g]:
                 table[k] = True
     return table
-
-
-def semigroup_contains(generators: Iterable[int], target: int) -> bool:
-    """Whether target is a nonnegative integer combination of the generators."""
-    if target < 0:
-        raise ValueError("target must be nonnegative")
-    return semigroup_reachable(generators, target)[target]
 
 
 def effective_order(sigma: Sequence[int], a: Sequence[int], q: int) -> int:

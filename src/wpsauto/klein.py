@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .ambient import WeightedFamily
-from .arith import is_prime
+from .arith import PRIMALITY_LIMIT, is_prime
 from .cycles import simple_cycles
 from .errors import HypothesisViolated, NoKleinHypersurface
 from .orders import CycleChain, FamilyAnalysis, as_analysis, chain_from_cycle, signature_from_chain
@@ -67,7 +67,10 @@ class MaxPrimeResult:
     """Outcome of the maximal-prime computation: a value or a reason it fails."""
 
     value: Optional[int]
-    reason: Optional[str]  # "not-integral" | "not-prime" | "not-greater-than-d"
+    # "not-integral" | "not-prime" | "not-greater-than-d", or "beyond-primality-limit"
+    # for a candidate at or above `arith.PRIMALITY_LIMIT`, which no exact
+    # primality test here decides
+    reason: Optional[str]
     candidate: Optional[int] = None  # the integer tested, when integral
 
 
@@ -149,7 +152,8 @@ def klein_max_prime(fam: "WeightedFamily | FamilyAnalysis") -> MaxPrimeResult:
 
     Requires a Klein ordering and weights coprime to the degree.  Returns
     the value only when the division is exact and the result is a prime
-    exceeding d; otherwise the reason code tells which test failed.
+    exceeding d; otherwise the reason code tells which test failed, or that
+    the candidate is too large for `is_prime` to decide.
     """
     an = as_analysis(fam)
     fam = an.family
@@ -163,6 +167,8 @@ def klein_max_prime(fam: "WeightedFamily | FamilyAnalysis") -> MaxPrimeResult:
     if numer % fam.degree != 0:
         return MaxPrimeResult(None, "not-integral")
     candidate = numer // fam.degree
+    if candidate >= PRIMALITY_LIMIT:
+        return MaxPrimeResult(None, "beyond-primality-limit", candidate)
     if candidate < 2 or not is_prime(candidate):
         return MaxPrimeResult(None, "not-prime", candidate)
     if candidate <= fam.degree:
@@ -182,7 +188,7 @@ def klein_eigenspace_check(fam: "WeightedFamily | FamilyAnalysis") -> bool:
     result = klein_max_prime(an)
     if result.value is None:
         raise HypothesisViolated(f"maximal prime unavailable: {result.reason}")
-    invariant = {an.system.monomials[r] for r in _invariant_rows(an, result.value)}
+    invariant = set(map(tuple, an.exponents[_invariant_rows(an, result.value)].tolist()))
     return invariant == set(an.klein.monomials)
 
 

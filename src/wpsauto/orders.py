@@ -20,20 +20,24 @@ representative per equivalence class, the lexicographically least member of
 its unit orbit.  Only a vector whose first nonzero entry is a power of p can
 be least, so the oracle builds those candidates alone, in increasing rank,
 and decides each in one closed-form pass over its entries (see
-`_canonical_rows`).  A class certifies q only if q divides det K / d, K the
-matrix of the anchor monomials (x_v^k or x_v^k * x_j, one per variable) of
-its bucket, so before it scans, the oracle refutes every q that divides
-none of the family's quotients det K / d (`FamilyAnalysis.anchor_determinants`,
-a closed form over the functional graph the anchors define): for the
-weighted Klein hypersurface, one of them is its maximal prime.  Nor does
+`_canonical_blocks`).  A slice of at most `_CHUNK` ranks depends only on
+(q, nvars, pinned): `_canonical_rows` keeps its rows, read-only, for every
+later call in the process, as long as all it keeps fits in
+`_SLICE_CACHE_BYTES`.  A class certifies q only if q divides det K / d, K
+the matrix of the anchor monomials (x_v^k or x_v^k * x_j, one per
+variable) of its bucket, so before it scans, the oracle refutes every q
+that divides none of the family's quotients det K / d
+(`FamilyAnalysis.anchor_determinants`, a closed form over the functional
+graph the anchors define): for the weighted Klein hypersurface, one of
+them is its maximal prime.  Nor does
 it scan for p**r once it has refuted p**(r-1) for the same analysis, as a
 class certifying p**r reduces to one certifying p**(r-1).  It tests
 a block of candidates in prefixes that grow fourfold, so that a class
 certifying early in its block costs what its prefix costs; within a prefix,
 the eigenvalue buckets of all its classes are formed by one exact float64
 matrix product (`_bucket_members`) and decided together, one float32 product
-per chunk of buckets, against closed rows built once per call from the
-pattern codes of the monomial table (`subset_closures`).
+per chunk of buckets, against closed rows built once per analysis from the
+pattern codes of the monomial table (`FamilyAnalysis.closures`).
 
 Everything that depends on (a, d) alone lives in one `FamilyAnalysis` per
 family and set of budgets (`family_analysis`): the hypothesis flags, the
@@ -41,16 +45,19 @@ bounds and the prime routing they decide, the monomial table, the weight
 digraph with its cycle chains, the anchors (read off the digraph and the
 pure powers, never off the table) and their determinants, and the Klein
 data.  Only the oracle's bucket test reads the table rows' pattern codes
-(their support and exponent-one bitmasks).  The three budgets (monomials,
-cycles, oracle classes) are fields of the analysis, never process-wide
-settings.  Functions taking a family also accept its analysis, and then
-use the analysis' budgets; given a family, they use the default budgets.
+(their support and exponent-one bitmasks) and their closed rows.  The
+three budgets (monomials, cycles, oracle classes) are fields of the
+analysis, never process-wide settings.  Functions taking a family also
+accept its analysis, and then use the analysis' budgets; given a family,
+they use the default budgets.
 `order_verdict` is the one routing path from (family or analysis, q) to a
 verdict, and `_verified_certificate` the one place that builds a certified
 verdict, after re-checking its witness, induced order and bucket.
 The oracle's scan grows with the signature classes it examines, not with q,
 so its class budget bounds it; not so `_canonical_full_signature`, which
-builds a certificate from all q translates in O(q * p**k), p**k < q.
+builds a certificate from all q translates in O(q * p**k), p**k < q, but
+only when p divides a_0: otherwise the class pinned at 0 is its own
+canonical signature.
 """
 
 from __future__ import annotations
@@ -71,6 +78,7 @@ from .ambient import (
     is_linear_cone,
     lin_finite,
     mm_hypothesis,
+    rows_increase,
     well_formed,
 )
 from .arith import (
@@ -82,7 +90,13 @@ from .arith import (
 )
 from .cycles import CYCLE_BUDGET, simple_cycles
 from .errors import BudgetExceeded, HypothesisViolated
-from .quasismooth import pattern_codes, subset_closures, subset_criterion, subset_criterion_batch
+from .quasismooth import (
+    distinct_codes,
+    pattern_codes,
+    subset_closures,
+    subset_criterion,
+    subset_criterion_batch,
+)
 
 __all__ = [
     "CycleChain",
@@ -355,7 +369,7 @@ def _chain_criteria(
         sigma = signature_from_chain(fam, chain, qq).padded().sigma
         if effective_order(sigma, fam.weights, qq) != qq:
             continue
-        witness = chain.monomials(nv) + [an.system.monomials[r] for r in comp_rows]
+        witness = np.vstack([np.array(chain.monomials(nv), dtype=np.int64), an.exponents[comp_rows]])
         return _verified_certificate(fam, qq, "sufficient-condition", sigma, witness, chain), chain
     return None, first
 
@@ -404,10 +418,12 @@ def _verified_certificate(
         buckets = np.array([sum(s * x for s, x in zip(sig.sigma, e)) % q for e in table.tolist()])
     if (buckets != buckets[0]).any():
         raise AssertionError(f"constructed witness for q={q} spans several eigenvalue buckets")
-    table = table[np.lexsort(table.T[::-1])]
-    distinct = np.ones(len(table), dtype=bool)
-    distinct[1:] = (table[1:] != table[:-1]).any(axis=1)
-    witness = MonomialSystem(fam, table[distinct])
+    if not rows_increase(table):  # rows gathered from a monomial table already do
+        table = table[np.lexsort(table.T[::-1])]
+        distinct = np.ones(len(table), dtype=bool)
+        distinct[1:] = (table[1:] != table[:-1]).any(axis=1)
+        table = table[distinct]
+    witness = MonomialSystem(fam, table)
     return OrderVerdict(CERTIFIED, q, provenance, chain, sig, witness, notes)
 
 
@@ -512,10 +528,11 @@ class FamilyAnalysis:
     Each field is computed on first use and kept, except one that raises (a
     budget exceeded, a hypothesis violated): it raises again when used again.
     The anchors come from the digraph, not from the monomial table, whose
-    pattern codes serve only the oracle's bucket test.  Get instances from
-    `family_analysis`.  `oracle_refuted` is not a field of the family but a
-    record of the oracle's calls: the orders it has refuted so far, which
-    refute their multiples by p at once (`oracle_exists_order`).
+    pattern codes and their closed rows serve only the oracle's bucket
+    test.  Get instances from `family_analysis`.  `oracle_refuted` is not a
+    field of the family but a record of the oracle's calls: the orders it
+    has refuted so far, which refute their multiples by p at once
+    (`oracle_exists_order`).
     """
 
     family: WeightedFamily
@@ -598,11 +615,19 @@ class FamilyAnalysis:
         """(codes, index): the distinct `pattern_codes` of the table rows in
         increasing order, and the position in `codes` of each row's code;
         the oracle's bucket test reads them."""
-        # not np.unique, whose first call imports numpy.ma (35 ms per process)
         row_codes = pattern_codes(self.exponents)
-        codes = np.sort(row_codes)
-        codes = codes[np.diff(codes, prepend=-1) != 0]
+        codes = distinct_codes(row_codes)
         return codes, np.searchsorted(codes, row_codes).astype(np.min_scalar_type(len(codes)))
+
+    @cached_property
+    def closures(self) -> tuple[np.ndarray, ...]:
+        """The closed rows of the distinct pattern codes (`patterns`), as
+        `subset_closures` builds them: read-only, and shared by every oracle
+        call on this analysis."""
+        out = subset_closures(self.patterns[0], self.family.nvars)
+        for rows in out:
+            rows.flags.writeable = False
+        return out
 
     @cached_property
     def anchors(self) -> tuple[np.ndarray, ...]:
@@ -788,7 +813,41 @@ def _candidate_segments(q: int, p: int, r: int, m: int):
         yield segments
 
 
+#: Bytes of canonical-row blocks that `_canonical_rows` keeps across calls.
+_SLICE_CACHE_BYTES = 8 << 20
+
+#: (q, nvars, pinned) -> the read-only blocks of that one-block slice, for
+#: the first slices read whose bytes fit in _SLICE_CACHE_BYTES together.
+_slice_cache: dict[tuple[int, int, int], tuple[tuple[np.ndarray, np.ndarray], ...]] = {}
+
+
+def _nbytes(blocks) -> int:
+    return sum(array.nbytes for block in blocks for array in block)
+
+
 def _canonical_rows(q: int, p: int, r: int, nv: int, pinned: int):
+    """The (ranks, rows) blocks of `_canonical_blocks`, kept for a slice of
+    at most `_CHUNK` ranks.
+
+    Such a slice is one block (or none), and depends only on (q, nv,
+    pinned): its blocks are built once, made read-only and kept for every
+    later call, as long as all the blocks kept fit in `_SLICE_CACHE_BYTES`.
+    A slice that does not fit is built each time, and a larger slice is
+    built one block at a time."""
+    if q ** (nv - 1) > _CHUNK:
+        return _canonical_blocks(q, p, r, nv, pinned)
+    key = (q, nv, pinned)
+    if key not in _slice_cache:
+        blocks = tuple(_canonical_blocks(q, p, r, nv, pinned))
+        for array in (array for block in blocks for array in block):
+            array.flags.writeable = False  # shared by every later call
+        if _nbytes(blocks) + sum(map(_nbytes, _slice_cache.values())) > _SLICE_CACHE_BYTES:
+            return blocks
+        _slice_cache[key] = blocks
+    return _slice_cache[key]
+
+
+def _canonical_blocks(q: int, p: int, r: int, nv: int, pinned: int):
     """Yield (ranks, rows) blocks holding, in increasing rank, exactly the
     rows of the slice {S mod q = p**r : S[pinned] = 0} that have full order
     and are lexicographically least in their unit orbit; a row's rank is its
@@ -873,8 +932,10 @@ def oracle_exists_order(fam: "WeightedFamily | FamilyAnalysis", q: "int | PrimeP
     class are those of the anchors of the variable with the fewest, S @
     E[rows].T mod q; a candidate is hit when every other variable has an
     anchor in it too, which takes (anchors of the first) x (anchors of the
-    other) comparisons per class and variable, whatever q is.  The classes
-    of a block are tested in prefixes: the first `_FIRST_PREFIX` rows, then
+    other) comparisons per class and variable, whatever q is.  A slice of
+    at most `_CHUNK` ranks is one block, built once and kept for later calls
+    (`_canonical_rows`, under `_SLICE_CACHE_BYTES`).  The classes of a
+    block are tested in prefixes: the first `_FIRST_PREFIX` rows, then
     up to four times that, and so on, each prefix the rows after the last.
     The hit (class, h) pairs of a prefix are decided together, in chunks of
     at most about `_BUCKET_ELEMENTS` array elements.  A chunk's bucket
@@ -882,16 +943,21 @@ def oracle_exists_order(fam: "WeightedFamily | FamilyAnalysis", q: "int | PrimeP
     exponents reduced mod q, exact below the int64 guard on q (proof in
     `_bucket_members`); which pattern codes each bucket holds is then
     decided by one `subset_criterion_batch` call, a float32 product with
-    the closed rows of the table's distinct codes (`subset_closures`), built
-    once per call.  The winner is the first passing pair in increasing
-    class rank and then increasing h, as if buckets were tried one by one:
-    prefixes, chunks and the pairs in them all follow that order, so the
-    first prefix with a passing pair holds the winner, and no later class
-    needs a test.  Only the winner's monomials are gathered, and
-    `_verified_certificate` re-checks them and the induced order.  The note
-    "classes examined: N" counts the classes whose rank lies below the end
-    of the `_CHUNK`-row block of the slice that holds the certifying class,
-    however few of them its prefixes reached; a refutation tests them all.
+    the closed rows of the table's distinct codes (`FamilyAnalysis.closures`),
+    built once per analysis.  The winner is the first passing pair in
+    increasing class rank and then increasing h, as if buckets were tried
+    one by one: prefixes, chunks and the pairs in them all follow that
+    order, so the first prefix with a passing pair holds the winner, and no
+    later class needs a test.  Only the winner's monomials are gathered,
+    and `_verified_certificate` re-checks them and the induced order.  The
+    reported signature is the winner's canonical one
+    (`_canonical_full_signature`), which for i* = 0 is the winner itself:
+    it is least in its unit orbit and has 0 first, while every other
+    translate, and each unit multiple of one, has the nonzero first entry
+    u * c * a_0, a_0 a unit.  The note "classes examined: N" counts the
+    classes whose rank lies below the end of the `_CHUNK`-row block of the
+    slice that holds the certifying class, however few of them its prefixes
+    reached; a refutation tests them all.
     q is refuted only after every class is ruled out: by the scan, or at
     once by one of two gates.  The quotient gate reads the anchor
     determinants (`FamilyAnalysis.anchor_determinants`).  Let a class sigma
@@ -976,7 +1042,6 @@ def oracle_exists_order(fam: "WeightedFamily | FamilyAnalysis", q: "int | PrimeP
     i_star = _first_unit_weight_index(fam, p)
     E_T = (an.exponents.astype(np.int64) % qq).T.astype(np.float64)
     codes, code_of_row = an.patterns
-    closures = subset_closures(codes, nv)
     # the variable with the fewest anchors first: its buckets are the candidates
     base_T, *others_T = sorted((rows.T % qq for rows in an.anchors), key=lambda a: a.shape[1])
     chunk = max(1, _BUCKET_ELEMENTS // max(E_T.shape[1], (nv + 1) << nv))
@@ -999,7 +1064,7 @@ def oracle_exists_order(fam: "WeightedFamily | FamilyAnalysis", q: "int | PrimeP
             presence = np.zeros((len(cls), len(codes)), dtype=np.float32)
             pair, row = np.nonzero(members)
             presence[pair, code_of_row[row]] = 1
-            passed = np.flatnonzero(subset_criterion_batch(closures, presence, nv))
+            passed = np.flatnonzero(subset_criterion_batch(an.closures, presence, nv))
             if passed.size:
                 return cls[passed[0]], members[passed[0]]
         return None
@@ -1013,7 +1078,7 @@ def oracle_exists_order(fam: "WeightedFamily | FamilyAnalysis", q: "int | PrimeP
             if won is not None:
                 sigma = S[start + won[0]].tolist()
                 exps = an.exponents[won[1]]
-                canon = _canonical_full_signature(fam.weights, sigma, qq)
+                canon = sigma if i_star == 0 else _canonical_full_signature(fam.weights, sigma, qq)
                 note = f"classes examined: {examined}"
                 return _verified_certificate(fam, qq, "oracle", canon, exps, notes=hyp_notes + (note,))
             start, stop = stop, 4 * stop

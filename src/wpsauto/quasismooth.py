@@ -47,6 +47,7 @@ __all__ = [
     "subset_criterion_batch",
     "subset_closures",
     "pattern_codes",
+    "distinct_codes",
     "required_monomial",
     "singular_point_search",
     "random_member",
@@ -105,6 +106,16 @@ def pattern_codes(exponents: np.ndarray) -> np.ndarray:
     power.  These two masks are all the subset criterion reads of a monomial."""
     bits = 1 << np.arange(exponents.shape[1], dtype=np.int64)
     return ((exponents > 0) @ bits) | (((exponents == 1) @ bits) << exponents.shape[1])
+
+
+def distinct_codes(codes: np.ndarray) -> np.ndarray:
+    """The distinct values of an integer array, in increasing order; not
+    np.unique, whose first call imports numpy.ma (35 ms per process)."""
+    codes = np.sort(codes)
+    keep = np.empty(len(codes), dtype=bool)
+    keep[:1] = True
+    np.not_equal(codes[1:], codes[:-1], out=keep[1:])
+    return codes[keep]
 
 
 @lru_cache(maxsize=None)
@@ -188,8 +199,7 @@ def subset_criterion(exponents: Sequence[Sequence[int]], nvars: int) -> bool:
         return False
     table = np.array(exponents, dtype=np.int64).reshape(len(exponents), -1)[:, :nvars]
     # the distinct codes, at most 3**nvars of them, as the ones lie in the support
-    codes = np.sort(pattern_codes(table))
-    codes = codes[np.diff(codes, prepend=-1) != 0]
+    codes = distinct_codes(pattern_codes(table))
     presence = np.ones((1, len(codes)), dtype=np.float32)
     return bool(subset_criterion_batch(subset_closures(codes, nvars), presence, nvars)[0])
 
@@ -200,7 +210,7 @@ def general_member_quasismooth(fam: WeightedFamily, system: MonomialSystem) -> b
         raise EmptySystem("the monomial system is empty")
     if system.family != fam:
         raise ValueError("system was built for a different family")
-    return subset_criterion(system.monomials, fam.nvars)
+    return subset_criterion(system.exponents, fam.nvars)
 
 
 def required_monomial(system: MonomialSystem, i: int) -> Optional[Monomial]:
@@ -224,6 +234,11 @@ def required_monomial(system: MonomialSystem, i: int) -> Optional[Monomial]:
     return best
 
 
+def _row(system: MonomialSystem, index: int) -> Monomial:
+    """Row `index` of the system as a tuple of Python ints, for a message."""
+    return tuple(system.exponents[index].tolist())
+
+
 @dataclass(frozen=True)
 class ExplicitPolynomial:
     """A member of a monomial system: one nonzero integer coefficient per
@@ -238,7 +253,7 @@ class ExplicitPolynomial:
         if len(coeffs) != len(self.system):
             raise ValueError(f"{len(coeffs)} coefficients given for {len(self.system)} monomials")
         if 0 in coeffs:
-            raise ValueError(f"zero coefficient stored for {self.system.monomials[coeffs.index(0)]}")
+            raise ValueError(f"zero coefficient stored for {_row(self.system, coeffs.index(0))}")
         object.__setattr__(self, "coefficients", coeffs)
 
 
@@ -246,7 +261,7 @@ def random_member(system: MonomialSystem, seed: int = 0, coeff_bound: int = 10**
     """A member of the system with seeded random coefficients in [1, coeff_bound],
     drawn one per monomial in the system's order."""
     rng = random.Random(seed)
-    return ExplicitPolynomial(system, tuple(rng.randint(1, coeff_bound) for _ in system.monomials))
+    return ExplicitPolynomial(system, tuple(rng.randint(1, coeff_bound) for _ in range(len(system))))
 
 
 @dataclass(frozen=True)
@@ -458,7 +473,7 @@ def singular_point_search(
     nv = poly.system.family.nvars
     c = [x % p for x in poly.coefficients]
     if 0 in c:
-        raise CoefficientCollision(f"coefficient of {poly.system.monomials[c.index(0)]} vanishes mod {p}")
+        raise CoefficientCollision(f"coefficient of {_row(poly.system, c.index(0))} vanishes mod {p}")
     E = poly.system.exponents.astype(np.int64)
     c = np.array(c, dtype=np.int64)
     polys = [(E, c), *_partials(E, c, p)]

@@ -96,7 +96,7 @@ def verdict_json(verdict: OrderVerdict) -> dict[str, Any]:
         signature = [s for s in verdict.signature.sigma]
     witness = None
     if verdict.witness_system is not None:
-        witness = [list(e) for e in verdict.witness_system.monomials]
+        witness = verdict.witness_system.exponents.tolist()
     return {
         "q": verdict.q,
         "status": verdict.status,

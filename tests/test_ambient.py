@@ -19,6 +19,7 @@ from wpsauto.ambient import (
     well_formed,
 )
 from wpsauto.errors import BudgetExceeded, NotNormalizable
+from wpsauto.orders import order_verdict
 
 
 class TestWeightedFamily:
@@ -286,6 +287,34 @@ class TestMonomialSystem:
             assert system.monomials == ((4, 0, 0), (0, 2, 1))
             assert all(type(x) is int for e in system.monomials for x in e)
         assert MonomialSystem(fam, ()).monomials == ()
+
+    def test_monomials_are_tuples_of_python_ints(self):
+        # built from the matrix on first read, for tables and witnesses alike
+        fam = WeightedFamily((1, 1, 2), 4)
+        witness = order_verdict(fam, 3).witness_system
+        for system in (enumerate_monomials(fam), witness, MonomialSystem(fam, np.array([[0, 0, 2]], dtype=np.int8))):
+            assert type(system.monomials) is tuple
+            assert all(type(e) is tuple and all(type(x) is int for x in e) for e in system.monomials)
+            assert [list(e) for e in system.monomials] == system.exponents.tolist()
+            assert system.monomials is system.monomials
+
+    def test_equality_and_hash_follow_the_rows(self):
+        fam = WeightedFamily((1, 1, 2), 4)
+        system = MonomialSystem(fam, ((4, 0, 0), (0, 2, 1)))
+        for same in (np.array([[4, 0, 0], [0, 2, 1]]), [[4, 0, 0], [0, 2, 1]]):
+            assert MonomialSystem(fam, same) == system
+            assert hash(MonomialSystem(fam, same)) == hash(system)
+        others = [
+            MonomialSystem(fam, ((4, 0, 0),)),
+            MonomialSystem(fam, ((0, 2, 1), (4, 0, 0))),  # the same rows in another order
+            MonomialSystem(fam, ((4, 0, 0), (0, 0, 2))),
+            MonomialSystem(fam, ()),
+            MonomialSystem(WeightedFamily((1, 1, 1), 4), ((4, 0, 0), (0, 2, 2))),
+        ]
+        for other in others:
+            assert other != system
+        assert len({hash(s) for s in [system, *others]}) == 1 + len(others)
+        assert system != system.monomials
 
     @pytest.mark.parametrize("degree, dtype", [(127, np.int8), (128, np.int16), (32768, np.int32)])
     def test_exponent_matrix_holds_d(self, degree, dtype):

@@ -11,7 +11,7 @@ from wpsauto.arith import (
     prime_power_decompose,
     prime_powers_up_to,
     primes_up_to,
-    semigroup_contains,
+    semigroup_reachable,
 )
 from wpsauto.errors import EmptyInput, NotAPrimePower
 
@@ -89,6 +89,11 @@ class TestGcdAll:
     def test_empty(self):
         with pytest.raises(EmptyInput):
             gcd_all([])
+
+
+def semigroup_contains(generators, target):
+    """Whether target is a sum of the generators, read off `semigroup_reachable`."""
+    return semigroup_reachable(generators, target)[target]
 
 
 class TestSemigroupContains:

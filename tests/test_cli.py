@@ -10,6 +10,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+import wpsauto.ambient
 import wpsauto.cli
 from wpsauto import orders
 from wpsauto.cli import main
@@ -165,6 +166,31 @@ def test_klein_subcommand(capsys):
     for weights, degree in (("1,1,1,1", "2"), ("1,1,2,2", "3")):
         code, out, _ = run_cli(capsys, "klein", "--weights", weights, "--degree", degree)
         assert json.loads(out)["klein"]["quasi_smooth"] is False
+
+
+# (1,1,1) d = 10**17 - 1: the Klein candidate (m**3 + 1) / d, m = d - 1, is
+# about 10**34, past the range where `is_prime` is exact
+HUGE_KLEIN = ("--weights", "1,1,1", "--degree", "99999999999999999")
+
+
+def test_klein_reports_a_candidate_beyond_the_primality_limit(capsys):
+    code, out, err = run_cli(capsys, "klein", *HUGE_KLEIN)
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    jsonschema.validate(report, SCHEMA)
+    assert report["klein"]["max_prime"] == {"value": None, "reason": "beyond-primality-limit"}
+    assert report["klein"]["eigenspace"] is None
+
+
+def test_orders_reports_a_klein_candidate_beyond_the_primality_limit(capsys):
+    # the Klein section no longer raises; the monomial budget, not the
+    # candidate, leaves both orders of this n = 1 family unresolved
+    code, out, err = run_cli(capsys, "orders", *HUGE_KLEIN, "--max-order", "3")
+    assert (code, err) == (2, "")
+    report = json.loads(out)
+    jsonschema.validate(report, SCHEMA)
+    assert report["klein"]["max_prime"]["reason"] == "beyond-primality-limit"
+    assert [(v["q"], v["status"]) for v in report["verdicts"]] == [(2, "unresolved"), (3, "unresolved")]
 
 
 def test_scan_single_record(tmp_path, capsys):
@@ -656,6 +682,57 @@ def test_check_bytes_do_not_depend_on_an_earlier_sweep(capsys, monkeypatch):
 
     monkeypatch.setattr(orders, "_canonical_rows", no_scan)
     assert run_cli(capsys, "check", *family, "--order", "64") == alone
+    family_analysis.cache_clear()
+
+
+def test_report_bytes_are_the_same_with_cold_and_warm_caches(capsys, monkeypatch):
+    # the pinned requests, first with every cache empty, then again with
+    # the analyses and canonical-row slices the first pass left, and then
+    # with the slices alone
+    def replay():
+        return [run_cli(capsys, *argv) for argv, _, _ in PINNED_REPORTS]
+
+    monkeypatch.setattr(orders, "_slice_cache", {})
+    family_analysis.cache_clear()
+    cold = replay()
+    assert orders._slice_cache
+    assert replay() == cold
+    family_analysis.cache_clear()
+    assert replay() == cold
+    family_analysis.cache_clear()
+
+
+def test_a_patched_canonical_rows_sees_a_warm_slice(capsys, monkeypatch):
+    # (1,1,1,1) d=4 at q = 7 scans a slice of 343 ranks, which the first
+    # request keeps; a fresh analysis scans it again, through _canonical_rows
+    family = ("--weights", "1,1,1,1", "--degree", "4")
+    monkeypatch.setattr(orders, "_slice_cache", {})
+    family_analysis.cache_clear()
+    first = run_cli(capsys, "check", *family, "--order", "7")
+    assert list(orders._slice_cache) == [(7, 4, 0)]
+    scanned = []
+
+    def counted_rows(*args):
+        scanned.append(args)
+        return canonical_rows(*args)
+
+    monkeypatch.setattr(orders, "_canonical_rows", counted_rows)
+    family_analysis.cache_clear()
+    assert run_cli(capsys, "check", *family, "--order", "7") == first
+    assert scanned == [(7, 7, 1, 4, 0)]
+    family_analysis.cache_clear()
+
+
+def test_requests_read_only_the_exponent_matrices(capsys, monkeypatch):
+    # no report needs a table's or a witness's tuple form
+    def tuple_form(system):
+        raise AssertionError("a request built MonomialSystem.monomials")
+
+    monkeypatch.setattr(wpsauto.ambient.MonomialSystem, "monomials", property(tuple_form))
+    family_analysis.cache_clear()
+    for argv, code, _ in PINNED_REPORTS:
+        assert run_cli(capsys, *argv)[0] == code, argv
+    assert run_cli(capsys, "check", "--weights", "1,1,1,1", "--degree", "4", "--order", "7")[0] == 0
     family_analysis.cache_clear()
 
 

@@ -38,7 +38,7 @@ from wpsauto.orders import (
     sufficient_condition,
     weight_digraph,
 )
-from wpsauto.quasismooth import general_member_quasismooth, required_monomial
+from wpsauto.quasismooth import general_member_quasismooth, required_monomial, subset_closures
 
 COUNTEREXAMPLE = WeightedFamily((3, 7, 2, 4, 5), 37)
 SEXTIC = WeightedFamily((1, 1, 1, 2, 3), 6)
@@ -590,19 +590,44 @@ def _pinned_slice(q, nv, pinned):
 
 
 class TestCanonicalRows:
-    def test_matches_minimum_over_all_units(self):
-        # nv = 5 reaches r = 4 (q = 16) with four free columns
-        for nv, max_q in ((3, 223), (4, 36), (5, 16)):
-            for pp in prime_powers_up_to(max_q):
+    def test_matches_minimum_over_all_units(self, monkeypatch):
+        # nv = 5 reaches r = 4 (q = 16) with four free columns; each slice is
+        # read cold and then warm, from the memo when it has at most _CHUNK
+        # ranks.  At nv = 4, q = 43, 47 and 49 have more, and are not kept
+        monkeypatch.setattr(orders, "_slice_cache", {})
+        for nv, max_q in ((3, 223), (4, 36), (5, 16), (4, 49)):
+            for pp in prime_powers_up_to(max_q)[-3:] if max_q == 49 else prime_powers_up_to(max_q):
                 for pinned in range(nv):
                     S = _pinned_slice(pp.q, nv, pinned)
                     full_order = (S % pp.p != 0).any(axis=1)
                     want = np.flatnonzero(full_order & brute_canonical_mask(S, pp.q))
-                    blocks = list(_canonical_rows(pp.q, pp.p, pp.r, nv, pinned))
-                    ranks = np.concatenate([ranks for ranks, _ in blocks])
-                    rows = np.concatenate([rows for _, rows in blocks])
-                    assert np.array_equal(ranks, want), (pp.q, nv, pinned)
-                    assert np.array_equal(rows, S[want]), (pp.q, nv, pinned)
+                    memoised = pp.q ** (nv - 1) <= orders._CHUNK
+                    for warm in (False, True):
+                        blocks = list(_canonical_rows(pp.q, pp.p, pp.r, nv, pinned))
+                        ranks = np.concatenate([ranks for ranks, _ in blocks])
+                        rows = np.concatenate([rows for _, rows in blocks])
+                        assert np.array_equal(ranks, want), (pp.q, nv, pinned, warm)
+                        assert np.array_equal(rows, S[want]), (pp.q, nv, pinned, warm)
+                        assert ((pp.q, nv, pinned) in orders._slice_cache) == memoised
+                        if memoised:
+                            assert all(not a.flags.writeable for block in blocks for a in block)
+
+    def test_memo_holds_no_more_than_its_cap(self, monkeypatch):
+        monkeypatch.setattr(orders, "_slice_cache", {})
+        three, two = (list(orders._canonical_blocks(q, q, 1, 3, 0)) for q in (3, 2))
+        monkeypatch.setattr(orders, "_SLICE_CACHE_BYTES", orders._nbytes(three) + orders._nbytes(two))
+        kept = _canonical_rows(3, 3, 1, 3, 0)
+        for q, pinned in ((2, 0), (2, 1), (7, 0), (3, 0)):
+            _canonical_rows(q, q, 1, 3, pinned)
+        # the cap is full after the first two slices, so (2, 1) is not held,
+        # nor (7, 0), larger than the whole cap; what is held is not rebuilt
+        assert list(orders._slice_cache) == [(3, 3, 0), (2, 3, 0)]
+        assert _canonical_rows(3, 3, 1, 3, 0) is kept
+        for q, pinned in ((2, 1), (7, 0)):
+            got, want = _canonical_rows(q, q, 1, 3, pinned), list(orders._canonical_blocks(q, q, 1, 3, pinned))
+            assert [[a.tolist() for a in block] for block in got] == [[a.tolist() for a in block] for block in want]
+            assert all(not a.flags.writeable for block in got for a in block)
+        assert orders._nbytes(want) > orders._SLICE_CACHE_BYTES
 
 
 class TestCanonicalFullSignature:
@@ -657,6 +682,29 @@ def test_order_verdict_takes_a_family_or_its_analysis():
         "unresolved",
         "at least 8 signature classes exceed the budget of 0",
     )
+
+
+def test_closures_are_built_once_per_analysis(monkeypatch):
+    # (1,1,1,1) d=4 fails the linearity hypothesis, so the oracle decides
+    # every order of the sweep, and scans several of them
+    built, scanned = [], []
+
+    def counted_closures(codes, nvars):
+        built.append(nvars)
+        return subset_closures(codes, nvars)
+
+    def counted_rows(*args):
+        scanned.append(args)
+        return _canonical_rows(*args)
+
+    monkeypatch.setattr(orders, "subset_closures", counted_closures)
+    monkeypatch.setattr(orders, "_canonical_rows", counted_rows)
+    an = orders.FamilyAnalysis(WeightedFamily((1, 1, 1, 1), 4), 10**6, 10**4, ORACLE_CLASS_BUDGET)
+    verdicts = admissible_orders(an, 13)
+    assert {v.provenance for _, v in verdicts} == {"oracle"}
+    assert len(scanned) >= 3
+    assert built == [4]
+    assert all(not rows.flags.writeable for rows in an.closures)
 
 
 def test_analysis_reads_the_enumerated_matrix():

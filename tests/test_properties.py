@@ -26,6 +26,7 @@ from wpsauto.ambient import (
     enumerate_monomials,
     is_linear_cone,
     lin_finite,
+    rows_increase,
     well_form_normalize,
     well_formed,
 )
@@ -33,7 +34,7 @@ from wpsauto.arith import (
     effective_order,
     gcd_all,
     prime_power_decompose,
-    semigroup_contains,
+    semigroup_reachable,
 )
 from wpsauto.errors import BudgetExceeded, NotAPrimePower, NotNormalizable
 from wpsauto.orders import (
@@ -49,6 +50,7 @@ from wpsauto.quasismooth import (
     _CLOSURE_ELEMENTS,
     ExplicitPolynomial,
     _LogSpace,
+    distinct_codes,
     pattern_codes,
     singular_point_search,
     subset_closures,
@@ -74,7 +76,17 @@ def test_prime_power_recomposition(q):
 @given(st.sets(st.integers(1, 12), min_size=1, max_size=4), st.integers(0, 60))
 @settings(max_examples=150, deadline=None)
 def test_semigroup_matches_bruteforce(gens, target):
-    assert semigroup_contains(gens, target) == brute_semigroup_contains(gens, target)
+    assert semigroup_reachable(gens, target)[target] == brute_semigroup_contains(gens, target)
+
+
+@given(st.lists(st.lists(st.integers(-3, 3), min_size=3, max_size=3), max_size=8), st.booleans())
+def test_rows_increase_and_distinct_codes_match_python(rows, ordered):
+    # sorted rows, often strictly increasing, else in the order drawn
+    rows = sorted(rows) if ordered else rows
+    table = np.array(rows, dtype=np.int64).reshape(len(rows), 3)
+    assert rows_increase(table) == all(a < b for a, b in zip(map(tuple, rows), map(tuple, rows[1:])))
+    values = table[:, 0] * 10 + table[:, 1]
+    assert distinct_codes(values).tolist() == sorted(set(values.tolist()))
 
 
 @given(weights_strategy, st.integers(1, 14))
