@@ -204,9 +204,12 @@ def _parse(argv: Optional[Sequence[str]]) -> argparse.Namespace:
 def _fill_orders_report(report: dict, an: FamilyAnalysis, max_order: Optional[int]) -> list[OrderVerdict]:
     """Add the sections of an `orders` report to `report` (a `base_report`)
     one at a time, and return the verdicts.  `scan` writes the same report
-    per family; when a section raises, the ones added before it stay."""
+    per family; when a section raises, the ones added before it stay.  The
+    oracle's hard preconditions are checked before the sweep limit, so that
+    an invalid family is named as such, not as one with no bound."""
     report["bounds"] = bounds_section(an)
     report["klein"] = klein_section(an)
+    an.oracle_hypotheses()
     max_order = _default_max_order(an, max_order)
     verdicts = [v for _, v in admissible_orders(an, max_order)]
     report["max_order"] = max_order

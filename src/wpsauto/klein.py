@@ -17,14 +17,14 @@ require d >= 3.
 Every function here takes a family or its `FamilyAnalysis`: the Klein data
 is computed once per analysis (`FamilyAnalysis.klein`) from the analysis'
 weight digraph, and the eigenspace counts read the analysis' monomial table,
-so they honour its monomial budget.
+so they honour its monomial budget.  The invariant rows behind those counts
+are kept on the analysis too, never in a cache of this module.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -199,11 +199,13 @@ def eigenspace_filter(fam: "WeightedFamily | FamilyAnalysis", p: int) -> tuple[i
     return len(_invariant_rows(an, p)), len(an.system)
 
 
-@lru_cache(maxsize=8)
 def _invariant_rows(an: FamilyAnalysis, p: int) -> np.ndarray:
     """The rows of the monomial table fixed by the Klein chain's signature
-    mod p; kept for the few latest (analysis, p), since a Klein section asks
-    `eigenspace_filter` and `klein_eigenspace_check` for the same ones."""
+    mod p, kept on the analysis (`FamilyAnalysis.invariant_rows`), since a
+    Klein section asks `eigenspace_filter` and `klein_eigenspace_check` for
+    the same ones; they go when the analysis does."""
+    if p in an.invariant_rows:
+        return an.invariant_rows[p]
     data = an.klein
     if data is None:
         raise NoKleinHypersurface(f"no full cyclic ordering for {an.family}")
@@ -212,4 +214,5 @@ def _invariant_rows(an: FamilyAnalysis, p: int) -> np.ndarray:
     exact = np.int64 if an.family.degree * p < 2**63 else object
     rows = np.flatnonzero(an.exponents.astype(exact, copy=False) @ np.array(sigma, dtype=exact) % p == 0)
     rows.flags.writeable = False  # shared by every caller
+    an.invariant_rows[p] = rows
     return rows

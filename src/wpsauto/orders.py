@@ -20,16 +20,16 @@ representative per equivalence class, the lexicographically least member of
 its unit orbit.  Only a vector whose first nonzero entry is a power of p can
 be least, so the oracle builds those candidates alone, in increasing rank,
 and decides each in one closed-form pass over its entries (see
-`_canonical_blocks`).  A slice of at most `_CHUNK` ranks depends only on
-(q, nvars, pinned): `_canonical_rows` keeps its rows, read-only, for every
-later call in the process, as long as all it keeps fits in
-`_SLICE_CACHE_BYTES`.  A class certifies q only if q divides det K / d, K
-the matrix of the anchor monomials (x_v^k or x_v^k * x_j, one per
-variable) of its bucket, so before it scans, the oracle refutes every q
-that divides none of the family's quotients det K / d
-(`FamilyAnalysis.anchor_determinants`, a closed form over the functional
-graph the anchors define): for the weighted Klein hypersurface, one of
-them is its maximal prime.  Nor does
+`_canonical_blocks`).  A slice depends only on (q, nvars, pinned):
+`_canonical_rows` keeps its rows, read-only, for every later call in the
+process, whatever its number of blocks, as long as all it keeps fits in
+`_SLICE_CACHE_BYTES`; a slice that does not fit is streamed one block at a
+time.  A class certifies q only if q divides det K / d, K the matrix of
+the anchor monomials (x_v^k or x_v^k * x_j, one per variable) of its
+bucket, so before it scans, the oracle refutes every q that divides none
+of the family's quotients det K / d (`FamilyAnalysis.anchor_determinants`,
+a closed form over the functional graph the anchors define): for the
+weighted Klein hypersurface, one of them is its maximal prime.  Nor does
 it scan for p**r once it has refuted p**(r-1) for the same analysis, as a
 class certifying p**r reduces to one certifying p**(r-1).  It tests
 a block of candidates in prefixes that grow fourfold, so that a class
@@ -40,16 +40,17 @@ per chunk of buckets, against closed rows built once per analysis from the
 pattern codes of the monomial table (`FamilyAnalysis.closures`).
 
 Everything that depends on (a, d) alone lives in one `FamilyAnalysis` per
-family and set of budgets (`family_analysis`): the hypothesis flags, the
-bounds and the prime routing they decide, the monomial table, the weight
-digraph with its cycle chains, the anchors (read off the digraph and the
-pure powers, never off the table) and their determinants, and the Klein
-data.  Only the oracle's bucket test reads the table rows' pattern codes
-(their support and exponent-one bitmasks) and their closed rows.  The
-three budgets (monomials, cycles, oracle classes) are fields of the
-analysis, never process-wide settings.  Functions taking a family also
-accept its analysis, and then use the analysis' budgets; given a family,
-they use the default budgets.
+family and set of budgets (`family_analysis`, which keeps only the latest
+one): the hypothesis flags, the bounds and the prime routing they decide,
+the monomial table, the weight digraph with its cycle chains, the anchors
+(read off the digraph and the pure powers, never off the table) and their
+determinants, and the Klein data.  The process-wide caches hold only what
+no family owns (class slices, for one).  Only the oracle's bucket test
+reads the table rows' pattern codes (their support and exponent-one
+bitmasks) and their closed rows.  The three budgets (monomials, cycles,
+oracle classes) are fields of the analysis, never process-wide settings.
+Functions taking a family also accept its analysis, and then use the
+analysis' budgets; given a family, they use the default budgets.
 `order_verdict` is the one routing path from (family or analysis, q) to a
 verdict, and `_verified_certificate` the one place that builds a certified
 verdict, after re-checking its witness, induced order and bucket.
@@ -532,7 +533,12 @@ class FamilyAnalysis:
     test.  Get instances from `family_analysis`.  `oracle_refuted` is not a
     field of the family but a record of the oracle's calls: the orders it
     has refuted so far, which refute their multiples by p at once
-    (`oracle_exists_order`).
+    (`oracle_exists_order`).  `invariant_rows` memoises
+    `klein._invariant_rows` per prime.
+
+    Everything derived from the family lives here and nowhere else, so it
+    all goes when the analysis does: `family_analysis` keeps only the
+    latest analysis, and no process-wide cache is keyed on one.
     """
 
     family: WeightedFamily
@@ -540,6 +546,7 @@ class FamilyAnalysis:
     cycle_budget: int
     oracle_budget: int
     oracle_refuted: set[int] = field(default_factory=set, init=False, repr=False)
+    invariant_rows: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
     def flags(self) -> dict[str, bool]:
@@ -742,15 +749,21 @@ class FamilyAnalysis:
         return klein_exists(self)
 
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=1)
 def family_analysis(
     fam: WeightedFamily,
     monomial_budget: int = MONOMIAL_BUDGET,
     cycle_budget: int = CYCLE_BUDGET,
     oracle_budget: int = ORACLE_CLASS_BUDGET,
 ) -> FamilyAnalysis:
-    """The analysis of `fam` under these budgets, shared by every caller
-    passing the same four; a smaller budget is never bypassed."""
+    """The analysis of `fam` under these budgets; a smaller budget is never
+    bypassed.
+
+    Only the latest one is kept: every section, verdict and certificate of
+    a request reads the one analysis, and so does the next request or call
+    passing the same four, but a call on another family (or other budgets)
+    drops it.  No other cache in the process holds an analysis, so nothing
+    of a family outlives its use but what its callers keep."""
     return FamilyAnalysis(fam, monomial_budget, cycle_budget, oracle_budget)
 
 
@@ -816,8 +829,8 @@ def _candidate_segments(q: int, p: int, r: int, m: int):
 #: Bytes of canonical-row blocks that `_canonical_rows` keeps across calls.
 _SLICE_CACHE_BYTES = 8 << 20
 
-#: (q, nvars, pinned) -> the read-only blocks of that one-block slice, for
-#: the first slices read whose bytes fit in _SLICE_CACHE_BYTES together.
+#: (q, nvars, pinned) -> the read-only blocks of that slice, for the first
+#: slices read whose bytes fit in _SLICE_CACHE_BYTES together.
 _slice_cache: dict[tuple[int, int, int], tuple[tuple[np.ndarray, np.ndarray], ...]] = {}
 
 
@@ -825,24 +838,32 @@ def _nbytes(blocks) -> int:
     return sum(array.nbytes for block in blocks for array in block)
 
 
-def _canonical_rows(q: int, p: int, r: int, nv: int, pinned: int):
-    """The (ranks, rows) blocks of `_canonical_blocks`, kept for a slice of
-    at most `_CHUNK` ranks.
+def _class_count(q: int, p: int, nv: int) -> int:
+    """The signature classes of nv variables mod q = p**r: the full-order
+    vectors with one entry pinned at 0, in unit orbits of phi(q) each."""
+    return (q ** (nv - 1) - (q // p) ** (nv - 1)) // (q - q // p)
 
-    Such a slice is one block (or none), and depends only on (q, nv,
-    pinned): its blocks are built once, made read-only and kept for every
-    later call, as long as all the blocks kept fit in `_SLICE_CACHE_BYTES`.
-    A slice that does not fit is built each time, and a larger slice is
-    built one block at a time."""
-    if q ** (nv - 1) > _CHUNK:
-        return _canonical_blocks(q, p, r, nv, pinned)
+
+def _canonical_rows(q: int, p: int, r: int, nv: int, pinned: int):
+    """The (ranks, rows) blocks of `_canonical_blocks`, built once for a
+    slice that fits the memo.
+
+    A slice depends only on (q, nv, pinned) and holds one int64 rank and
+    one int64 row of nv entries per class: `_class_count` * (nv + 1) * 8
+    bytes, known before anything is built.  If they fit in what
+    `_SLICE_CACHE_BYTES` leaves, whatever the number of blocks, the slice
+    is built whole, made read-only and kept for every later call.  A slice
+    that does not fit is streamed: each call builds it again, one block at
+    a time, as its reader asks for the next, so it is never held whole."""
     key = (q, nv, pinned)
     if key not in _slice_cache:
+        size = _class_count(q, p, nv) * (nv + 1) * 8
+        if size + sum(map(_nbytes, _slice_cache.values())) > _SLICE_CACHE_BYTES:
+            return _canonical_blocks(q, p, r, nv, pinned)
         blocks = tuple(_canonical_blocks(q, p, r, nv, pinned))
+        assert _nbytes(blocks) == size, (q, nv, pinned)
         for array in (array for block in blocks for array in block):
             array.flags.writeable = False  # shared by every later call
-        if _nbytes(blocks) + sum(map(_nbytes, _slice_cache.values())) > _SLICE_CACHE_BYTES:
-            return blocks
         _slice_cache[key] = blocks
     return _slice_cache[key]
 
@@ -932,11 +953,13 @@ def oracle_exists_order(fam: "WeightedFamily | FamilyAnalysis", q: "int | PrimeP
     class are those of the anchors of the variable with the fewest, S @
     E[rows].T mod q; a candidate is hit when every other variable has an
     anchor in it too, which takes (anchors of the first) x (anchors of the
-    other) comparisons per class and variable, whatever q is.  A slice of
-    at most `_CHUNK` ranks is one block, built once and kept for later calls
-    (`_canonical_rows`, under `_SLICE_CACHE_BYTES`).  The classes of a
-    block are tested in prefixes: the first `_FIRST_PREFIX` rows, then
-    up to four times that, and so on, each prefix the rows after the last.
+    other) comparisons per class and variable, whatever q is.  A slice
+    whose class count times (nvars + 1) int64 entries fits what is left of
+    `_SLICE_CACHE_BYTES` is built once, whatever its number of blocks, and
+    kept for later calls; a larger one is streamed a block at a time
+    (`_canonical_rows`).  The classes of a block are tested in prefixes:
+    the first `_FIRST_PREFIX` rows, then up to four times that, and so on,
+    each prefix the rows after the last.
     The hit (class, h) pairs of a prefix are decided together, in chunks of
     at most about `_BUCKET_ELEMENTS` array elements.  A chunk's bucket
     members come from one float64 product of its classes and the table's
@@ -1025,7 +1048,7 @@ def oracle_exists_order(fam: "WeightedFamily | FamilyAnalysis", q: "int | PrimeP
     if missing:
         return refuted(f"no pure-power or near-power monomial for variables {missing}")
 
-    class_count = (qq ** (nv - 1) - (qq // p) ** (nv - 1)) // (qq - qq // p)
+    class_count = _class_count(qq, p, nv)
     exhausted = f"exhausted all {class_count} signature classes"
     cap = min(class_count, an.oracle_budget)
     choices = math.prod(len(rows) for rows in an.anchors)

@@ -1,9 +1,11 @@
 import ast
+import gc
 import hashlib
 import json
 import sys
 import time
 import tracemalloc
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -13,9 +15,10 @@ import pytest
 import wpsauto.ambient
 import wpsauto.cli
 from wpsauto import orders
+from wpsauto.ambient import WeightedFamily
 from wpsauto.cli import main
 from wpsauto.orders import _canonical_rows as canonical_rows
-from wpsauto.orders import family_analysis
+from wpsauto.orders import as_analysis, family_analysis
 
 SCHEMA = json.loads((Path(__file__).parent.parent / "docs" / "report_schema.json").read_text())
 
@@ -191,6 +194,26 @@ def test_orders_reports_a_klein_candidate_beyond_the_primality_limit(capsys):
     jsonschema.validate(report, SCHEMA)
     assert report["klein"]["max_prime"]["reason"] == "beyond-primality-limit"
     assert [(v["q"], v["status"]) for v in report["verdicts"]] == [(2, "unresolved"), (3, "unresolved")]
+
+
+def test_orders_checks_the_hypotheses_before_the_bound(capsys):
+    # d = 1 gives this family no bound; its invalid degree is the error
+    code, out, err = run_cli(capsys, "orders", "--weights", "1,1,1,2", "--degree", "1")
+    assert (code, out, err) == (1, "", "error: degree must be at least 3\n")
+
+
+def test_scan_records_a_hypothesis_failure_before_a_missing_bound(capsys):
+    # of the four d = 1 families, 1,1,1,2 and 1,2,2,2 have no bound
+    code, out, _ = run_cli(capsys, "scan", "--dim", "2", "--max-weight", "2", "--degree", "1")
+    records = [json.loads(line) for line in out.splitlines()]
+    assert code == 0
+    assert [r["weights"] for r in records] == [[1, 1, 1, 1], [1, 1, 1, 2], [1, 1, 2, 2], [1, 2, 2, 2]]
+    assert [r["bounds"]["divides_d"] is None for r in records] == [False, True, True, True]
+    assert [r["bounds"]["coprime"] is None for r in records] == [True, True, True, True]
+    for record in records:
+        assert record["error"] == "degree must be at least 3"
+        assert (record["verdicts"], record["klein"]) == ([], {"exists": False})
+        assert "max_order" not in record
 
 
 def test_scan_single_record(tmp_path, capsys):
@@ -663,6 +686,22 @@ def test_one_analysis_per_request(capsys):
     run_cli(capsys, "klein", "--weights", "1,1,1", "--degree", "4")
     run_cli(capsys, "orders", "--weights", "1,1,1", "--degree", "4")
     assert family_analysis.cache_info().misses == 1
+
+
+def test_an_analysis_is_dropped_with_its_family(capsys):
+    # the Klein section of the quartic keeps its invariant rows on the
+    # analysis; after a request on another family, nothing holds it
+    family_analysis.cache_clear()
+    run_cli(capsys, "klein", "--weights", "1,1,1", "--degree", "4")
+    an = as_analysis(WeightedFamily((1, 1, 1), 4))
+    assert family_analysis.cache_info().hits == 1
+    assert list(an.invariant_rows) == [7]
+    dropped = weakref.ref(an)
+    del an
+    run_cli(capsys, "klein", "--weights", "1,1,2", "--degree", "4")
+    gc.collect()
+    assert dropped() is None
+    family_analysis.cache_clear()
 
 
 def test_check_bytes_do_not_depend_on_an_earlier_sweep(capsys, monkeypatch):

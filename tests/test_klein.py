@@ -260,7 +260,8 @@ class TestMaxPrimeInvariants:
 
 def test_invariant_monomials_match_the_table_filter():
     # the invariant rows come from one product with the exponent matrix;
-    # compare them with the signature filter over the monomial tuples
+    # compare them with the signature filter over the monomial tuples, and
+    # read them again from the analysis
     from wpsauto.klein import _invariant_rows
     from wpsauto.orders import CycleChain, as_analysis, signature_from_chain
 
@@ -277,6 +278,7 @@ def test_invariant_monomials_match_the_table_filter():
             ]
             got = [an.system.monomials[r] for r in _invariant_rows(an, p)]
             assert got == want, (fam, p)
+            assert _invariant_rows(an, p) is an.invariant_rows[p]  # kept on the analysis
             assert eigenspace_filter(an, p) == (len(want), len(an.system))
             checked += 1
     assert checked > 100

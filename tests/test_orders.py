@@ -592,8 +592,9 @@ def _pinned_slice(q, nv, pinned):
 class TestCanonicalRows:
     def test_matches_minimum_over_all_units(self, monkeypatch):
         # nv = 5 reaches r = 4 (q = 16) with four free columns; each slice is
-        # read cold and then warm, from the memo when it has at most _CHUNK
-        # ranks.  At nv = 4, q = 43, 47 and 49 have more, and are not kept
+        # read cold and then warm, from the memo when its rank and row per
+        # class fit what the memo has left.  At nv = 4, q = 43, 47 and 49
+        # have more than _CHUNK ranks, and are kept too
         monkeypatch.setattr(orders, "_slice_cache", {})
         for nv, max_q in ((3, 223), (4, 36), (5, 16), (4, 49)):
             for pp in prime_powers_up_to(max_q)[-3:] if max_q == 49 else prime_powers_up_to(max_q):
@@ -601,16 +602,16 @@ class TestCanonicalRows:
                     S = _pinned_slice(pp.q, nv, pinned)
                     full_order = (S % pp.p != 0).any(axis=1)
                     want = np.flatnonzero(full_order & brute_canonical_mask(S, pp.q))
-                    memoised = pp.q ** (nv - 1) <= orders._CHUNK
+                    held = sum(map(orders._nbytes, orders._slice_cache.values()))
+                    assert held + len(want) * (nv + 1) * 8 <= orders._SLICE_CACHE_BYTES
                     for warm in (False, True):
                         blocks = list(_canonical_rows(pp.q, pp.p, pp.r, nv, pinned))
                         ranks = np.concatenate([ranks for ranks, _ in blocks])
                         rows = np.concatenate([rows for _, rows in blocks])
                         assert np.array_equal(ranks, want), (pp.q, nv, pinned, warm)
                         assert np.array_equal(rows, S[want]), (pp.q, nv, pinned, warm)
-                        assert ((pp.q, nv, pinned) in orders._slice_cache) == memoised
-                        if memoised:
-                            assert all(not a.flags.writeable for block in blocks for a in block)
+                        assert (pp.q, nv, pinned) in orders._slice_cache
+                        assert all(not a.flags.writeable for block in blocks for a in block)
 
     def test_memo_holds_no_more_than_its_cap(self, monkeypatch):
         monkeypatch.setattr(orders, "_slice_cache", {})
@@ -625,9 +626,52 @@ class TestCanonicalRows:
         assert _canonical_rows(3, 3, 1, 3, 0) is kept
         for q, pinned in ((2, 1), (7, 0)):
             got, want = _canonical_rows(q, q, 1, 3, pinned), list(orders._canonical_blocks(q, q, 1, 3, pinned))
+            assert iter(got) is got  # streamed, not held
             assert [[a.tolist() for a in block] for block in got] == [[a.tolist() for a in block] for block in want]
-            assert all(not a.flags.writeable for block in got for a in block)
         assert orders._nbytes(want) > orders._SLICE_CACHE_BYTES
+
+    @pytest.mark.parametrize("q", [37, 191])
+    def test_a_slice_over_the_remaining_cap_is_streamed(self, monkeypatch, q):
+        # at nv = 4, q = 37 is one block of at most _CHUNK ranks and q = 191
+        # two blocks; with one byte too few left, neither is built whole
+        # before its reader takes the first block
+        monkeypatch.setattr(orders, "_slice_cache", {})
+        monkeypatch.setattr(orders, "_SLICE_CACHE_BYTES", orders._class_count(q, q, 4) * 5 * 8 - 1)
+        want = list(orders._canonical_blocks(q, q, 1, 4, 0))
+        yielded = []
+
+        def counted_blocks(*args):
+            for block in want:
+                yielded.append(block)
+                yield block
+
+        monkeypatch.setattr(orders, "_canonical_blocks", counted_blocks)
+        got = _canonical_rows(q, q, 1, 4, 0)
+        assert yielded == []
+        next(got)
+        assert len(yielded) == 1
+        assert len(list(got)) == len(want) - 1
+        assert orders._slice_cache == {}
+
+    def test_a_multi_block_slice_is_built_once(self, monkeypatch):
+        # (1,1,1,1) d=4 at q = 191 scans a slice of two blocks, 36673 classes
+        # in 1.5 MB; the zero determinant the test gives the family makes
+        # the oracle scan them.  The second analysis reads the kept slice
+        monkeypatch.setattr(orders, "_slice_cache", {})
+        monkeypatch.setattr(orders.FamilyAnalysis, "anchor_determinants", property(lambda an: frozenset({0})))
+        canonical_blocks, built = orders._canonical_blocks, []
+
+        def counted_blocks(*args):
+            built.append(args)
+            return canonical_blocks(*args)
+
+        monkeypatch.setattr(orders, "_canonical_blocks", counted_blocks)
+        fam = WeightedFamily((1, 1, 1, 1), 4)
+        first, second = (oracle_exists_order(family_analysis(fam, oracle_budget=b), 191) for b in (10**5, 10**6))
+        assert first == second
+        assert first.notes[-1] == "exhausted all 36673 signature classes"
+        assert built == [(191, 191, 1, 4, 0)]
+        assert len(orders._slice_cache[191, 4, 0]) == 2
 
 
 class TestCanonicalFullSignature:
