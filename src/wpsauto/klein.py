@@ -31,7 +31,7 @@ import numpy as np
 
 from .ambient import WeightedFamily
 from .arith import PRIMALITY_LIMIT, is_prime
-from .cycles import simple_cycles
+from .cycles import CYCLE_BUDGET, simple_cycles
 from .errors import HypothesisViolated, NoKleinHypersurface
 from .orders import CycleChain, FamilyAnalysis, as_analysis, chain_from_cycle, signature_from_chain
 
@@ -89,14 +89,16 @@ def klein_exists(fam: "WeightedFamily | FamilyAnalysis") -> Optional[KleinData]:
     Orderings are Hamiltonian cycles of the weight digraph (edge i -> j iff
     a_i divides d - a_j with positive quotient); no primality hypotheses are
     imposed here.  The number of distinct cycles found is reported; they are
-    counted under the default cycle budget, whatever the analysis' own.
+    counted under the larger of the default cycle budget and the analysis'
+    own, so a raised budget lets more be counted and a lowered one changes
+    nothing.
     """
     an = as_analysis(fam)
     fam = an.family
     nv = fam.nvars
     first: Optional[tuple[int, ...]] = None
     count = 0
-    for cyc in simple_cycles(an.digraph, nv, nv):
+    for cyc in simple_cycles(an.digraph, nv, nv, max(CYCLE_BUDGET, an.cycle_budget)):
         count += 1
         if first is None:
             first = cyc

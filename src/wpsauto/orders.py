@@ -20,13 +20,14 @@ representative per equivalence class, the lexicographically least member of
 its unit orbit.  Only a vector whose first nonzero entry is a power of p can
 be least, so the oracle builds those candidates alone, in increasing rank,
 and decides each in one closed-form pass over its entries (see
-`_canonical_blocks`).  A slice depends only on (q, nvars, pinned):
-`_canonical_rows` keeps its rows, read-only, for every later call in the
-process, whatever its number of blocks, as long as all it keeps fits in
-`_SLICE_CACHE_BYTES`; a slice that does not fit is streamed one block at a
-time.  A class certifies q only if q divides det K / d, K the matrix of
-the anchor monomials (x_v^k or x_v^k * x_j, one per variable) of its
-bucket, so before it scans, the oracle refutes every q that divides none
+`_canonical_blocks`).  A class is stored as its m = nvars - 1 free
+residues, the pinned 0 being a convention, so a slice depends only on
+(q, m): `_canonical_rows` keeps its rows, read-only, for every later call
+in the process, whatever its number of blocks and whichever coordinate is
+pinned, as long as all it keeps fits in `_SLICE_CACHE_BYTES`; a slice that
+does not fit is streamed one block at a time.  A class certifies q only
+if q divides det K / d, K the matrix of the anchor monomials (x_v^k or
+x_v^k * x_j, one per variable) of its bucket, so before it scans, the oracle refutes every q that divides none
 of the family's quotients det K / d (`FamilyAnalysis.anchor_determinants`,
 a closed form over the functional graph the anchors define): for the
 weighted Klein hypersurface, one of them is its maximal prime.  Nor does
@@ -749,7 +750,11 @@ class FamilyAnalysis:
         return klein_exists(self)
 
 
-@lru_cache(maxsize=1)
+#: The latest analysis, keyed on the family and its three budgets, always
+#: passed positionally by `family_analysis`.
+_latest_analysis = lru_cache(maxsize=1)(FamilyAnalysis)
+
+
 def family_analysis(
     fam: WeightedFamily,
     monomial_budget: int = MONOMIAL_BUDGET,
@@ -761,18 +766,16 @@ def family_analysis(
 
     Only the latest one is kept: every section, verdict and certificate of
     a request reads the one analysis, and so does the next request or call
-    passing the same four, but a call on another family (or other budgets)
-    drops it.  No other cache in the process holds an analysis, so nothing
-    of a family outlives its use but what its callers keep."""
-    return FamilyAnalysis(fam, monomial_budget, cycle_budget, oracle_budget)
+    on the same family and budget values, however it spells them, but a
+    call on another family (or other budgets) drops it.  No other cache in
+    the process holds an analysis, so nothing of a family outlives its use
+    but what its callers keep."""
+    return _latest_analysis(fam, monomial_budget, cycle_budget, oracle_budget)
 
 
 def as_analysis(fam: "WeightedFamily | FamilyAnalysis") -> FamilyAnalysis:
     """`fam` if it is an analysis (its budgets apply), else its analysis under the defaults."""
-    if isinstance(fam, FamilyAnalysis):
-        return fam
-    # spelled as the CLI spells it, since lru_cache keys on the spelling
-    return family_analysis(fam, MONOMIAL_BUDGET, CYCLE_BUDGET, ORACLE_CLASS_BUDGET)
+    return fam if isinstance(fam, FamilyAnalysis) else family_analysis(fam)
 
 
 def _canonical_full_signature(
@@ -829,52 +832,50 @@ def _candidate_segments(q: int, p: int, r: int, m: int):
 #: Bytes of canonical-row blocks that `_canonical_rows` keeps across calls.
 _SLICE_CACHE_BYTES = 8 << 20
 
-#: (q, nvars, pinned) -> the read-only blocks of that slice, for the first
-#: slices read whose bytes fit in _SLICE_CACHE_BYTES together.
-_slice_cache: dict[tuple[int, int, int], tuple[tuple[np.ndarray, np.ndarray], ...]] = {}
+#: (q, m) -> the read-only blocks of that slice, for the first slices read
+#: whose bytes fit in _SLICE_CACHE_BYTES together.
+_slice_cache: dict[tuple[int, int], tuple[np.ndarray, ...]] = {}
 
 
 def _nbytes(blocks) -> int:
-    return sum(array.nbytes for block in blocks for array in block)
+    return sum(block.nbytes for block in blocks)
 
 
-def _class_count(q: int, p: int, nv: int) -> int:
-    """The signature classes of nv variables mod q = p**r: the full-order
-    vectors with one entry pinned at 0, in unit orbits of phi(q) each."""
-    return (q ** (nv - 1) - (q // p) ** (nv - 1)) // (q - q // p)
+def _class_count(q: int, p: int, m: int) -> int:
+    """The signature classes of m free residues mod q = p**r: the full-order
+    vectors of (Z/q)**m, in unit orbits of phi(q) each."""
+    return (q**m - (q // p) ** m) // (q - q // p)
 
 
-def _canonical_rows(q: int, p: int, r: int, nv: int, pinned: int):
-    """The (ranks, rows) blocks of `_canonical_blocks`, built once for a
-    slice that fits the memo.
+def _canonical_rows(q: int, p: int, r: int, m: int):
+    """The blocks of `_canonical_blocks`, built once for a slice that fits
+    the memo.
 
-    A slice depends only on (q, nv, pinned) and holds one int64 rank and
-    one int64 row of nv entries per class: `_class_count` * (nv + 1) * 8
-    bytes, known before anything is built.  If they fit in what
+    A slice depends only on (q, m), whichever coordinate the oracle pins,
+    and holds one int64 row of m free residues per class: `_class_count` *
+    m * 8 bytes, known before anything is built.  If they fit in what
     `_SLICE_CACHE_BYTES` leaves, whatever the number of blocks, the slice
-    is built whole, made read-only and kept for every later call.  A slice
-    that does not fit is streamed: each call builds it again, one block at
-    a time, as its reader asks for the next, so it is never held whole."""
-    key = (q, nv, pinned)
+    is built whole and kept for every later call.  A slice that does not
+    fit is streamed: each call builds it again, one block at a time, as its
+    reader asks for the next, so it is never held whole."""
+    key = (q, m)
     if key not in _slice_cache:
-        size = _class_count(q, p, nv) * (nv + 1) * 8
+        size = _class_count(q, p, m) * m * 8
         if size + sum(map(_nbytes, _slice_cache.values())) > _SLICE_CACHE_BYTES:
-            return _canonical_blocks(q, p, r, nv, pinned)
-        blocks = tuple(_canonical_blocks(q, p, r, nv, pinned))
-        assert _nbytes(blocks) == size, (q, nv, pinned)
-        for array in (array for block in blocks for array in block):
-            array.flags.writeable = False  # shared by every later call
+            return _canonical_blocks(q, p, r, m)
+        blocks = tuple(_canonical_blocks(q, p, r, m))
+        assert _nbytes(blocks) == size, key
         _slice_cache[key] = blocks
     return _slice_cache[key]
 
 
-def _canonical_blocks(q: int, p: int, r: int, nv: int, pinned: int):
-    """Yield (ranks, rows) blocks holding, in increasing rank, exactly the
-    rows of the slice {S mod q = p**r : S[pinned] = 0} that have full order
-    and are lexicographically least in their unit orbit; a row's rank is its
-    index in the slice, read over the free positions, most significant first.
-    Each block holds the rows of one `_CHUNK`-rank block of the slice; blocks
-    without such rows are skipped.
+def _canonical_blocks(q: int, p: int, r: int, m: int):
+    """Yield read-only int64 matrices holding, in increasing rank, exactly
+    the vectors of (Z/q)**m, q = p**r, that have full order and are
+    lexicographically least in their unit orbit; a row's rank is its value
+    in base q, first entry most significant.  Each block holds the rows of
+    one `_CHUNK`-rank block of the slice; blocks without such rows are
+    skipped.
 
     Only rows whose first nonzero entry is some p**k are built, and each is
     decided in one valuation-descent pass over its columns.  Let pc be the
@@ -889,9 +890,8 @@ def _canonical_blocks(q: int, p: int, r: int, nv: int, pinned: int):
     order iff some entry is prime to p, i.e. iff pc ends at 1; rows with
     pc = 1 throughout (every row of a prime q) pass with no column tested.
     """
-    free = [v for v in range(nv) if v != pinned]
-    radix = q ** np.arange(len(free) - 1, -1, -1, dtype=np.int64)
-    for segments in _candidate_segments(q, p, r, len(free)):
+    radix = q ** np.arange(m - 1, -1, -1, dtype=np.int64)
+    for segments in _candidate_segments(q, p, r, m):
         ranks = np.concatenate([np.arange(lo, hi, dtype=np.int64) for lo, hi, _ in segments])
         pc = np.repeat([pk for _, _, pk in segments], [hi - lo for lo, hi, _ in segments])
         S = ranks[:, None] // radix % q
@@ -905,9 +905,9 @@ def _canonical_blocks(q: int, p: int, r: int, nv: int, pinned: int):
             pc = np.where(lower, g, pc)
         keep &= pc == 1
         if keep.any():
-            out = np.zeros((np.count_nonzero(keep), nv), dtype=np.int64)
-            out[:, free] = S[keep]
-            yield ranks[keep], out
+            block = S[keep]
+            block.flags.writeable = False  # a kept block is shared by every later call
+            yield block
 
 
 def _bucket_members(sigma: np.ndarray, table_T: np.ndarray, h: np.ndarray, q: int) -> np.ndarray:
@@ -939,13 +939,16 @@ def oracle_exists_order(fam: "WeightedFamily | FamilyAnalysis", q: "int | PrimeP
     Signatures are enumerated modulo translation by (a mod q) and unit
     scaling: representatives are the vectors vanishing at the first
     coordinate i* whose weight is prime to p, kept only when they have full
-    order and are lexicographically least within their unit orbit.  Units
-    keep the p-adic valuation, so if the first nonzero entry s0 has
-    gcd(s0, q) = p**k then min_u u*s0 = p**k, and a least vector has
-    s0 = p**k with k < r.  The units fixing p**k are u = 1 + t*q/p**k, every
-    other one makes s0 larger.  `_canonical_rows` builds only these
-    candidates, in increasing rank, and decides each in closed form, with no
-    unit multiple formed (and no test at all for k = 0, hence for prime q).
+    order and are lexicographically least within their unit orbit.  The
+    slices hold only their m = nvars - 1 other entries, so each call reads
+    the table's and the anchors' columns off i*, and puts the 0 back only
+    into the winning signature.  Units keep the p-adic valuation, so if the
+    first nonzero entry s0 has gcd(s0, q) = p**k then min_u u*s0 = p**k,
+    and a least vector has s0 = p**k with k < r.  The units fixing p**k
+    are u = 1 + t*q/p**k, every other one makes s0 larger.
+    `_canonical_rows` builds only these candidates, in increasing rank, and
+    decides each in closed form, with no unit multiple formed (and no test
+    at all for k = 0, hence for prime q).
 
     A class certifies q when its induced order is exactly q and some
     eigenvalue bucket h, holding an anchor (`FamilyAnalysis.anchors`) of
@@ -954,12 +957,12 @@ def oracle_exists_order(fam: "WeightedFamily | FamilyAnalysis", q: "int | PrimeP
     E[rows].T mod q; a candidate is hit when every other variable has an
     anchor in it too, which takes (anchors of the first) x (anchors of the
     other) comparisons per class and variable, whatever q is.  A slice
-    whose class count times (nvars + 1) int64 entries fits what is left of
+    whose class count times m int64 entries fits what is left of
     `_SLICE_CACHE_BYTES` is built once, whatever its number of blocks, and
-    kept for later calls; a larger one is streamed a block at a time
-    (`_canonical_rows`).  The classes of a block are tested in prefixes:
-    the first `_FIRST_PREFIX` rows, then up to four times that, and so on,
-    each prefix the rows after the last.
+    kept for every later call at (q, m); a larger one is streamed a block
+    at a time (`_canonical_rows`).  The classes of a block are tested in
+    prefixes: the first `_FIRST_PREFIX` rows, then up to four times that,
+    and so on, each prefix the rows after the last.
     The hit (class, h) pairs of a prefix are decided together, in chunks of
     at most about `_BUCKET_ELEMENTS` array elements.  A chunk's bucket
     members come from one float64 product of its classes and the table's
@@ -1048,7 +1051,7 @@ def oracle_exists_order(fam: "WeightedFamily | FamilyAnalysis", q: "int | PrimeP
     if missing:
         return refuted(f"no pure-power or near-power monomial for variables {missing}")
 
-    class_count = _class_count(qq, p, nv)
+    class_count = _class_count(qq, p, nv - 1)
     exhausted = f"exhausted all {class_count} signature classes"
     cap = min(class_count, an.oracle_budget)
     choices = math.prod(len(rows) for rows in an.anchors)
@@ -1063,10 +1066,11 @@ def oracle_exists_order(fam: "WeightedFamily | FamilyAnalysis", q: "int | PrimeP
     if pp.r > 1 and qq // p in an.oracle_refuted:
         return refuted(exhausted)
     i_star = _first_unit_weight_index(fam, p)
-    E_T = (an.exponents.astype(np.int64) % qq).T.astype(np.float64)
+    free = [v for v in range(nv) if v != i_star]
+    E_T = (an.exponents[:, free].astype(np.int64) % qq).T.astype(np.float64)
     codes, code_of_row = an.patterns
     # the variable with the fewest anchors first: its buckets are the candidates
-    base_T, *others_T = sorted((rows.T % qq for rows in an.anchors), key=lambda a: a.shape[1])
+    base_T, *others_T = sorted((rows[:, free].T % qq for rows in an.anchors), key=lambda a: a.shape[1])
     chunk = max(1, _BUCKET_ELEMENTS // max(E_T.shape[1], (nv + 1) << nv))
 
     def first_winner(S: np.ndarray) -> Optional[tuple[int, np.ndarray]]:
@@ -1093,13 +1097,14 @@ def oracle_exists_order(fam: "WeightedFamily | FamilyAnalysis", q: "int | PrimeP
         return None
 
     examined = 0
-    for _, S in _canonical_rows(qq, p, pp.r, nv, i_star):
+    for S in _canonical_rows(qq, p, pp.r, nv - 1):
         examined += len(S)  # a certificate counts the whole block
         start, stop = 0, _FIRST_PREFIX
         while start < len(S):  # prefixes in increasing rank: the first winner is the block's
             won = first_winner(S[start:stop])
             if won is not None:
                 sigma = S[start + won[0]].tolist()
+                sigma.insert(i_star, 0)
                 exps = an.exponents[won[1]]
                 canon = sigma if i_star == 0 else _canonical_full_signature(fam.weights, sigma, qq)
                 note = f"classes examined: {examined}"

@@ -315,7 +315,8 @@ def brute_anchor_determinants(monos, nvars: int) -> set[int]:
 def reference_oracle(fam: WeightedFamily, q: int):
     """(status, signature, witness monomials, notes, reach) of the
     signature-class oracle, by its per-class, per-bucket loop: the candidate
-    classes come from the production `_canonical_rows`, and each bucket that
+    classes come from the production `_canonical_rows`, their free residues
+    put back around a 0 at the pinned coordinate, and each bucket that
     anchors every variable (`brute_anchors`) is tested alone with
     `brute_subset_criterion`, classes in increasing rank and buckets in
     increasing h.  Covers the verdicts that the class budget leaves alone.
@@ -334,7 +335,8 @@ def reference_oracle(fam: WeightedFamily, q: int):
     pinned = next(i for i, w in enumerate(fam.weights) if w % pp.p)
     E = np.array(monos, dtype=np.int64)
     examined = reach = 0
-    for _, S in _canonical_rows(pp.q, pp.p, pp.r, nv, pinned):
+    for free in _canonical_rows(pp.q, pp.p, pp.r, nv - 1):
+        S = np.insert(free, pinned, 0, axis=1)  # the full vectors, 0 at the pinned coordinate
         examined += len(S)
         reach = max(reach, len(S))
         dots = S @ E.T % pp.q

@@ -18,7 +18,7 @@ from wpsauto import orders
 from wpsauto.ambient import WeightedFamily
 from wpsauto.cli import main
 from wpsauto.orders import _canonical_rows as canonical_rows
-from wpsauto.orders import as_analysis, family_analysis
+from wpsauto.orders import as_analysis
 
 SCHEMA = json.loads((Path(__file__).parent.parent / "docs" / "report_schema.json").read_text())
 
@@ -600,6 +600,16 @@ def test_all_chains_past_the_cycle_budget_exits_2(capsys):
     assert report == json.loads(run_cli(capsys, *argv)[1])
 
 
+def test_klein_counts_cycles_under_a_raised_cycle_budget(capsys):
+    # (1^10) d=3 has 9! = 362880 Hamiltonian cycles: the default budget
+    # stops their count, a raised one lets the report through
+    argv = ("orders", "--weights", ",".join(["1"] * 10), "--degree", "3", "--max-order", "2")
+    assert run_cli(capsys, *argv) == (2, "", "budget exhausted: more than 100000 cycles\n")
+    code, out, err = run_cli(capsys, *argv, "--cycle-budget", "1000000")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["klein"]["cycle_count"] == 362880
+
+
 def test_max_order_too_large_to_sieve_is_an_error(capsys):
     # the sieve's 10^18 bytes cannot be allocated: exit 1, not a MemoryError
     code, out, err = run_cli(
@@ -663,7 +673,7 @@ def test_family_data_computed_once_per_request(capsys, monkeypatch):
         for module in modules:
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counted(name, original))
-    family_analysis.cache_clear()
+    orders._latest_analysis.cache_clear()
     code, _, _ = run_cli(
         capsys, "orders", "--weights", "3,7,2,4,5", "--degree", "37", "--max-order", "37"
     )
@@ -676,32 +686,32 @@ def test_family_data_computed_once_per_request(capsys, monkeypatch):
 
 def test_one_analysis_per_request(capsys):
     # the divides-d criterion reads the request's analysis, not a default one
-    family_analysis.cache_clear()
+    orders._latest_analysis.cache_clear()
     argv = ("orders", "--weights", "1,1,1,2,3", "--degree", "6", "--monomial-budget", "1000")
     code, _, _ = run_cli(capsys, *argv)
     assert code == 0
-    assert family_analysis.cache_info().misses == 1
+    assert orders._latest_analysis.cache_info().misses == 1
     # a bare family's analysis is the one a request under default budgets builds
-    family_analysis.cache_clear()
+    orders._latest_analysis.cache_clear()
     run_cli(capsys, "klein", "--weights", "1,1,1", "--degree", "4")
     run_cli(capsys, "orders", "--weights", "1,1,1", "--degree", "4")
-    assert family_analysis.cache_info().misses == 1
+    assert orders._latest_analysis.cache_info().misses == 1
 
 
 def test_an_analysis_is_dropped_with_its_family(capsys):
     # the Klein section of the quartic keeps its invariant rows on the
     # analysis; after a request on another family, nothing holds it
-    family_analysis.cache_clear()
+    orders._latest_analysis.cache_clear()
     run_cli(capsys, "klein", "--weights", "1,1,1", "--degree", "4")
     an = as_analysis(WeightedFamily((1, 1, 1), 4))
-    assert family_analysis.cache_info().hits == 1
+    assert orders._latest_analysis.cache_info().hits == 1
     assert list(an.invariant_rows) == [7]
     dropped = weakref.ref(an)
     del an
     run_cli(capsys, "klein", "--weights", "1,1,2", "--degree", "4")
     gc.collect()
     assert dropped() is None
-    family_analysis.cache_clear()
+    orders._latest_analysis.cache_clear()
 
 
 def test_check_bytes_do_not_depend_on_an_earlier_sweep(capsys, monkeypatch):
@@ -710,10 +720,10 @@ def test_check_bytes_do_not_depend_on_an_earlier_sweep(capsys, monkeypatch):
     # to 64 the shared analysis records that the oracle refuted 32, and 64
     # is refuted by descent, with no scan, in the same bytes
     family = ("--weights", "1,1,1,1", "--degree", "4")
-    family_analysis.cache_clear()
+    orders._latest_analysis.cache_clear()
     alone = run_cli(capsys, "check", *family, "--order", "64")
     assert json.loads(alone[1])["verdicts"][0]["notes"][-1] == "exhausted all 7168 signature classes"
-    family_analysis.cache_clear()
+    orders._latest_analysis.cache_clear()
     run_cli(capsys, "orders", *family, "--max-order", "64")
 
     def no_scan(*args):
@@ -721,7 +731,7 @@ def test_check_bytes_do_not_depend_on_an_earlier_sweep(capsys, monkeypatch):
 
     monkeypatch.setattr(orders, "_canonical_rows", no_scan)
     assert run_cli(capsys, "check", *family, "--order", "64") == alone
-    family_analysis.cache_clear()
+    orders._latest_analysis.cache_clear()
 
 
 def test_report_bytes_are_the_same_with_cold_and_warm_caches(capsys, monkeypatch):
@@ -732,13 +742,13 @@ def test_report_bytes_are_the_same_with_cold_and_warm_caches(capsys, monkeypatch
         return [run_cli(capsys, *argv) for argv, _, _ in PINNED_REPORTS]
 
     monkeypatch.setattr(orders, "_slice_cache", {})
-    family_analysis.cache_clear()
+    orders._latest_analysis.cache_clear()
     cold = replay()
     assert orders._slice_cache
     assert replay() == cold
-    family_analysis.cache_clear()
+    orders._latest_analysis.cache_clear()
     assert replay() == cold
-    family_analysis.cache_clear()
+    orders._latest_analysis.cache_clear()
 
 
 def test_a_patched_canonical_rows_sees_a_warm_slice(capsys, monkeypatch):
@@ -746,9 +756,9 @@ def test_a_patched_canonical_rows_sees_a_warm_slice(capsys, monkeypatch):
     # request keeps; a fresh analysis scans it again, through _canonical_rows
     family = ("--weights", "1,1,1,1", "--degree", "4")
     monkeypatch.setattr(orders, "_slice_cache", {})
-    family_analysis.cache_clear()
+    orders._latest_analysis.cache_clear()
     first = run_cli(capsys, "check", *family, "--order", "7")
-    assert list(orders._slice_cache) == [(7, 4, 0)]
+    assert list(orders._slice_cache) == [(7, 3)]
     scanned = []
 
     def counted_rows(*args):
@@ -756,10 +766,10 @@ def test_a_patched_canonical_rows_sees_a_warm_slice(capsys, monkeypatch):
         return canonical_rows(*args)
 
     monkeypatch.setattr(orders, "_canonical_rows", counted_rows)
-    family_analysis.cache_clear()
+    orders._latest_analysis.cache_clear()
     assert run_cli(capsys, "check", *family, "--order", "7") == first
-    assert scanned == [(7, 7, 1, 4, 0)]
-    family_analysis.cache_clear()
+    assert scanned == [(7, 7, 1, 3)]
+    orders._latest_analysis.cache_clear()
 
 
 def test_requests_read_only_the_exponent_matrices(capsys, monkeypatch):
@@ -768,11 +778,11 @@ def test_requests_read_only_the_exponent_matrices(capsys, monkeypatch):
         raise AssertionError("a request built MonomialSystem.monomials")
 
     monkeypatch.setattr(wpsauto.ambient.MonomialSystem, "monomials", property(tuple_form))
-    family_analysis.cache_clear()
+    orders._latest_analysis.cache_clear()
     for argv, code, _ in PINNED_REPORTS:
         assert run_cli(capsys, *argv)[0] == code, argv
     assert run_cli(capsys, "check", "--weights", "1,1,1,1", "--degree", "4", "--order", "7")[0] == 0
-    family_analysis.cache_clear()
+    orders._latest_analysis.cache_clear()
 
 
 def test_order_with_two_large_prime_factors_fails_fast(capsys):
@@ -803,14 +813,14 @@ def test_oracle_at_a_large_order_is_bounded_by_its_classes(capsys, monkeypatch, 
         return canonical_rows(*args)
 
     monkeypatch.setattr(orders, "_canonical_rows", counted_rows)
-    family_analysis.cache_clear()
+    orders._latest_analysis.cache_clear()
     tracemalloc.start()
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "check", "--weights", "1,1,1", "--degree", "4", "--order", str(q))
     elapsed = time.perf_counter() - start
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    family_analysis.cache_clear()
+    orders._latest_analysis.cache_clear()
     (verdict,) = json.loads(out)["verdicts"]
     assert len(scanned) == 1
     assert (code, err) == (0, "")

@@ -9,6 +9,7 @@ from conftest import (
     brute_canonical_mask,
     brute_effective_order,
     brute_subset_criterion,
+    reference_oracle,
 )
 
 from wpsauto.ambient import WeightedFamily, enumerate_monomials
@@ -581,63 +582,55 @@ class TestOracleClassReduction:
         assert compared >= 6
 
 
-def _pinned_slice(q, nv, pinned):
-    """Every vector mod q with a zero at position `pinned`."""
-    free = [v for v in range(nv) if v != pinned]
-    S = np.zeros((q ** len(free), nv), dtype=np.int64)
-    S[:, free] = np.indices((q,) * len(free)).reshape(len(free), -1).T
-    return S
-
-
 class TestCanonicalRows:
     def test_matches_minimum_over_all_units(self, monkeypatch):
-        # nv = 5 reaches r = 4 (q = 16) with four free columns; each slice is
-        # read cold and then warm, from the memo when its rank and row per
-        # class fit what the memo has left.  At nv = 4, q = 43, 47 and 49
-        # have more than _CHUNK ranks, and are kept too
+        # m = 4 free residues reaches r = 4 (q = 16); each slice is read
+        # cold and then warm, from the memo when its rows fit what the memo
+        # has left.  At m = 3, q = 43, 47 and 49 have more than _CHUNK
+        # ranks, and are kept too
         monkeypatch.setattr(orders, "_slice_cache", {})
-        for nv, max_q in ((3, 223), (4, 36), (5, 16), (4, 49)):
+        for m, max_q in ((2, 223), (3, 36), (4, 16), (3, 49)):
             for pp in prime_powers_up_to(max_q)[-3:] if max_q == 49 else prime_powers_up_to(max_q):
-                for pinned in range(nv):
-                    S = _pinned_slice(pp.q, nv, pinned)
-                    full_order = (S % pp.p != 0).any(axis=1)
-                    want = np.flatnonzero(full_order & brute_canonical_mask(S, pp.q))
-                    held = sum(map(orders._nbytes, orders._slice_cache.values()))
-                    assert held + len(want) * (nv + 1) * 8 <= orders._SLICE_CACHE_BYTES
-                    for warm in (False, True):
-                        blocks = list(_canonical_rows(pp.q, pp.p, pp.r, nv, pinned))
-                        ranks = np.concatenate([ranks for ranks, _ in blocks])
-                        rows = np.concatenate([rows for _, rows in blocks])
-                        assert np.array_equal(ranks, want), (pp.q, nv, pinned, warm)
-                        assert np.array_equal(rows, S[want]), (pp.q, nv, pinned, warm)
-                        assert (pp.q, nv, pinned) in orders._slice_cache
-                        assert all(not a.flags.writeable for block in blocks for a in block)
+                S = np.indices((pp.q,) * m).reshape(m, -1).T  # row k has rank k
+                radix = pp.q ** np.arange(m - 1, -1, -1)
+                full_order = (S % pp.p != 0).any(axis=1)
+                want = np.flatnonzero(full_order & brute_canonical_mask(S, pp.q))
+                held = sum(map(orders._nbytes, orders._slice_cache.values()))
+                assert held + len(want) * m * 8 <= orders._SLICE_CACHE_BYTES
+                for warm in (False, True):
+                    blocks = list(_canonical_rows(pp.q, pp.p, pp.r, m))
+                    rows = np.concatenate(blocks)
+                    assert rows.dtype == np.int64 and rows.shape[1] == m
+                    assert np.array_equal(rows @ radix, want), (pp.q, m, warm)
+                    assert np.array_equal(rows, S[want]), (pp.q, m, warm)
+                    assert (pp.q, m) in orders._slice_cache
+                    assert all(not block.flags.writeable for block in blocks)
 
     def test_memo_holds_no_more_than_its_cap(self, monkeypatch):
         monkeypatch.setattr(orders, "_slice_cache", {})
-        three, two = (list(orders._canonical_blocks(q, q, 1, 3, 0)) for q in (3, 2))
+        three, two = (list(orders._canonical_blocks(q, q, 1, 2)) for q in (3, 2))
         monkeypatch.setattr(orders, "_SLICE_CACHE_BYTES", orders._nbytes(three) + orders._nbytes(two))
-        kept = _canonical_rows(3, 3, 1, 3, 0)
-        for q, pinned in ((2, 0), (2, 1), (7, 0), (3, 0)):
-            _canonical_rows(q, q, 1, 3, pinned)
-        # the cap is full after the first two slices, so (2, 1) is not held,
-        # nor (7, 0), larger than the whole cap; what is held is not rebuilt
-        assert list(orders._slice_cache) == [(3, 3, 0), (2, 3, 0)]
-        assert _canonical_rows(3, 3, 1, 3, 0) is kept
-        for q, pinned in ((2, 1), (7, 0)):
-            got, want = _canonical_rows(q, q, 1, 3, pinned), list(orders._canonical_blocks(q, q, 1, 3, pinned))
+        kept = _canonical_rows(3, 3, 1, 2)
+        for q in (2, 5, 7, 3):
+            _canonical_rows(q, q, 1, 2)
+        # the cap is full after the first two slices, so q = 5 is not held,
+        # nor q = 7, larger than the whole cap; what is held is not rebuilt
+        assert list(orders._slice_cache) == [(3, 2), (2, 2)]
+        assert _canonical_rows(3, 3, 1, 2) is kept
+        for q in (5, 7):
+            got, want = _canonical_rows(q, q, 1, 2), list(orders._canonical_blocks(q, q, 1, 2))
             assert iter(got) is got  # streamed, not held
-            assert [[a.tolist() for a in block] for block in got] == [[a.tolist() for a in block] for block in want]
+            assert [block.tolist() for block in got] == [block.tolist() for block in want]
         assert orders._nbytes(want) > orders._SLICE_CACHE_BYTES
 
     @pytest.mark.parametrize("q", [37, 191])
     def test_a_slice_over_the_remaining_cap_is_streamed(self, monkeypatch, q):
-        # at nv = 4, q = 37 is one block of at most _CHUNK ranks and q = 191
+        # at m = 3, q = 37 is one block of at most _CHUNK ranks and q = 191
         # two blocks; with one byte too few left, neither is built whole
         # before its reader takes the first block
         monkeypatch.setattr(orders, "_slice_cache", {})
-        monkeypatch.setattr(orders, "_SLICE_CACHE_BYTES", orders._class_count(q, q, 4) * 5 * 8 - 1)
-        want = list(orders._canonical_blocks(q, q, 1, 4, 0))
+        monkeypatch.setattr(orders, "_SLICE_CACHE_BYTES", orders._class_count(q, q, 3) * 3 * 8 - 1)
+        want = list(orders._canonical_blocks(q, q, 1, 3))
         yielded = []
 
         def counted_blocks(*args):
@@ -646,7 +639,7 @@ class TestCanonicalRows:
                 yield block
 
         monkeypatch.setattr(orders, "_canonical_blocks", counted_blocks)
-        got = _canonical_rows(q, q, 1, 4, 0)
+        got = _canonical_rows(q, q, 1, 3)
         assert yielded == []
         next(got)
         assert len(yielded) == 1
@@ -655,7 +648,7 @@ class TestCanonicalRows:
 
     def test_a_multi_block_slice_is_built_once(self, monkeypatch):
         # (1,1,1,1) d=4 at q = 191 scans a slice of two blocks, 36673 classes
-        # in 1.5 MB; the zero determinant the test gives the family makes
+        # in 0.9 MB; the zero determinant the test gives the family makes
         # the oracle scan them.  The second analysis reads the kept slice
         monkeypatch.setattr(orders, "_slice_cache", {})
         monkeypatch.setattr(orders.FamilyAnalysis, "anchor_determinants", property(lambda an: frozenset({0})))
@@ -670,8 +663,29 @@ class TestCanonicalRows:
         first, second = (oracle_exists_order(family_analysis(fam, oracle_budget=b), 191) for b in (10**5, 10**6))
         assert first == second
         assert first.notes[-1] == "exhausted all 36673 signature classes"
-        assert built == [(191, 191, 1, 4, 0)]
-        assert len(orders._slice_cache[191, 4, 0]) == 2
+        assert built == [(191, 191, 1, 3)]
+        assert len(orders._slice_cache[191, 3]) == 2
+
+    def test_one_slice_serves_every_pinned_coordinate(self, monkeypatch):
+        # at q = 4, (1,1,1) d=4 pins i* = 0 and (2,1,1) d=5 pins i* = 1, whose
+        # winner (1, 0, 2) is not its own canonical signature; both read the
+        # one slice of two free residues mod 4, built once
+        monkeypatch.setattr(orders, "_slice_cache", {})
+        canonical_blocks, built = orders._canonical_blocks, []
+
+        def counted_blocks(*args):
+            built.append(args)
+            return canonical_blocks(*args)
+
+        monkeypatch.setattr(orders, "_canonical_blocks", counted_blocks)
+        for weights, degree in (((1, 1, 1), 4), ((2, 1, 1), 5)):
+            fam = WeightedFamily(weights, degree)
+            verdict = oracle_exists_order(fam, 4)
+            status, signature, witness, notes, _ = reference_oracle(fam, 4)
+            assert verdict.status == status == "certified", fam
+            assert (verdict.signature.sigma, verdict.notes) == (signature, notes), fam
+            assert verdict.witness_system.exponents.tolist() == [list(e) for e in witness], fam
+        assert built == [(4, 2, 2, 2)]
 
 
 class TestCanonicalFullSignature:
@@ -691,16 +705,17 @@ class TestCanonicalFullSignature:
         for pp in prime_powers_up_to(27):
             if weights[0] % pp.p == 0:
                 continue
-            for _, block in _canonical_rows(pp.q, pp.p, pp.r, len(weights), 0):
-                for row in block.tolist():
-                    assert _canonical_full_signature(weights, row, pp.q) == tuple(row), (row, pp.q)
+            for block in _canonical_rows(pp.q, pp.p, pp.r, len(weights) - 1):
+                for free in block.tolist():
+                    row = (0, *free)
+                    assert _canonical_full_signature(weights, row, pp.q) == row, (row, pp.q)
                     rows += 1
         assert rows > 100
 
     def test_may_move_the_oracle_rows_when_p_divides_a0(self):
         # (2, 3, 5) at q = 8 pins i* = 1; the lemma above needs i* = 0
-        rows = [row for _, block in _canonical_rows(8, 2, 3, 3, 1) for row in block.tolist()]
-        assert any(_canonical_full_signature((2, 3, 5), row, 8) != tuple(row) for row in rows)
+        rows = [(s0, 0, s2) for block in _canonical_rows(8, 2, 3, 2) for s0, s2 in block.tolist()]
+        assert any(_canonical_full_signature((2, 3, 5), row, 8) != row for row in rows)
 
 
 class TestChainValidation:
@@ -726,6 +741,14 @@ def test_order_verdict_takes_a_family_or_its_analysis():
         "unresolved",
         "at least 8 signature classes exceed the budget of 0",
     )
+
+
+def test_one_analysis_however_its_budgets_are_spelled():
+    # the cache is keyed on the budget values, not on how a call passes them
+    fam = WeightedFamily((1, 1, 1), 4)
+    an = family_analysis(fam)
+    assert family_analysis(fam, oracle_budget=ORACLE_CLASS_BUDGET) is an
+    assert as_analysis(fam) is an
 
 
 def test_closures_are_built_once_per_analysis(monkeypatch):
