@@ -11,6 +11,7 @@ from wpsauto import (
     ExplicitPolynomial,
     MonomialSystem,
     WeightedFamily,
+    family_analysis,
     klein_eigenspace_check,
     klein_exists,
     klein_max_prime,
@@ -26,20 +27,20 @@ for weights, degree in [
     ((1, 1, 1, 1), 3),
     ((3, 7, 2, 4, 5), 37),  # a genuinely weighted case: maximal prime 1213
 ]:
-    fam = WeightedFamily(weights, degree)
-    data = klein_exists(fam)
+    an = family_analysis(WeightedFamily(weights, degree))  # shared by the calls below
+    data = klein_exists(an)
     print(f"P{weights}, d = {degree}:")
     print(f"  cycle ordering {data.ordering} with exponents {data.exponents} "
           f"({data.cycle_count} distinct cycles)")
     print(f"  singularity quantity R = {klein_singularity_R(data)}  "
-          f"(quasi-smooth: {klein_quasismooth(fam)})")
-    result = klein_max_prime(fam)
+          f"(quasi-smooth: {klein_quasismooth(an)})")
+    result = klein_max_prime(an)
     if result.value is None:
         print(f"  maximal prime: none ({result.reason}, candidate {result.candidate})")
     else:
-        invariant, total = eigenspace_filter(fam, result.value)
+        invariant, total = eigenspace_filter(an, result.value)
         print(f"  maximal prime order: {result.value}")
-        print(f"  eigenspace check: {klein_eigenspace_check(fam)} "
+        print(f"  eigenspace check: {klein_eigenspace_check(an)} "
               f"({invariant} invariant monomials of {total})")
     print()
 

@@ -8,6 +8,7 @@ preconditions by the order criteria live here.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
@@ -46,7 +47,9 @@ class WeightedFamily:
     degree: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
+        # a non-integer such as 1.5 is a TypeError; a numpy integer becomes an int
+        object.__setattr__(self, "weights", tuple(map(operator.index, self.weights)))
+        object.__setattr__(self, "degree", operator.index(self.degree))
         if len(self.weights) < 3:
             raise ValueError("need at least three weights (hypersurface dimension n >= 1)")
         if any(w < 1 for w in self.weights):

@@ -15,6 +15,7 @@ from .klein import eigenspace_filter, klein_eigenspace_check, klein_exists, klei
 from .orders import (
     admissible_orders,
     bound_divides_d,
+    family_analysis,
     necessary_condition,
     oracle_exists_order,
     signature_from_chain,
@@ -58,10 +59,10 @@ def _fano_orders(weights: tuple[int, ...], degree: int, expected: set[int]) -> t
 
 
 def _klein_extremal(weights: tuple[int, ...], degree: int, prime: int, counts: tuple[int, int]) -> tuple[str, str]:
-    fam = WeightedFamily(weights, degree)
-    result = klein_max_prime(fam)
-    check = klein_eigenspace_check(fam) if result.value else False
-    filt = eigenspace_filter(fam, result.value) if result.value else (0, 0)
+    an = family_analysis(WeightedFamily(weights, degree))
+    result = klein_max_prime(an)
+    check = klein_eigenspace_check(an) if result.value else False
+    filt = eigenspace_filter(an, result.value) if result.value else (0, 0)
     expected = f"p={prime} eigenspace=True counts={counts}"
     actual = f"p={result.value} eigenspace={check} counts={filt}"
     return expected, actual

@@ -41,8 +41,8 @@ per chunk of buckets, against closed rows built once per analysis from the
 pattern codes of the monomial table (`FamilyAnalysis.closures`).
 
 Everything that depends on (a, d) alone lives in one `FamilyAnalysis` per
-family and set of budgets (`family_analysis`, which keeps only the latest
-one): the hypothesis flags, the bounds and the prime routing they decide,
+family and set of budgets, built by `family_analysis` and held only by its
+caller: the hypothesis flags, the bounds and the prime routing they decide,
 the monomial table, the weight digraph with its cycle chains, the anchors
 (read off the digraph and the pure powers, never off the table) and their
 determinants, and the Klein data.  The process-wide caches hold only what
@@ -51,7 +51,8 @@ reads the table rows' pattern codes (their support and exponent-one
 bitmasks) and their closed rows.  The three budgets (monomials, cycles,
 oracle classes) are fields of the analysis, never process-wide settings.
 Functions taking a family also accept its analysis, and then use the
-analysis' budgets; given a family, they use the default budgets.
+analysis' budgets; given a family, they build a new analysis under the
+default budgets, so calls that should share one pass it.
 `order_verdict` is the one routing path from (family or analysis, q) to a
 verdict, and `_verified_certificate` the one place that builds a certified
 verdict, after re-checking its witness, induced order and bucket.
@@ -67,7 +68,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -537,9 +538,9 @@ class FamilyAnalysis:
     (`oracle_exists_order`).  `invariant_rows` memoises
     `klein._invariant_rows` per prime.
 
-    Everything derived from the family lives here and nowhere else, so it
-    all goes when the analysis does: `family_analysis` keeps only the
-    latest analysis, and no process-wide cache is keyed on one.
+    Everything derived from the family lives here and nowhere else, and no
+    process-wide cache holds an analysis, so it all goes when its caller
+    drops the analysis.
     """
 
     family: WeightedFamily
@@ -750,31 +751,24 @@ class FamilyAnalysis:
         return klein_exists(self)
 
 
-#: The latest analysis, keyed on the family and its three budgets, always
-#: passed positionally by `family_analysis`.
-_latest_analysis = lru_cache(maxsize=1)(FamilyAnalysis)
-
-
 def family_analysis(
     fam: WeightedFamily,
     monomial_budget: int = MONOMIAL_BUDGET,
     cycle_budget: int = CYCLE_BUDGET,
     oracle_budget: int = ORACLE_CLASS_BUDGET,
 ) -> FamilyAnalysis:
-    """The analysis of `fam` under these budgets; a smaller budget is never
+    """A new analysis of `fam` under these budgets; a smaller budget is never
     bypassed.
 
-    Only the latest one is kept: every section, verdict and certificate of
-    a request reads the one analysis, and so does the next request or call
-    on the same family and budget values, however it spells them, but a
-    call on another family (or other budgets) drops it.  No other cache in
-    the process holds an analysis, so nothing of a family outlives its use
-    but what its callers keep."""
-    return _latest_analysis(fam, monomial_budget, cycle_budget, oracle_budget)
+    Nothing in the process keeps it: calls that should share its tables,
+    cycles and oracle record take the one analysis, as every section,
+    verdict and certificate of a CLI request does."""
+    return FamilyAnalysis(fam, monomial_budget, cycle_budget, oracle_budget)
 
 
 def as_analysis(fam: "WeightedFamily | FamilyAnalysis") -> FamilyAnalysis:
-    """`fam` if it is an analysis (its budgets apply), else its analysis under the defaults."""
+    """`fam` if it is an analysis (its budgets apply), else a new analysis
+    of it under the default budgets."""
     return fam if isinstance(fam, FamilyAnalysis) else family_analysis(fam)
 
 

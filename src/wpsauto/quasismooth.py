@@ -191,13 +191,16 @@ def subset_criterion(exponents: Sequence[Sequence[int]], nvars: int) -> bool:
     Only two patterns of each monomial matter: its support, and the
     variables it holds to exactly the first power.  The test runs on these
     patterns through `subset_criterion_batch`.  An empty system fails for
-    every I, hence returns False.
+    every I, hence returns False; rows of other than `nvars` entries are a
+    ValueError.
     """
     if nvars < 1:
         raise ValueError("need at least one variable")
     if len(exponents) == 0:
         return False
-    table = np.array(exponents, dtype=np.int64).reshape(len(exponents), -1)[:, :nvars]
+    table = np.array(exponents, dtype=np.int64).reshape(len(exponents), -1)
+    if table.shape[1] != nvars:
+        raise ValueError(f"rows have {table.shape[1]} entries, not nvars = {nvars}")
     # the distinct codes, at most 3**nvars of them, as the ones lie in the support
     codes = distinct_codes(pattern_codes(table))
     presence = np.ones((1, len(codes)), dtype=np.float32)

@@ -12,7 +12,7 @@ from wpsauto import WeightedFamily
 from wpsauto.ambient import well_formed
 from wpsauto.arith import as_prime_power, gcd_all
 from wpsauto.errors import CoefficientCollision
-from wpsauto.orders import _canonical_rows, as_analysis
+from wpsauto.orders import FamilyAnalysis, _canonical_rows, as_analysis
 
 
 def families(
@@ -312,7 +312,7 @@ def brute_anchor_determinants(monos, nvars: int) -> set[int]:
     }
 
 
-def reference_oracle(fam: WeightedFamily, q: int):
+def reference_oracle(fam: "WeightedFamily | FamilyAnalysis", q: int):
     """(status, signature, witness monomials, notes, reach) of the
     signature-class oracle, by its per-class, per-bucket loop: the candidate
     classes come from the production `_canonical_rows`, their free residues
@@ -321,8 +321,10 @@ def reference_oracle(fam: WeightedFamily, q: int):
     `brute_subset_criterion`, classes in increasing rank and buckets in
     increasing h.  Covers the verdicts that the class budget leaves alone.
     `reach` is the position of the certifying class in its block, or, for a
-    refutation, the most classes any block held (0 if none was scanned)."""
+    refutation, the most classes any block held (0 if none was scanned).
+    Given a family, it builds a new analysis; given one, it reads that one."""
     an = as_analysis(fam)
+    fam = an.family
     pp = as_prime_power(q)
     notes = an.oracle_hypotheses()
     nv = fam.nvars

@@ -36,6 +36,7 @@ from wpsauto.klein import (
 )
 from wpsauto.orders import (
     _FIRST_PREFIX,
+    FamilyAnalysis,
     OrderVerdict,
     admissible_orders,
     as_analysis,
@@ -64,6 +65,7 @@ CORPUS_QS = (2, 3, 4, 5, 7, 8, 9, 11, 13)
 @dataclass
 class CorpusRecord:
     fam: WeightedFamily
+    an: FamilyAnalysis  # the family's one analysis, shared by its records
     q: int
     oracle: OrderVerdict
     divides: Optional[OrderVerdict]
@@ -87,8 +89,9 @@ def corpus():
             continue
         if not lin_finite(fam) or is_linear_cone(fam):
             continue
+        an = as_analysis(fam)
         for q in CORPUS_QS:
-            verdict = oracle_exists_order(fam, q)
+            verdict = oracle_exists_order(an, q)
             pp = prime_power_decompose(q)
             div = None
             if (
@@ -96,17 +99,17 @@ def corpus():
                 and mm_hypothesis(fam)
                 and all(fam.degree % w == 0 for w in fam.weights)
             ):
-                div = divides_d_criterion(fam, pp.p)
+                div = divides_d_criterion(an, pp.p)
             suff = None
             chain = None
             applicable = False
             try:
-                suff = sufficient_condition(fam, q)
-                chain = necessary_condition(fam, q)
+                suff = sufficient_condition(an, q)
+                chain = necessary_condition(an, q)
                 applicable = True
             except HypothesisViolated:
                 pass
-            records.append(CorpusRecord(fam, q, verdict, div, suff, applicable, chain))
+            records.append(CorpusRecord(fam, an, q, verdict, div, suff, applicable, chain))
     elapsed = time.monotonic() - t0
     return records, elapsed
 
@@ -340,7 +343,7 @@ def test_oracle_matches_reference_oracle(corpus):
     past_first_prefix = {"certified": 0, "refuted": 0}
     for rec in records[::2]:
         got = rec.oracle
-        *want, reach = reference_oracle(rec.fam, rec.q)
+        *want, reach = reference_oracle(rec.an, rec.q)
         assert (
             got.status,
             got.signature and got.signature.sigma,
@@ -363,24 +366,24 @@ def test_anchors_match_the_tuple_rule(corpus):
     # the rule applied to each exponent tuple of the table, row for row and
     # in the table's order, on every family of the corpus
     records, _ = corpus
-    fams = dict.fromkeys(rec.fam for rec in records)
-    for fam in fams:
-        an = as_analysis(fam)
+    analyses = dict.fromkeys(rec.an for rec in records)
+    for an in analyses:
+        fam = an.family
         monos = an.system.monomials
         got = [rows.tolist() for rows in an.anchors]
         assert got == [[list(monos[r]) for r in rows] for rows in brute_anchors(monos, fam.nvars)], fam
-    assert len(fams) >= 500
+    assert len(analyses) >= 500
 
 
 def test_anchor_determinants_match_brute_force(corpus):
     # FamilyAnalysis.anchor_determinants, from the functional-graph closed
     # form, against Bareiss determinants of every choice of anchor monomials
     records, _ = corpus
-    fams = dict.fromkeys(rec.fam for rec in records)
-    for fam in fams:
-        an = as_analysis(fam)
+    analyses = dict.fromkeys(rec.an for rec in records)
+    for an in analyses:
+        fam = an.family
         assert an.anchor_determinants == brute_anchor_determinants(an.system.monomials, fam.nvars), fam
-    assert len(fams) >= 500
+    assert len(analyses) >= 500
 
 
 def test_determinant_gate_refutes_as_the_scan(corpus):
@@ -393,13 +396,13 @@ def test_determinant_gate_refutes_as_the_scan(corpus):
     records, _ = corpus
     anchored = gated = by_quotient_alone = 0
     for rec in records:
-        an = as_analysis(rec.fam)
+        an = rec.an
         if not all(rows.size for rows in an.anchors):
             continue
         anchored += 1
         if any(det // rec.fam.degree % rec.q == 0 for det in an.anchor_determinants):
             continue
-        status, _, _, notes, _ = reference_oracle(rec.fam, rec.q)
+        status, _, _, notes, _ = reference_oracle(an, rec.q)
         assert status == "refuted", (rec.fam, rec.q)
         assert (rec.oracle.status, rec.oracle.notes) == (status, notes), (rec.fam, rec.q)
         gated += 1
@@ -419,7 +422,7 @@ def test_descent_gate_refutes_as_the_scan(corpus):
         pp = prime_power_decompose(rec.q)
         if pp.r == 1 or (rec.fam, rec.q // pp.p) not in refuted:
             continue
-        status, _, _, notes, _ = reference_oracle(rec.fam, rec.q)
+        status, _, _, notes, _ = reference_oracle(rec.an, rec.q)
         assert status == "refuted", (rec.fam, rec.q)
         assert (rec.oracle.status, rec.oracle.notes) == (status, notes), (rec.fam, rec.q)
         descended += 1
@@ -432,7 +435,7 @@ def test_certified_orders_divide_an_anchor_determinant(corpus):
     records, _ = corpus
     certified = 0
     for rec in records:
-        dets = as_analysis(rec.fam).anchor_determinants
+        dets = rec.an.anchor_determinants
         for verdict in (rec.oracle, rec.divides, rec.sufficient):
             if verdict is not None and verdict.status == "certified":
                 assert any(det // rec.fam.degree % rec.q == 0 for det in dets), (

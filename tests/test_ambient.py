@@ -48,6 +48,16 @@ class TestWeightedFamily:
         with pytest.raises(ValueError):
             WeightedFamily((1, 1, 1), 0)
 
+    def test_rejects_non_integers(self):
+        # int() would truncate 1.5 to 1, and a float degree would fail only later
+        with pytest.raises(TypeError):
+            WeightedFamily((1.5, 2, 3), 6)
+        with pytest.raises(TypeError):
+            WeightedFamily((1, 1, 1), 4.5)
+        fam = WeightedFamily(np.array([1, 2, 3], dtype=np.int32), np.int64(6))
+        assert fam == WeightedFamily((1, 2, 3), 6)
+        assert {type(v) for v in (*fam.weights, fam.degree)} == {int}
+
 
 class TestTextForm:
     def test_round_trip(self):

@@ -15,10 +15,8 @@ import pytest
 import wpsauto.ambient
 import wpsauto.cli
 from wpsauto import orders
-from wpsauto.ambient import WeightedFamily
 from wpsauto.cli import main
 from wpsauto.orders import _canonical_rows as canonical_rows
-from wpsauto.orders import as_analysis
 
 SCHEMA = json.loads((Path(__file__).parent.parent / "docs" / "report_schema.json").read_text())
 
@@ -673,7 +671,6 @@ def test_family_data_computed_once_per_request(capsys, monkeypatch):
         for module in modules:
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counted(name, original))
-    orders._latest_analysis.cache_clear()
     code, _, _ = run_cli(
         capsys, "orders", "--weights", "3,7,2,4,5", "--degree", "37", "--max-order", "37"
     )
@@ -684,79 +681,76 @@ def test_family_data_computed_once_per_request(capsys, monkeypatch):
     assert counts["simple_cycles"] <= 2  # the cycle chains, and the Klein cycles
 
 
-def test_one_analysis_per_request(capsys):
+@pytest.fixture
+def built_analyses(monkeypatch):
+    """A weak reference to each `FamilyAnalysis` built while the test runs."""
+    built = []
+    init = orders.FamilyAnalysis.__init__
+
+    def recorded(an, *args, **kwargs):
+        init(an, *args, **kwargs)
+        built.append(weakref.ref(an))
+
+    monkeypatch.setattr(orders.FamilyAnalysis, "__init__", recorded)
+    return built
+
+
+def test_one_analysis_per_request(capsys, built_analyses):
     # the divides-d criterion reads the request's analysis, not a default one
-    orders._latest_analysis.cache_clear()
     argv = ("orders", "--weights", "1,1,1,2,3", "--degree", "6", "--monomial-budget", "1000")
     code, _, _ = run_cli(capsys, *argv)
     assert code == 0
-    assert orders._latest_analysis.cache_info().misses == 1
-    # a bare family's analysis is the one a request under default budgets builds
-    orders._latest_analysis.cache_clear()
-    run_cli(capsys, "klein", "--weights", "1,1,1", "--degree", "4")
-    run_cli(capsys, "orders", "--weights", "1,1,1", "--degree", "4")
-    assert orders._latest_analysis.cache_info().misses == 1
+    assert len(built_analyses) == 1
 
 
-def test_an_analysis_is_dropped_with_its_family(capsys):
-    # the Klein section of the quartic keeps its invariant rows on the
-    # analysis; after a request on another family, nothing holds it
-    orders._latest_analysis.cache_clear()
-    run_cli(capsys, "klein", "--weights", "1,1,1", "--degree", "4")
-    an = as_analysis(WeightedFamily((1, 1, 1), 4))
-    assert orders._latest_analysis.cache_info().hits == 1
-    assert list(an.invariant_rows) == [7]
-    dropped = weakref.ref(an)
-    del an
-    run_cli(capsys, "klein", "--weights", "1,1,2", "--degree", "4")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("orders", "--weights", "1,1,1,2,3", "--degree", "6"),
+        ("check", "--weights", "1,1,1,1", "--degree", "4", "--order", "7"),
+        ("klein", "--weights", "1,1,1", "--degree", "4"),
+        ("scan", "--dim", "1", "--max-weight", "2", "--degree", "3..5"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_no_analysis_outlives_its_request(capsys, built_analyses, argv):
+    # nothing in the process keeps an analysis, so once a request returns,
+    # every analysis it built is gone, with its tables and Klein rows
+    assert run_cli(capsys, *argv)[0] == 0
     gc.collect()
-    assert dropped() is None
-    orders._latest_analysis.cache_clear()
+    assert built_analyses
+    assert [ref for ref in built_analyses if ref() is not None] == []
 
 
-def test_check_bytes_do_not_depend_on_an_earlier_sweep(capsys, monkeypatch):
+def test_check_bytes_do_not_depend_on_an_earlier_sweep(capsys):
     # (1,1,1,1) d=4 at q = 64, which no anchor quotient det K / d refutes:
-    # alone, the oracle scans its 7168 classes to refute it.  After a sweep
-    # to 64 the shared analysis records that the oracle refuted 32, and 64
-    # is refuted by descent, with no scan, in the same bytes
+    # the oracle scans its 7168 classes to refute it, in the same bytes
+    # after a sweep to 64 has left its class slices in the process
     family = ("--weights", "1,1,1,1", "--degree", "4")
-    orders._latest_analysis.cache_clear()
     alone = run_cli(capsys, "check", *family, "--order", "64")
     assert json.loads(alone[1])["verdicts"][0]["notes"][-1] == "exhausted all 7168 signature classes"
-    orders._latest_analysis.cache_clear()
     run_cli(capsys, "orders", *family, "--max-order", "64")
-
-    def no_scan(*args):
-        raise AssertionError("the oracle scanned its classes")
-
-    monkeypatch.setattr(orders, "_canonical_rows", no_scan)
     assert run_cli(capsys, "check", *family, "--order", "64") == alone
-    orders._latest_analysis.cache_clear()
 
 
 def test_report_bytes_are_the_same_with_cold_and_warm_caches(capsys, monkeypatch):
-    # the pinned requests, first with every cache empty, then again with
-    # the analyses and canonical-row slices the first pass left, and then
-    # with the slices alone
+    # the pinned requests, first with no class slice kept, then again with
+    # the slices the first pass left
     def replay():
         return [run_cli(capsys, *argv) for argv, _, _ in PINNED_REPORTS]
 
     monkeypatch.setattr(orders, "_slice_cache", {})
-    orders._latest_analysis.cache_clear()
     cold = replay()
     assert orders._slice_cache
     assert replay() == cold
-    orders._latest_analysis.cache_clear()
-    assert replay() == cold
-    orders._latest_analysis.cache_clear()
 
 
 def test_a_patched_canonical_rows_sees_a_warm_slice(capsys, monkeypatch):
     # (1,1,1,1) d=4 at q = 7 scans a slice of 343 ranks, which the first
-    # request keeps; a fresh analysis scans it again, through _canonical_rows
+    # request keeps; the next request's analysis scans it again, through
+    # _canonical_rows
     family = ("--weights", "1,1,1,1", "--degree", "4")
     monkeypatch.setattr(orders, "_slice_cache", {})
-    orders._latest_analysis.cache_clear()
     first = run_cli(capsys, "check", *family, "--order", "7")
     assert list(orders._slice_cache) == [(7, 3)]
     scanned = []
@@ -766,10 +760,8 @@ def test_a_patched_canonical_rows_sees_a_warm_slice(capsys, monkeypatch):
         return canonical_rows(*args)
 
     monkeypatch.setattr(orders, "_canonical_rows", counted_rows)
-    orders._latest_analysis.cache_clear()
     assert run_cli(capsys, "check", *family, "--order", "7") == first
     assert scanned == [(7, 7, 1, 3)]
-    orders._latest_analysis.cache_clear()
 
 
 def test_requests_read_only_the_exponent_matrices(capsys, monkeypatch):
@@ -778,11 +770,9 @@ def test_requests_read_only_the_exponent_matrices(capsys, monkeypatch):
         raise AssertionError("a request built MonomialSystem.monomials")
 
     monkeypatch.setattr(wpsauto.ambient.MonomialSystem, "monomials", property(tuple_form))
-    orders._latest_analysis.cache_clear()
     for argv, code, _ in PINNED_REPORTS:
         assert run_cli(capsys, *argv)[0] == code, argv
     assert run_cli(capsys, "check", "--weights", "1,1,1,1", "--degree", "4", "--order", "7")[0] == 0
-    orders._latest_analysis.cache_clear()
 
 
 def test_order_with_two_large_prime_factors_fails_fast(capsys):
@@ -813,14 +803,12 @@ def test_oracle_at_a_large_order_is_bounded_by_its_classes(capsys, monkeypatch, 
         return canonical_rows(*args)
 
     monkeypatch.setattr(orders, "_canonical_rows", counted_rows)
-    orders._latest_analysis.cache_clear()
     tracemalloc.start()
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "check", "--weights", "1,1,1", "--degree", "4", "--order", str(q))
     elapsed = time.perf_counter() - start
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    orders._latest_analysis.cache_clear()
     (verdict,) = json.loads(out)["verdicts"]
     assert len(scanned) == 1
     assert (code, err) == (0, "")

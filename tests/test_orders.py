@@ -12,9 +12,10 @@ from conftest import (
     reference_oracle,
 )
 
-from wpsauto.ambient import WeightedFamily, enumerate_monomials
+from wpsauto.ambient import MONOMIAL_BUDGET, WeightedFamily, enumerate_monomials
 from wpsauto.arith import as_prime_power, effective_order, prime_powers_up_to
 from wpsauto import orders
+from wpsauto.cycles import CYCLE_BUDGET
 from wpsauto.errors import HypothesisViolated
 from wpsauto.orders import (
     ORACLE_CLASS_BUDGET,
@@ -679,9 +680,10 @@ class TestCanonicalRows:
 
         monkeypatch.setattr(orders, "_canonical_blocks", counted_blocks)
         for weights, degree in (((1, 1, 1), 4), ((2, 1, 1), 5)):
-            fam = WeightedFamily(weights, degree)
-            verdict = oracle_exists_order(fam, 4)
-            status, signature, witness, notes, _ = reference_oracle(fam, 4)
+            an = as_analysis(WeightedFamily(weights, degree))
+            fam = an.family
+            verdict = oracle_exists_order(an, 4)
+            status, signature, witness, notes, _ = reference_oracle(an, 4)
             assert verdict.status == status == "certified", fam
             assert (verdict.signature.sigma, verdict.notes) == (signature, notes), fam
             assert verdict.witness_system.exponents.tolist() == [list(e) for e in witness], fam
@@ -743,12 +745,19 @@ def test_order_verdict_takes_a_family_or_its_analysis():
     )
 
 
-def test_one_analysis_however_its_budgets_are_spelled():
-    # the cache is keyed on the budget values, not on how a call passes them
+def test_a_bare_family_gets_a_new_analysis():
+    # nothing keeps an analysis: each call on a family builds a new one
+    # under the default budgets, and an analysis passes through as it is
     fam = WeightedFamily((1, 1, 1), 4)
     an = family_analysis(fam)
-    assert family_analysis(fam, oracle_budget=ORACLE_CLASS_BUDGET) is an
-    assert as_analysis(fam) is an
+    assert (an.monomial_budget, an.cycle_budget, an.oracle_budget) == (
+        MONOMIAL_BUDGET,
+        CYCLE_BUDGET,
+        ORACLE_CLASS_BUDGET,
+    )
+    assert family_analysis(fam) is not an
+    assert as_analysis(fam) is not an
+    assert as_analysis(an) is an
 
 
 def test_closures_are_built_once_per_analysis(monkeypatch):

@@ -274,6 +274,10 @@ def test_subset_criterion_edge_cases():
             subset_criterion([(1, 1)], nvars)
         with pytest.raises(ValueError):
             brute_subset_criterion([(1, 1)], nvars)
+    # a table of another width is an error, not read as nvars columns
+    for rows in ([(0, 1), (2, 0)], [(0, 1, 0, 0), (2, 0, 0, 0)]):
+        with pytest.raises(ValueError, match="not nvars = 3"):
+            subset_criterion(rows, 3)
 
 
 @st.composite
@@ -422,5 +426,5 @@ def test_gated_orders_are_refuted_by_the_reference(fam, q):
     pp = prime_power_decompose(q)
     dets = an.anchor_determinants
     quotient = all(rows.size for rows in an.anchors) and all(det // fam.degree % q for det in dets)
-    assume(quotient or pp.r > 1 and reference_oracle(fam, q // pp.p)[0] == "refuted")
-    assert reference_oracle(fam, q)[0] == "refuted"
+    assume(quotient or pp.r > 1 and reference_oracle(an, q // pp.p)[0] == "refuted")
+    assert reference_oracle(an, q)[0] == "refuted"
