@@ -2,8 +2,10 @@
 
 All reports are JSON on stdout with sorted keys, so identical arguments,
 seed, and budgets give byte-identical output.  Exit codes: 0 success,
-1 hypothesis violation, 2 budget exhaustion (partial results emitted),
-3 verification-suite failure, 64 usage error.
+1 hypothesis violation, 2 budget exhaustion, 3 verification-suite failure,
+64 usage error.  On exit 2, `check` and `scan` still print their reports,
+a stopped verdict unresolved; `orders` prints none when a budget stops its
+Klein section (not only verdicts), the message going to stderr alone.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from functools import lru_cache, partial
 from itertools import combinations_with_replacement
@@ -243,13 +244,11 @@ def _explain_offchain(an: FamilyAnalysis, q: int, chain) -> dict:
         if v in on_chain:
             continue
         anchors = []
-        for mono in an.anchors[v].tolist():
-            other_off = [u for u, e in enumerate(mono) if e > 0 and u != v and sig[u] is None]
-            if other_off:
-                anchors.append({"monomial": mono, "solutions": None, "couples": other_off})
+        for mono, k, t in an.anchor_terms[v]:
+            if t >= 0 and sig[t] is None:
+                anchors.append({"monomial": mono, "solutions": None, "couples": [t]})
                 continue
-            const = sum(sig[u] * e for u, e in enumerate(mono) if e > 0 and u != v)
-            sols = linear_congruence_solutions(mono[v], const, q)
+            sols = linear_congruence_solutions(k, sig[t] if t >= 0 else 0, q)
             anchors.append({"monomial": mono, "solutions": sols, "couples": []})
         entries.append({"variable": v, "anchors": anchors})
     return {"offchain": entries}
@@ -396,6 +395,7 @@ def _cmd_scan(args) -> int:
         scan_one, todo = partial(_scan_record, args), fams[done:]
         workers = min(args.workers, len(todo))  # a forked pool starts them all at once
         if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor  # imported only where a pool starts
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
             lines = pool.map(scan_one, todo, chunksize=4)
         else:

@@ -18,7 +18,7 @@ Every function here takes a family or its `FamilyAnalysis`: the Klein data
 is computed once per analysis (`FamilyAnalysis.klein`) from the analysis'
 weight digraph, and the eigenspace counts read the analysis' monomial table,
 so they honour its monomial budget.  The invariant rows behind those counts
-are kept on the analysis too, never in a cache of this module.
+are computed in each call and kept nowhere.
 """
 
 from __future__ import annotations
@@ -203,18 +203,11 @@ def eigenspace_filter(fam: "WeightedFamily | FamilyAnalysis", p: int) -> tuple[i
 
 def _invariant_rows(an: FamilyAnalysis, p: int) -> np.ndarray:
     """The rows of the monomial table fixed by the Klein chain's signature
-    mod p, kept on the analysis (`FamilyAnalysis.invariant_rows`), since a
-    Klein section asks `eigenspace_filter` and `klein_eigenspace_check` for
-    the same ones; they go when the analysis does."""
-    if p in an.invariant_rows:
-        return an.invariant_rows[p]
+    mod p: one product with the exponent matrix, made anew in each call."""
     data = an.klein
     if data is None:
         raise NoKleinHypersurface(f"no full cyclic ordering for {an.family}")
     sigma = signature_from_chain(an.family, CycleChain(data.ordering, data.exponents), p).sigma
     # a row's exponents sum to at most d, so its dot product is below d * p
     exact = np.int64 if an.family.degree * p < 2**63 else object
-    rows = np.flatnonzero(an.exponents.astype(exact, copy=False) @ np.array(sigma, dtype=exact) % p == 0)
-    rows.flags.writeable = False  # shared by every caller
-    an.invariant_rows[p] = rows
-    return rows
+    return np.flatnonzero(an.exponents.astype(exact, copy=False) @ np.array(sigma, dtype=exact) % p == 0)

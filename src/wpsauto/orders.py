@@ -384,17 +384,6 @@ def _first_unit_weight_index(fam: WeightedFamily, p: int) -> int:
     raise AssertionError("gcd of weights is 1, so some weight is prime to p")
 
 
-def _anchor_terms(an: "FamilyAnalysis", v: int) -> list[tuple[tuple[int, ...], int, int]]:
-    """(monomial, k, t) per anchor x_v^k * x_t of variable v, in the order of
-    `an.anchors[v]`; t = -1 for the pure power x_v^k."""
-    out = []
-    for row in an.anchors[v].tolist():
-        mono = tuple(row)
-        row[v] = 0
-        out.append((mono, mono[v], row.index(1) if any(row) else -1))
-    return out
-
-
 def _verified_certificate(
     fam: WeightedFamily,
     q: int,
@@ -438,7 +427,7 @@ def divides_d_criterion(fam: "WeightedFamily | FamilyAnalysis", p: int) -> Order
     length L in 2..nu with (1 - d/w)^L = 1 mod p.  Each certificate carries
     the explicit witness polynomial (Fermat, Fermat with one near-power, or
     equal-weight cycle plus Fermat tail), read off the anchors
-    (`FamilyAnalysis.anchors`).  Otherwise refuted: the case analysis is
+    (`FamilyAnalysis.anchor_terms`).  Otherwise refuted: the case analysis is
     exhaustive under these hypotheses.  Linear cones are excluded.
     """
     if not is_prime(p):
@@ -453,7 +442,7 @@ def divides_d_criterion(fam: "WeightedFamily | FamilyAnalysis", p: int) -> Order
         raise HypothesisViolated(f"{fam} is not well-formed")
     if an.flags["linear_cone"]:
         raise HypothesisViolated("linear cones are excluded")
-    terms = [_anchor_terms(an, v) for v in range(nv)]
+    terms = an.anchor_terms
     # every weight divides d, so every variable has its pure power
     fermat = [next(mono for mono, _, t in anchored if t < 0) for anchored in terms]
     provenance = "divides-d-criterion"
@@ -532,11 +521,12 @@ class FamilyAnalysis:
     budget exceeded, a hypothesis violated): it raises again when used again.
     The anchors come from the digraph, not from the monomial table, whose
     pattern codes and their closed rows serve only the oracle's bucket
-    test.  Get instances from `family_analysis`.  `oracle_refuted` is not a
-    field of the family but a record of the oracle's calls: the orders it
-    has refuted so far, which refute their multiples by p at once
-    (`oracle_exists_order`).  `invariant_rows` memoises
-    `klein._invariant_rows` per prime.
+    test; `anchor_terms` writes each anchor once, as its monomial with its
+    (k, t), and every reader takes those, so no row is parsed back.  Get
+    instances from `family_analysis`.  `oracle_refuted` is the only state a
+    call leaves here: not a field of the family but a record of the
+    oracle's calls, the orders it has refuted so far, which refute their
+    multiples by p at once (`oracle_exists_order`).
 
     Everything derived from the family lives here and nowhere else, and no
     process-wide cache holds an analysis, so it all goes when its caller
@@ -548,7 +538,6 @@ class FamilyAnalysis:
     cycle_budget: int
     oracle_budget: int
     oracle_refuted: set[int] = field(default_factory=set, init=False, repr=False)
-    invariant_rows: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
     def flags(self) -> dict[str, bool]:
@@ -639,28 +628,42 @@ class FamilyAnalysis:
         return out
 
     @cached_property
-    def anchors(self) -> tuple[np.ndarray, ...]:
-        """Per variable v, a read-only int64 matrix of the exponent vectors
-        anchoring v (x_v and at most one other variable, that one to the
-        first power), in the table's increasing order but not read off it:
-        the pure power x_v^(d/a_v) if a_v | d, and x_v^m * x_t for each edge
-        v -> t of the weight digraph.  No rows when nothing anchors v."""
+    def anchor_terms(self) -> tuple[tuple[tuple[tuple[int, ...], int, int], ...], ...]:
+        """Per variable v, its anchors x_v^k * x_t as (monomial, k, t), t = -1
+        for the pure power, in the table's increasing order but not read off
+        it: x_v^(d/a_v) if a_v | d, and x_v^m * x_t for each edge v -> t of
+        the weight digraph.  The one place an anchor's monomial is written."""
         nv, d = self.family.nvars, self.family.degree
         out = []
         for v, w in enumerate(self.family.weights):
-            terms = [{v: m, t: 1} for t, m in self.digraph[v].items()]
+            terms = [(m, t) for t, m in self.digraph[v].items()]
             if d % w == 0:
-                terms.append({v: d // w})
-            rows = np.array(sorted([e.get(u, 0) for u in range(nv)] for e in terms), dtype=np.int64)
-            rows = rows.reshape(len(terms), nv)
+                terms.append((d // w, -1))
+            anchored = []
+            for k, t in terms:
+                row = [0] * (nv + 1)  # t = -1 puts its 1 in the spare last column
+                row[v], row[t] = k, 1
+                anchored.append((tuple(row[:nv]), k, t))
+            out.append(tuple(sorted(anchored)))
+        return tuple(out)
+
+    @cached_property
+    def anchors(self) -> tuple[np.ndarray, ...]:
+        """Per variable v, a read-only int64 matrix whose rows are the
+        monomials of `anchor_terms[v]`, in its order; no rows when nothing
+        anchors v."""
+        nv = self.family.nvars
+        out = []
+        for terms in self.anchor_terms:
+            rows = np.array([mono for mono, _, _ in terms], dtype=np.int64).reshape(len(terms), nv)
             rows.flags.writeable = False  # shared by every reader
             out.append(rows)
         return tuple(out)
 
     @cached_property
     def anchor_determinants(self) -> frozenset[int]:
-        """The distinct |det K| over every choice of one `anchors` row per
-        variable, K the matrix whose row v is the exponent vector chosen for v.
+        """The distinct |det K| over every choice of one anchor per variable
+        (`anchor_terms`), K the matrix whose row v is the monomial chosen for v.
 
         The row of x_v^k is k at column v, and that of x_v^k * x_t adds a 1 at
         column t: K = diag(k) + the adjacency matrix of the functional graph
@@ -677,7 +680,7 @@ class FamilyAnalysis:
         running product, are divided out again for the cycle's factor.
         """
         nv = self.family.nvars
-        options = [[(k, t) for _, k, t in _anchor_terms(self, v)] for v in range(nv)]
+        options = [[(k, t) for _, k, t in terms] for terms in self.anchor_terms]
         k_of, target, on_cycle = [0] * nv, [-1] * nv, [False] * nv
         dets: set[int] = set()
 

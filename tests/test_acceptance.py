@@ -364,14 +364,20 @@ def test_oracle_matches_reference_oracle(corpus):
 def test_anchors_match_the_tuple_rule(corpus):
     # FamilyAnalysis.anchors, the closed form over the weight digraph, against
     # the rule applied to each exponent tuple of the table, row for row and
-    # in the table's order, on every family of the corpus
+    # in the table's order, on every family of the corpus; and its
+    # anchor_terms against those rows: the monomial is the row, k its entry
+    # at v, and t its other nonzero column, or -1 when it has none
     records, _ = corpus
     analyses = dict.fromkeys(rec.an for rec in records)
     for an in analyses:
         fam = an.family
         monos = an.system.monomials
-        got = [rows.tolist() for rows in an.anchors]
-        assert got == [[list(monos[r]) for r in rows] for rows in brute_anchors(monos, fam.nvars)], fam
+        want = [[monos[r] for r in rows] for rows in brute_anchors(monos, fam.nvars)]
+        assert [[tuple(row) for row in rows.tolist()] for rows in an.anchors] == want, fam
+        for v, rows in enumerate(want):
+            others = [[u for u, e in enumerate(row) if e and u != v] for row in rows]
+            triples = [(row, row[v], us[0] if us else -1) for row, us in zip(rows, others)]
+            assert list(an.anchor_terms[v]) == triples and all(len(us) <= 1 for us in others), fam
     assert len(analyses) >= 500
 
 

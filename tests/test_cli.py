@@ -1,7 +1,10 @@
 import ast
+import concurrent.futures
 import gc
 import hashlib
 import json
+import os
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -70,11 +73,13 @@ def test_orders_byte_identical(capsys):
 
 
 def test_monomial_budget_applies_to_its_own_call_only(capsys):
-    code, _, err = run_cli(
+    # the budget stops this family's Klein eigenspace counts, so `orders`
+    # prints no report at all: the message goes to stderr alone
+    code, out, err = run_cli(
         capsys, "orders", "--weights", "1,1,2,3", "--degree", "7", "--max-order", "8",
         "--monomial-budget", "3",
     )
-    assert code == 2
+    assert (code, out) == (2, "")
     assert "more than 3 monomials" in err
     family = ("orders", "--weights", "1,1,2,5", "--degree", "11", "--max-order", "8")
     code, out, _ = run_cli(capsys, *family)
@@ -868,12 +873,12 @@ def test_pooled_scan_to_stdout(capsys, monkeypatch):
     serial = run_cli(capsys, *args)
     pools = []
 
-    class CountedPool(wpsauto.cli.ProcessPoolExecutor):
+    class CountedPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, *a, **kw):
             pools.append(self)
             super().__init__(*a, **kw)
 
-    monkeypatch.setattr(wpsauto.cli, "ProcessPoolExecutor", CountedPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
     assert run_cli(capsys, *args, "--workers", "2") == serial
     assert len(pools) == 1
 
@@ -895,7 +900,7 @@ def test_scan_workers_are_capped_by_the_families_left(capsys, monkeypatch):
         def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
-    monkeypatch.setattr(wpsauto.cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     nine = ("scan", "--dim", "1", "--max-weight", "2", "--degree", "3..5")
     serial = run_cli(capsys, *nine)
     assert run_cli(capsys, *nine, "--workers", "64") == serial
@@ -903,6 +908,17 @@ def test_scan_workers_are_capped_by_the_families_left(capsys, monkeypatch):
     # one family: no pool at all
     code, out, _ = run_cli(capsys, "scan", "--dim", "1", "--max-weight", "1", "--degree", "4", "--workers", "64")
     assert (code, len(out.splitlines()), pools) == (0, 1, [9])
+
+
+def test_the_cli_imports_no_process_pool():
+    # the pool machinery is imported only where `scan --workers N` starts one
+    code = (
+        "import sys, wpsauto.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in {'concurrent', 'multiprocessing'}))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(wpsauto.cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("degrees", [("--max-degree", "3", "--degree", "5"), ()])
