@@ -25,8 +25,11 @@ residues, the pinned 0 being a convention, so a slice depends only on
 (q, m): `_canonical_rows` keeps its rows, read-only, for every later call
 in the process, whatever its number of blocks and whichever coordinate is
 pinned, as long as all it keeps fits in `_SLICE_CACHE_BYTES`; a slice that
-does not fit is streamed one block at a time.  A class certifies q only
-if q divides det K / d, K the matrix of the anchor monomials (x_v^k or
+does not fit is streamed one block at a time.  A family with no
+quasi-smooth member (the semigroup subset condition of (a, d) fails,
+`FamilyAnalysis.quasi_smooth`) has every order refuted before any table is
+built: no bucket passes where the whole table does not.  A class certifies
+q only if q divides det K / d, K the matrix of the anchor monomials (x_v^k or
 x_v^k * x_j, one per variable) of its bucket, so before it scans, the oracle refutes every q that divides none
 of the family's quotients det K / d (`FamilyAnalysis.anchor_determinants`,
 a closed form over the functional graph the anchors define): for the
@@ -43,9 +46,10 @@ pattern codes of the monomial table (`FamilyAnalysis.closures`).
 Everything that depends on (a, d) alone lives in one `FamilyAnalysis` per
 family and set of budgets, built by `family_analysis` and held only by its
 caller: the hypothesis flags, the bounds and the prime routing they decide,
-the monomial table, the weight digraph with its cycle chains, the anchors
-(read off the digraph and the pure powers, never off the table) and their
-determinants, and the Klein data.  The process-wide caches hold only what
+whether a quasi-smooth member exists, the monomial table, the weight
+digraph with its cycle chains, the anchors (read off the digraph and the
+pure powers, never off the table) and their determinants, and the Klein
+data.  The process-wide caches hold only what
 no family owns (class slices, for one).  Only the oracle's bucket test
 reads the table rows' pattern codes (their support and exponent-one
 bitmasks) and their closed rows.  The three budgets (monomials, cycles,
@@ -96,6 +100,7 @@ from .errors import BudgetExceeded, HypothesisViolated
 from .quasismooth import (
     distinct_codes,
     pattern_codes,
+    semigroup_subset_condition,
     subset_closures,
     subset_criterion,
     subset_criterion_batch,
@@ -351,11 +356,20 @@ def _chain_criteria(
     sufficient condition's certificate (or None), and the first qualifying
     chain (None refutes q by the necessary condition).  A chain whose
     signature induces a lower order is passed over; the certificate of the
-    first one left is built, and re-checked, by `_verified_certificate`."""
+    first one left is built, and re-checked, by `_verified_certificate`.
+
+    A family with no quasi-smooth member (`FamilyAnalysis.quasi_smooth` is
+    False) skips the sufficient half and builds no monomial table: every
+    witness is a subset of the table, which fails the subset criterion, so
+    none passes.  Its chains are still walked to the end, so that the first
+    chain, and the BudgetExceeded of a truncated walk, are the loop's own."""
     qq = pp.q
     fam = an.family
     _check_degree_and_linearity(an)
     chains = an.qualifying_chains(pp)
+    if an.quasi_smooth is False:  # no witness passes; a truncated walk raises here
+        chains = list(chains)
+        return None, chains[0] if chains else None
     nv = fam.nvars
     first = None
     for chain in chains:
@@ -519,6 +533,9 @@ class FamilyAnalysis:
 
     Each field is computed on first use and kept, except one that raises (a
     budget exceeded, a hypothesis violated): it raises again when used again.
+    Whether the family has a quasi-smooth member at all (`quasi_smooth`) is
+    read off (a, d), before any table: where it has none, the oracle and the
+    chain walk decide every order without building one.
     The anchors come from the digraph, not from the monomial table, whose
     pattern codes and their closed rows serve only the oracle's bucket
     test; `anchor_terms` writes each anchor once, as its monomial with its
@@ -598,6 +615,17 @@ class FamilyAnalysis:
                 "degree); verdicts cover diagonal automorphisms only",
             )
         return ()
+
+    @cached_property
+    def quasi_smooth(self) -> Optional[bool]:
+        """Whether the family has a quasi-smooth member: the semigroup subset
+        condition (`semigroup_subset_condition`), the subset criterion of the
+        whole monomial table read off (a, d), with no table built.  None when
+        its semigroup tables would pass `SEMIGROUP_TABLE_LIMIT` bits."""
+        try:
+            return semigroup_subset_condition(self.family)
+        except ValueError:
+            return None
 
     @cached_property
     def system(self) -> MonomialSystem:
@@ -982,7 +1010,24 @@ def oracle_exists_order(fam: "WeightedFamily | FamilyAnalysis", q: "int | PrimeP
     slice that holds the certifying class, however few of them its prefixes
     reached; a refutation tests them all.
     q is refuted only after every class is ruled out: by the scan, or at
-    once by one of two gates.  The quotient gate reads the anchor
+    once by a gate.  In order, a call refutes q when some variable has no
+    anchor (no bucket can hold one of each), then by the quasi-smooth gate,
+    then by the quotient gate; it leaves q unresolved past the int64 range
+    or the class budget; and it refutes q by the descent gate before it
+    scans.  Every gated refutation but the first carries the scan's own
+    note, "exhausted all N signature classes", N the classes it rules out.
+
+    The quasi-smooth gate reads `FamilyAnalysis.quasi_smooth`, the
+    semigroup subset condition of (a, d): each bucket is a subset of the
+    monomial table, and the subset criterion only gains from more
+    monomials, so when the whole table fails it, every bucket does.  It is
+    consulted before the quotient gate, the int64 range and the class
+    budget, so such a family builds no monomial table, no determinant table
+    and no slice, and its orders past the budget are refuted, not left
+    unresolved.  Where the condition's tables would pass
+    `SEMIGROUP_TABLE_LIMIT` bits it is None, and the gate is passed over.
+
+    The quotient gate reads the anchor
     determinants (`FamilyAnalysis.anchor_determinants`).  Let a class sigma
     certify q in bucket h, and let K be the matrix whose row v is the
     exponent vector of the anchor of v in bucket h, so K @ sigma = h * 1
@@ -1001,8 +1046,8 @@ def oracle_exists_order(fam: "WeightedFamily | FamilyAnalysis", q: "int | PrimeP
     one always falls through to the scan.  For the Klein quartic (1, 1, 1)
     d = 4 the cycle x0^3 x1, x1^3 x2, x2^3 x0 has det K = 28, and 28 / 4 = 7
     is the maximal prime of the weighted Klein hypersurface.  The anchors
-    and their determinants are closed forms of (a, d), so this gate and the
-    missing-anchor refutation build no monomial table.  The determinant
+    and their determinants are closed forms of (a, d), so this gate, like
+    the two before it, builds no monomial table.  The determinant
     table costs no more per anchor choice than the scan per class, so it is
     built, once per family, and consulted, before the budget and the int64
     range are, when a call has at least as many classes, and as much
@@ -1050,6 +1095,8 @@ def oracle_exists_order(fam: "WeightedFamily | FamilyAnalysis", q: "int | PrimeP
 
     class_count = _class_count(qq, p, nv - 1)
     exhausted = f"exhausted all {class_count} signature classes"
+    if an.quasi_smooth is False:
+        return refuted(exhausted)
     cap = min(class_count, an.oracle_budget)
     choices = math.prod(len(rows) for rows in an.anchors)
     if choices <= cap and all(det // fam.degree % qq for det in an.anchor_determinants):

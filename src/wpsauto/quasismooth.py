@@ -4,7 +4,12 @@ Two complementary verdicts are produced here and deliberately kept apart:
 
 * combinatorial: the subset criterion (`exists_quasismooth`,
   `general_member_quasismooth`) decides whether the general member of a
-  monomial linear system has a smooth affine cone away from the origin;
+  monomial linear system has a smooth affine cone away from the origin.
+  On the whole degree-d table it is the semigroup subset condition of
+  (a, d) (`semigroup_subset_condition`), decided with no table built; the
+  signature-class oracle and the chain walk read it first
+  (`orders.FamilyAnalysis.quasi_smooth`), and refute every order of a
+  family that fails it, since no subset of a failing table passes;
 * point-witness: `singular_point_search` hunts for an explicit singular
   point of one explicit polynomial over a prime field F_p, p < 2^16.  The
   polynomial is a member of a monomial system, one integer coefficient per
@@ -23,6 +28,7 @@ Two complementary verdicts are produced here and deliberately kept apart:
 
 from __future__ import annotations
 
+import math
 import operator
 import random
 from dataclasses import dataclass
@@ -34,7 +40,7 @@ import numpy as np
 
 from . import ambient
 from .ambient import Monomial, MonomialSystem, WeightedFamily
-from .arith import is_prime, semigroup_reachable
+from .arith import is_prime
 from .errors import CoefficientCollision, EmptySystem, NotWellFormed
 
 __all__ = [
@@ -52,7 +58,12 @@ __all__ = [
     "singular_point_search",
     "random_member",
     "FIELD_PRIME_LIMIT",
+    "SEMIGROUP_TABLE_LIMIT",
 ]
+
+
+#: Bits of the semigroup tables `semigroup_subset_condition` may build.
+SEMIGROUP_TABLE_LIMIT = 1 << 20
 
 
 def semigroup_subset_condition(fam: WeightedFamily) -> bool:
@@ -61,23 +72,46 @@ def semigroup_subset_condition(fam: WeightedFamily) -> bool:
     For each nonempty index subset I, either d lies in the semigroup
     generated by the weights in I, or at least |I| indices j outside I have
     d - a_j in that semigroup.  Exhaustive over all 2^(n+2) - 1 subsets.
+
+    This is the subset criterion (`subset_criterion`) of the whole degree-d
+    monomial table, read off the weights: a monomial supported inside I
+    exists iff d is a sum of the a_I, and one that is an I-monomial times
+    x_j iff d - a_j is.  The semigroup of each I is one Python-int bitset,
+    that of I minus its lowest index closed under adding that index's
+    weight by doubling shifts, so a subset costs a few big-int operations.
+    Schur's bound on the Frobenius number keeps the bitsets finite: with M
+    the largest weight and g the gcd of the a_I, every multiple of g from
+    g * (min(a_I)/g - 1) * (M/g - 1) <= M**2 on is a sum, so a number above
+    M**2 lies in the semigroup iff g divides it.  Only sums up to
+    min(d, M**2) are tabulated; past `SEMIGROUP_TABLE_LIMIT` bits that is a
+    ValueError, which names the limit.
     """
-    a = fam.weights
-    d = fam.degree
-    nv = len(a)
+    a, d, nv = fam.weights, fam.degree, fam.nvars
+    top = min(d, max(a) ** 2)
+    if top >= SEMIGROUP_TABLE_LIMIT:
+        raise ValueError(
+            f"the semigroup tables of {fam} need {top + 1} bits, "
+            f"past SEMIGROUP_TABLE_LIMIT = {SEMIGROUP_TABLE_LIMIT}"
+        )
+    table = (1 << top + 1) - 1  # the bits 0..top
+    reach, gcds = [1] * (1 << nv), [0] * (1 << nv)  # the empty subset reaches 0 alone
     for mask in range(1, 1 << nv):
-        gens = [a[i] for i in range(nv) if mask >> i & 1]
-        reach = semigroup_reachable(gens, d)
-        if reach[d]:
+        low = mask & -mask
+        w = a[low.bit_length() - 1]
+        r, step = reach[mask ^ low], w
+        while step <= top:  # r += {0, step}: now every multiple of w up to 2 * step - w
+            r |= r << step & table
+            step <<= 1
+        reach[mask] = r
+        g = gcds[mask] = math.gcd(gcds[mask ^ low], w)
+
+        def holds(n: int) -> bool:
+            return n >= 0 and (r >> n & 1 if n <= top else n % g == 0)
+
+        if holds(d):
             continue
-        size = len(gens)
-        hits = 0
-        for j in range(nv):
-            if mask >> j & 1:
-                continue
-            if d - a[j] >= 0 and reach[d - a[j]]:
-                hits += 1
-        if hits < size:
+        hits = sum(holds(d - a[j]) for j in range(nv) if not mask >> j & 1)
+        if hits < mask.bit_count():
             return False
     return True
 

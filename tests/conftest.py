@@ -10,7 +10,7 @@ import numpy as np
 
 from wpsauto import WeightedFamily
 from wpsauto.ambient import well_formed
-from wpsauto.arith import as_prime_power, gcd_all
+from wpsauto.arith import as_prime_power, gcd_all, semigroup_reachable
 from wpsauto.errors import CoefficientCollision
 from wpsauto.orders import FamilyAnalysis, _canonical_rows, as_analysis
 
@@ -49,6 +49,22 @@ def brute_semigroup_contains(gens: set[int], target: int) -> bool:
         return False
 
     return rec(0, target)
+
+
+def reference_semigroup_subset_condition(fam: WeightedFamily) -> bool:
+    """The semigroup subset condition by one O(d) `semigroup_reachable` table
+    per index subset I: d is a sum of the a_I, or at least |I| indices j
+    outside I have d - a_j one."""
+    a, d, nv = fam.weights, fam.degree, fam.nvars
+    for mask in range(1, 1 << nv):
+        gens = [a[i] for i in range(nv) if mask >> i & 1]
+        reach = semigroup_reachable(gens, d)
+        if reach[d]:
+            continue
+        hits = sum(1 for j in range(nv) if not mask >> j & 1 and d - a[j] >= 0 and reach[d - a[j]])
+        if hits < len(gens):
+            return False
+    return True
 
 
 def brute_is_prime(n: int) -> bool:

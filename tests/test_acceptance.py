@@ -9,13 +9,20 @@ tuned to the implementation.
 import math
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 import pytest
 
-from conftest import brute_anchor_determinants, brute_anchors, families, reference_oracle
+from conftest import (
+    brute_anchor_determinants,
+    brute_anchors,
+    families,
+    reference_oracle,
+    reference_semigroup_subset_condition,
+)
 
 from wpsauto.ambient import (
     WeightedFamily,
@@ -26,7 +33,8 @@ from wpsauto.ambient import (
     well_formed,
 )
 from wpsauto.arith import prime_power_decompose, primes_up_to
-from wpsauto.errors import HypothesisViolated
+from wpsauto.cycles import CYCLE_BUDGET
+from wpsauto.errors import BudgetExceeded, HypothesisViolated
 from wpsauto.klein import (
     eigenspace_filter,
     klein_eigenspace_check,
@@ -38,11 +46,13 @@ from wpsauto.orders import (
     _FIRST_PREFIX,
     FamilyAnalysis,
     OrderVerdict,
+    _chain_criteria,
     admissible_orders,
     as_analysis,
     bound_coprime,
     bound_divides_d,
     divides_d_criterion,
+    family_analysis,
     necessary_condition,
     oracle_exists_order,
     signature_from_chain,
@@ -451,3 +461,50 @@ def test_certified_orders_divide_an_anchor_determinant(corpus):
                 )
                 certified += 1
     assert certified >= 1000, certified
+
+
+def test_families_with_no_quasi_smooth_member_are_refuted_by_the_reference(corpus):
+    # Every pair whose family fails the semigroup subset condition, the pairs
+    # the oracle refutes from (a, d) alone: the reference oracle's per-class
+    # loop, which builds the table and tests each bucket, refutes each of
+    # them too, with the same notes
+    records, _ = corpus
+    gated = 0
+    for rec in records:
+        if reference_semigroup_subset_condition(rec.fam):
+            continue
+        assert rec.an.quasi_smooth is False, rec.fam
+        status, _, _, notes, _ = reference_oracle(rec.an, rec.q)
+        assert status == "refuted", (rec.fam, rec.q)
+        assert (rec.oracle.status, rec.oracle.notes) == (status, notes), (rec.fam, rec.q)
+        gated += 1
+    assert gated >= 1000, gated
+    print(f"reference oracle on {gated} pairs with no quasi-smooth member: PASS")
+
+
+def test_chain_criteria_are_the_same_without_the_short_circuit(corpus):
+    # On the families that fail the semigroup subset condition, the chain
+    # walk skips its sufficient half; with quasi_smooth set to True it runs
+    # it, and must find no certificate, the same first chain, and the same
+    # exception, also where a cycle budget of 1 truncates the walk
+    records, _ = corpus
+    compared = Counter()
+    for rec in records:
+        if rec.an.quasi_smooth is not False:
+            continue
+        pp = prime_power_decompose(rec.q)
+        for budget in (CYCLE_BUDGET, 1):
+            got = []
+            for forced in (False, True):
+                an = family_analysis(rec.fam, cycle_budget=budget)
+                if forced:
+                    an.quasi_smooth = True
+                try:
+                    got.append(_chain_criteria(an, pp))
+                except (HypothesisViolated, BudgetExceeded) as exc:
+                    got.append((type(exc).__name__, str(exc)))
+            assert got[0] == got[1], (rec.fam, rec.q, budget)
+            raised, chain = got[0]  # a verdict would be a certificate, which none has
+            compared[raised or ("chain" if chain else "no chain")] += 1
+    assert compared["chain"] >= 100 and compared["BudgetExceeded"] >= 200, compared
+    print(f"chain criteria with and without the short circuit: {dict(compared)}: PASS")

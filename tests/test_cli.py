@@ -15,6 +15,8 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from conftest import reference_semigroup_subset_condition
+
 import wpsauto.ambient
 import wpsauto.cli
 from wpsauto import orders
@@ -589,6 +591,45 @@ PINNED_REPORTS = [
 
 @pytest.mark.parametrize("argv, code, digest", PINNED_REPORTS)
 def test_report_bytes_are_pinned(capsys, argv, code, digest):
+    got, out, _ = run_cli(capsys, *argv)
+    assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+
+
+# Requests on families with no quasi-smooth member, and their bytes as they
+# were before the oracle and the chain walk read the semigroup subset
+# condition.  (1,1,2,2,2) d=27 fails it at I = {2, 3, 4}; of the scan's
+# four families, (1,1,1,3) and (1,1,3,3) d=8 fail it at I = {the 3s}.
+NO_QUASI_SMOOTH_MEMBER = [
+    (("orders", "--weights", "1,1,2,2,2", "--degree", "27", "--max-order", "13"), 0,
+     "e3493c326f4cebeb447f475ea5b930e04a2e28e1ba11b5d1e9425149ba3c49dc"),
+    (("check", "--weights", "1,1,2,2,2", "--degree", "27", "--order", "13"), 0,
+     "d3fd1ecc60d85c0a059d11b70ab6fb2cbf295ad1f75f568d5210430ecaf9b738"),
+    (("scan", "--dim", "2", "--max-weight", "3", "--degree", "8", "--coprime", "--max-order", "13"), 0,
+     "115f8911af5444ebd18202ef0d128de8fcde2dd14764cc4a917e202bf0d28b13"),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", NO_QUASI_SMOOTH_MEMBER, ids=[argv[0] for argv, _, _ in NO_QUASI_SMOOTH_MEMBER])
+def test_a_family_with_no_quasi_smooth_member_builds_no_table(capsys, monkeypatch, argv, code, digest):
+    # Such a family builds no monomial table and no anchor determinants, so
+    # no class slice either: the oracle's scan reads the table first
+    def refuse(fam):
+        if not reference_semigroup_subset_condition(fam):
+            raise AssertionError(f"{fam} has no quasi-smooth member, yet its tables were built")
+
+    enumerate_monomials = orders.enumerate_monomials
+    determinants = orders.FamilyAnalysis.anchor_determinants.func
+
+    def guarded_enumerate(fam, *args):
+        refuse(fam)
+        return enumerate_monomials(fam, *args)
+
+    def guarded_determinants(an):
+        refuse(an.family)
+        return determinants(an)
+
+    monkeypatch.setattr(orders, "enumerate_monomials", guarded_enumerate)
+    monkeypatch.setattr(orders.FamilyAnalysis, "anchor_determinants", property(guarded_determinants))
     got, out, _ = run_cli(capsys, *argv)
     assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
 

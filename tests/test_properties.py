@@ -17,6 +17,7 @@ from conftest import (
     families,
     lattice_subset_criterion_batch,
     reference_oracle,
+    reference_semigroup_subset_condition,
     series_monomial_count,
 )
 
@@ -52,6 +53,7 @@ from wpsauto.quasismooth import (
     _LogSpace,
     distinct_codes,
     pattern_codes,
+    semigroup_subset_condition,
     singular_point_search,
     subset_closures,
     subset_criterion,
@@ -77,6 +79,18 @@ def test_prime_power_recomposition(q):
 @settings(max_examples=150, deadline=None)
 def test_semigroup_matches_bruteforce(gens, target):
     assert semigroup_reachable(gens, target)[target] == brute_semigroup_contains(gens, target)
+
+
+@given(st.lists(st.integers(1, 7), min_size=3, max_size=6), st.integers(1, 60))
+@example([2, 3, 5], 31)  # d past max(a)**2: read by divisibility, not off a table
+@example([1, 1, 2, 2, 2], 27)
+@settings(max_examples=300, deadline=None)
+def test_semigroup_subset_condition_matches_the_reference(ws, d):
+    # the bitset DP with Schur's bound against one O(d) table per subset
+    assume(gcd_all(ws) == 1)
+    fam = WeightedFamily(tuple(ws), d)
+    assume(well_formed(fam))
+    assert semigroup_subset_condition(fam) == reference_semigroup_subset_condition(fam)
 
 
 @given(st.lists(st.lists(st.integers(-3, 3), min_size=3, max_size=3), max_size=8), st.booleans())

@@ -10,6 +10,7 @@ from wpsauto.ambient import MonomialSystem, WeightedFamily, enumerate_monomials,
 from wpsauto.errors import CoefficientCollision, EmptySystem, NotWellFormed
 from wpsauto.quasismooth import (
     FIELD_PRIME_LIMIT,
+    SEMIGROUP_TABLE_LIMIT,
     ExplicitPolynomial,
     _LogSpace,
     exists_quasismooth,
@@ -35,6 +36,23 @@ class TestExistsQuasismooth:
     def test_not_well_formed(self):
         with pytest.raises(NotWellFormed):
             exists_quasismooth(WeightedFamily((1, 2, 2, 2), 4))
+
+    def test_a_huge_degree_is_read_off_schurs_bound(self):
+        # a table of d + 1 booleans per subset was a MemoryError here; past
+        # max(a)**2 = 1 every number is a sum of the weights
+        assert exists_quasismooth(WeightedFamily((1, 1, 1), 99999999999999999))
+
+    @pytest.mark.parametrize(
+        "weights, degree",
+        [
+            ((3074457345618258527, 2305843009213693895, 1), 9223372036854775581),
+            ((3074457345618258431, 2305843009213693823, 1), 9223372036854775293),
+        ],
+    )
+    def test_a_table_past_the_limit_is_a_value_error(self, weights, degree):
+        # min(d, max(a)**2) = d here, far past the limit on the tables' bits
+        with pytest.raises(ValueError, match=f"SEMIGROUP_TABLE_LIMIT = {SEMIGROUP_TABLE_LIMIT}"):
+            exists_quasismooth(WeightedFamily(weights, degree))
 
 
 class TestGeneralMemberQuasismooth:
