@@ -15,7 +15,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .arith import gcd_all, semigroup_reachable
+from .arith import gcd_all, semigroup_bits
 from .errors import BudgetExceeded, NotNormalizable
 
 __all__ = [
@@ -259,15 +259,16 @@ _EXTEND_CHUNK = 1 << 20
 def _sum_test(generators: Sequence[int], d: int):
     """A test of which integers in [0, d] are sums of the generators.
 
-    With g their gcd and s, t the least and the largest generator over g,
-    every multiple of g from g*(s - 1)*(t - 1) on is a sum (Schur's bound on
-    the Frobenius number), so a `semigroup_reachable` table is kept only
-    below that and the rest is a divisibility test.
+    With g their gcd, every multiple of g from Schur's bound on is a sum
+    (`semigroup_bits`), so a `semigroup_bits` table is kept only below it
+    and the rest is a divisibility test.
     """
     g = gcd_all(generators)
     cap = min(d + 1, g * (min(generators) // g - 1) * (max(generators) // g - 1))
-    table = np.array(semigroup_reachable(generators, max(cap - 1, 0)))
-    return lambda r: np.where(r < cap, table[np.minimum(r, len(table) - 1)], r % g == 0)
+    top = max(cap - 1, 0)
+    packed = np.frombuffer(semigroup_bits(generators, top).to_bytes(top // 8 + 1, "little"), dtype=np.uint8)
+    table = np.unpackbits(packed, count=top + 1, bitorder="little").view(bool)
+    return lambda r: np.where(r < cap, table[np.minimum(r, top)], r % g == 0)
 
 
 def enumerate_monomials(fam: WeightedFamily, budget: "int | None" = None) -> MonomialSystem:

@@ -20,7 +20,7 @@ __all__ = [
     "PRIMALITY_LIMIT",
     "prime_power_decompose",
     "gcd_all",
-    "semigroup_reachable",
+    "semigroup_bits",
     "effective_order",
     "linear_congruence_solutions",
     "primes_up_to",
@@ -140,23 +140,27 @@ def gcd_all(xs: Sequence[int]) -> int:
     return g
 
 
-def semigroup_reachable(generators: Iterable[int], limit: int) -> list[bool]:
-    """Table t with t[k] true iff k <= limit is a sum of the generators.
+def semigroup_bits(generators: Iterable[int], top: int, bits: int = 1) -> int:
+    """The set `bits` (bit k for k) closed under adding the generators, cut
+    at `top`: bit k <= top is set iff k is a member of `bits` plus a sum of
+    the generators.  The default {0} gives the numerical semigroup.  Each
+    generator w is added by doubling shifts, by w, 2w, 4w, ... up to top.
 
-    Plain unbounded-coin dynamic programming; exact and O(len * limit).
+    Schur's bound on the Frobenius number: with g the gcd of the generators
+    and s, t the least and the largest over g, every multiple of g from
+    g * (s - 1) * (t - 1) <= max**2 on is a sum.  So past such a top, a
+    number is a sum iff g divides it.
     """
-    gens = sorted(set(generators))
-    if not gens:
-        raise EmptyInput("semigroup_reachable needs at least one generator")
-    if any(g < 1 for g in gens):
-        raise ValueError("generators must be positive")
-    table = [False] * (limit + 1)
-    table[0] = True
-    for g in gens:
-        for k in range(g, limit + 1):
-            if table[k - g]:
-                table[k] = True
-    return table
+    table = (1 << top + 1) - 1  # the bits 0..top
+    bits &= table
+    for w in generators:
+        if w < 1:
+            raise ValueError("generators must be positive")
+        step = w
+        while step <= top:  # bits += {0, step}: now every multiple of w up to 2 * step - w
+            bits |= bits << step & table
+            step <<= 1
+    return bits
 
 
 def effective_order(sigma: Sequence[int], a: Sequence[int], q: int) -> int:

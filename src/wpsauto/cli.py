@@ -3,9 +3,8 @@
 All reports are JSON on stdout with sorted keys, so identical arguments,
 seed, and budgets give byte-identical output.  Exit codes: 0 success,
 1 hypothesis violation, 2 budget exhaustion, 3 verification-suite failure,
-64 usage error.  On exit 2, `check` and `scan` still print their reports,
-a stopped verdict unresolved; `orders` prints none when a budget stops its
-Klein section (not only verdicts), the message going to stderr alone.
+64 usage error.  On exit 2, `check`, `orders` and `scan` still print their
+reports, a stopped verdict unresolved.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import math
 import os
 import sys
 import time
-from contextlib import ExitStack
+from contextlib import ExitStack, suppress
 from functools import lru_cache, partial
 from itertools import combinations_with_replacement
 from pathlib import Path
@@ -205,14 +204,21 @@ def _parse(argv: Optional[Sequence[str]]) -> argparse.Namespace:
 def _fill_orders_report(report: dict, an: FamilyAnalysis, max_order: Optional[int]) -> list[OrderVerdict]:
     """Add the sections of an `orders` report to `report` (a `base_report`)
     one at a time, and return the verdicts.  `scan` writes the same report
-    per family; when a section raises, the ones added before it stay.  The
-    oracle's hard preconditions are checked before the sweep limit, so that
-    an invalid family is named as such, not as one with no bound."""
-    report["bounds"] = bounds_section(an)
-    report["klein"] = klein_section(an)
-    an.oracle_hypotheses()
-    max_order = _default_max_order(an, max_order)
-    verdicts = [v for _, v in admissible_orders(an, max_order)]
+    per family.  When a section raises, the ones added before it stay, the
+    message is added as "error" with no verdicts, and the error is raised
+    again.  The oracle's hard preconditions are checked before the sweep
+    limit, so that an invalid family is named as such, not as one with no
+    bound."""
+    try:
+        report["bounds"] = bounds_section(an)
+        report["klein"] = klein_section(an)
+        an.oracle_hypotheses()
+        max_order = _default_max_order(an, max_order)
+        verdicts = [v for _, v in admissible_orders(an, max_order)]
+    except (WpsautoError, _UsageError) as exc:
+        report["error"] = str(exc)
+        report["verdicts"] = []
+        raise
     report["max_order"] = max_order
     report["verdicts"] = [verdict_json(v) for v in verdicts]
     return verdicts
@@ -222,7 +228,11 @@ def _cmd_orders(args) -> int:
     an = _analysis(args)
     started = time.monotonic()
     report = base_report(an, args.seed)
-    verdicts = _fill_orders_report(report, an, args.max_order)
+    try:
+        verdicts = _fill_orders_report(report, an, args.max_order)
+    except BudgetExceeded:  # the report as `scan` records the family
+        print(dumps(report))
+        raise  # `main` names it on stderr and exits 2
     if args.timings:
         report["timings"] = {"total_s": round(time.monotonic() - started, 3)}
     print(dumps(report))
@@ -333,11 +343,8 @@ def _scan_record(args, fam: WeightedFamily) -> str:
     """The family's JSON line; a raised error is recorded in it as "error"."""
     an = _analysis(args, fam)
     report = base_report(an, args.seed)
-    try:
+    with suppress(WpsautoError, _UsageError):  # recorded in the report
         _fill_orders_report(report, an, args.max_order)
-    except (WpsautoError, _UsageError) as exc:
-        report["error"] = str(exc)
-        report["verdicts"] = []
     return dumps(report)
 
 

@@ -7,7 +7,8 @@ A Klein hypersurface for (a, d) is cut out by the full cyclic polynomial
 for some ordering of the variables in which a_i * m_i + a_{i+1} = d holds
 cyclically.  When every weight is prime to d, these are the hypersurfaces
 realizing the largest prime that can occur as an automorphism order; the
-candidate value of that prime is (prod(m_i) + (-1)^(n+1)) / d.
+candidate value of that prime is (prod(m_i) + (-1)^(n+1)) / d, the Klein
+chain's determinant (`orders.CycleChain.determinant`) over d.
 
 The Klein polynomial itself is quasi-smooth unless every m_i is 1 and 4
 divides the number of variables (`klein_quasismooth`, with the proof).
@@ -120,14 +121,14 @@ def klein_quasismooth(fam: "WeightedFamily | FamilyAnalysis") -> bool:
     False exactly when every exponent m_i is 1 and 4 divides N = n + 2.
 
     Let K be the N x N exponent matrix, m_i at (i, i) and 1 at (i, i+1)
-    cyclically, so det K = prod(m_i) - (-1)^N.  If det K != 0, the torus
-    map lambda -> (lambda_i^(m_i) * lambda_(i+1))_i is onto (C*)^N, so a
-    diagonal rescaling takes the Klein polynomial to any member with the
-    same monomials and nonzero coefficients: it is quasi-smooth iff the
-    general member is.  The general member passes the subset criterion:
-    a subset I holding two cyclically adjacent indices i, i+1 contains
-    x_i^(m_i) * x_(i+1), and otherwise each i in I gives its own j = i+1
-    outside I.  det K = 0 iff every m_i = 1 and N is even.  Then
+    cyclically, so det K = prod(m_i) - (-1)^N (`CycleChain.determinant`).
+    If det K != 0, the torus map lambda -> (lambda_i^(m_i) * lambda_(i+1))_i
+    is onto (C*)^N, so a diagonal rescaling takes the Klein polynomial to
+    any member with the same monomials and nonzero coefficients: it is
+    quasi-smooth iff the general member is.  The general member passes the
+    subset criterion: a subset I holding two cyclically adjacent indices
+    i, i+1 contains x_i^(m_i) * x_(i+1), and otherwise each i in I gives
+    its own j = i+1 outside I.  det K = 0 iff every m_i = 1 and N is even.  Then
     F = sum x_i * x_(i+1), dF/dx_i = x_(i-1) + x_(i+1) is a circulant with
     eigenvalues 2*cos(2*pi*k/N), one of which vanishes iff 4 | N, and by
     Euler's formula F vanishes wherever its partials do: the cone is
@@ -150,7 +151,8 @@ def klein_singularity_R(data: KleinData) -> int:
 
 
 def klein_max_prime(fam: "WeightedFamily | FamilyAnalysis") -> MaxPrimeResult:
-    """The largest prime order candidate (prod(m) + (-1)^(n+1)) / d.
+    """The largest prime order candidate (prod(m) + (-1)^(n+1)) / d, the
+    Klein chain's determinant (`CycleChain.determinant`) over d.
 
     Requires a Klein ordering and weights coprime to the degree.  Returns
     the value only when the division is exact and the result is a prime
@@ -164,8 +166,7 @@ def klein_max_prime(fam: "WeightedFamily | FamilyAnalysis") -> MaxPrimeResult:
     data = an.klein
     if data is None:
         raise NoKleinHypersurface(f"no full cyclic ordering for {fam}")
-    n = fam.n
-    numer = math.prod(data.exponents) + (1 if (n + 1) % 2 == 0 else -1)
+    numer = CycleChain(data.ordering, data.exponents).determinant
     if numer % fam.degree != 0:
         return MaxPrimeResult(None, "not-integral")
     candidate = numer // fam.degree

@@ -38,7 +38,7 @@ it scan for p**r once it has refuted p**(r-1) for the same analysis, as a
 class certifying p**r reduces to one certifying p**(r-1).  It tests
 a block of candidates in prefixes that grow fourfold, so that a class
 certifying early in its block costs what its prefix costs; within a prefix,
-the eigenvalue buckets of all its classes are formed by one exact float64
+the eigenvalue buckets of all its classes are formed by one exact int64
 matrix product (`_bucket_members`) and decided together, one float32 product
 per chunk of buckets, against closed rows built once per analysis from the
 pattern codes of the monomial table (`FamilyAnalysis.closures`).
@@ -137,7 +137,7 @@ ORACLE_CLASS_BUDGET = 2_000_000
 _CHUNK = 1 << 16
 
 #: Elements per (class, bucket) chunk that the oracle tests at once: a chunk
-#: of k buckets builds a k x (monomials) float64 matrix of bucket sums, a
+#: of k buckets builds a k x (monomials) int64 matrix of bucket sums, a
 #: k x (pattern codes) float32 presence matrix and its k x (nvars + 1) *
 #: 2**nvars product with the closed rows; no table has more codes than rows.
 _BUCKET_ELEMENTS = 1 << 16
@@ -176,6 +176,12 @@ class CycleChain:
 
     def product(self) -> int:
         return math.prod(self.exponents)
+
+    @cached_property
+    def determinant(self) -> int:
+        """det K = prod(m) - (-1)**len, K the matrix of the cycle monomials;
+        q divides it iff (-1)**len * prod(m) is 1 mod q."""
+        return self.product() - (-1) ** len(self.indices)
 
     def monomials(self, nvars: int) -> list[tuple[int, ...]]:
         """The cycle monomials as full exponent vectors."""
@@ -482,11 +488,10 @@ def divides_d_criterion(fam: "WeightedFamily | FamilyAnalysis", p: int) -> Order
     for w in sorted(set(a)):
         positions = [i for i, x in enumerate(a) if x == w]
         for length in range(2, len(positions) + 1):
-            if pow(1 - d // w, length, p) != 1 % p:
+            chain = CycleChain(tuple(positions[:length]), (d // w - 1,) * length)
+            if chain.determinant % p:  # (1 - d/w)^L != 1 mod p
                 continue
-            idx = tuple(positions[:length])
-            chain = CycleChain(idx, (d // w - 1,) * length)
-            witness = chain.monomials(nv) + [mono for k, mono in enumerate(fermat) if k not in idx]
+            witness = chain.monomials(nv) + [mono for k, mono in enumerate(fermat) if k not in chain.indices]
             sigma = signature_from_chain(fam, chain, p).padded().sigma
             note = f"case (c): weight {w}, cycle length {length}"
             return _verified_certificate(fam, p, provenance, sigma, witness, chain, (note,))
@@ -699,7 +704,8 @@ class FamilyAnalysis:
         v or t, so the points it moves form a union of cycles of the graph,
         each of sign (-1)**(len - 1).  Summed over those unions, det K is the
         product of k over the vertices off cycles times, per cycle, (the
-        product of its k) - (-1)**len.
+        product of its k) - (-1)**len, the determinant of the cycle's chain
+        (`CycleChain.determinant`).
 
         The choices are made variable by variable, depth first, in exact
         Python ints.  A cycle closes when its last variable is chosen: the
@@ -769,8 +775,7 @@ class FamilyAnalysis:
     def _qualifying(self, q: int) -> Iterator[CycleChain]:
         chains, truncated = self._chains
         for chain in chains:
-            signed = chain.product() if len(chain.indices) % 2 == 0 else -chain.product()
-            if signed % q == 1:
+            if chain.determinant % q == 0:
                 yield chain
         if truncated:
             raise BudgetExceeded(self.cycle_budget, "cycles")
@@ -939,23 +944,12 @@ def _bucket_members(sigma: np.ndarray, table_T: np.ndarray, h: np.ndarray, q: in
     """members[i, r]: whether row r of a monomial table lies in bucket h[i] of
     the signature sigma[i], that is sigma[i] . e_r = h[i] (mod q).  The
     entries of sigma are residues mod q, table_T is the transposed table in
-    float64 with its exponents reduced mod q, and 0 <= h < q.
+    int64 with its exponents reduced mod q, and 0 <= h < q.
 
-    One float64 product, exact whenever nvars * q**2 < 2**53, which the
-    oracle's guard q**nvars < 2**62 gives for nvars >= 3 (q**2 < 2**(124 /
-    nvars), and nvars * 2**(124 / nvars) < 2**43).  Every product of
-    entries is an integer below q**2, so every partial sum, in any order of
-    summation and with fused multiply-adds or not, is an integer below 2**53
-    and is formed exactly; so is x = sum - h.  If q divides x, then x / q is
-    an integer below 2**53, which the correctly rounded division returns
-    exactly.  Otherwise the quotient x / q lies at least 1 / q away from
-    every integer, and rounding moves it by at most |x / q| * 2**-53 < 1 / q,
-    so the computed quotient is not an integer either.
+    One int64 product, exact: its entries are reduced mod q, so the sums
+    stay below nvars * q**2 < 2**44 under the oracle's guard q**nvars < 2**62.
     """
-    x = sigma.astype(np.float64) @ table_T
-    x -= h[:, None]
-    x /= q
-    return np.floor(x) == x
+    return sigma @ table_T % q == h[:, None]
 
 
 def oracle_exists_order(fam: "WeightedFamily | FamilyAnalysis", q: "int | PrimePowerOrder") -> OrderVerdict:
@@ -990,19 +984,18 @@ def oracle_exists_order(fam: "WeightedFamily | FamilyAnalysis", q: "int | PrimeP
     and so on, each prefix the rows after the last.
     The hit (class, h) pairs of a prefix are decided together, in chunks of
     at most about `_BUCKET_ELEMENTS` array elements.  A chunk's bucket
-    members come from one float64 product of its classes and the table's
-    exponents reduced mod q, exact below the int64 guard on q (proof in
-    `_bucket_members`); which pattern codes each bucket holds is then
-    decided by one `subset_criterion_batch` call, a float32 product with
-    the closed rows of the table's distinct codes (`FamilyAnalysis.closures`),
-    built once per analysis.  The winner is the first passing pair in
-    increasing class rank and then increasing h, as if buckets were tried
-    one by one: prefixes, chunks and the pairs in them all follow that
-    order, so the first prefix with a passing pair holds the winner, and no
-    later class needs a test.  Only the winner's monomials are gathered,
-    and `_verified_certificate` re-checks them and the induced order.  The
-    reported signature is the winner's canonical one
-    (`_canonical_full_signature`), which for i* = 0 is the winner itself:
+    members come from one int64 product of its classes and the table's
+    exponents reduced mod q (`_bucket_members`); which pattern codes each
+    bucket holds is then decided by one `subset_criterion_batch` call, a
+    float32 product with the closed rows of the table's distinct codes
+    (`FamilyAnalysis.closures`), built once per analysis.  The winner is
+    the first passing pair in increasing class rank and then increasing h,
+    as if buckets were tried one by one: prefixes, chunks and the pairs in
+    them all follow that order, so the first prefix with a passing pair
+    holds the winner, and no later class needs a test.  Only the winner's
+    monomials are gathered, and `_verified_certificate` re-checks them and
+    the induced order.  The reported signature is the winner's canonical
+    one (`_canonical_full_signature`), which for i* = 0 is the winner itself:
     it is least in its unit orbit and has 0 first, while every other
     translate, and each unit multiple of one, has the nonzero first entry
     u * c * a_0, a_0 a unit.  The note "classes examined: N" counts the
@@ -1075,8 +1068,7 @@ def oracle_exists_order(fam: "WeightedFamily | FamilyAnalysis", q: "int | PrimeP
     r*(p-1)/p per class, are built `_CHUNK` ranks at a time, a variable has
     at most nvars anchors, so a class has at most nvars hit pairs, and no
     array has a dimension of size q.  Apart from it, only q**nvars >= 2**62
-    (inexact int64 ranks) is unresolved; the products read exponents
-    reduced mod q, so no sum exceeds nvars * q**2, below 2**53.
+    (inexact int64 ranks) is unresolved.
     """
     pp = as_prime_power(q)
     qq, p = pp.q, pp.p
@@ -1111,7 +1103,7 @@ def oracle_exists_order(fam: "WeightedFamily | FamilyAnalysis", q: "int | PrimeP
         return refuted(exhausted)
     i_star = _first_unit_weight_index(fam, p)
     free = [v for v in range(nv) if v != i_star]
-    E_T = (an.exponents[:, free].astype(np.int64) % qq).T.astype(np.float64)
+    E_T = (an.exponents[:, free].astype(np.int64) % qq).T
     codes, code_of_row = an.patterns
     # the variable with the fewest anchors first: its buckets are the candidates
     base_T, *others_T = sorted((rows[:, free].T % qq for rows in an.anchors), key=lambda a: a.shape[1])

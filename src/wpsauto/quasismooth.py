@@ -40,7 +40,7 @@ import numpy as np
 
 from . import ambient
 from .ambient import Monomial, MonomialSystem, WeightedFamily
-from .arith import is_prime
+from .arith import is_prime, semigroup_bits
 from .errors import CoefficientCollision, EmptySystem, NotWellFormed
 
 __all__ = [
@@ -76,15 +76,13 @@ def semigroup_subset_condition(fam: WeightedFamily) -> bool:
     This is the subset criterion (`subset_criterion`) of the whole degree-d
     monomial table, read off the weights: a monomial supported inside I
     exists iff d is a sum of the a_I, and one that is an I-monomial times
-    x_j iff d - a_j is.  The semigroup of each I is one Python-int bitset,
-    that of I minus its lowest index closed under adding that index's
-    weight by doubling shifts, so a subset costs a few big-int operations.
-    Schur's bound on the Frobenius number keeps the bitsets finite: with M
-    the largest weight and g the gcd of the a_I, every multiple of g from
-    g * (min(a_I)/g - 1) * (M/g - 1) <= M**2 on is a sum, so a number above
-    M**2 lies in the semigroup iff g divides it.  Only sums up to
-    min(d, M**2) are tabulated; past `SEMIGROUP_TABLE_LIMIT` bits that is a
-    ValueError, which names the limit.
+    x_j iff d - a_j is.  The semigroup of each I is one `semigroup_bits`
+    bitset, that of I minus its lowest index closed under that index's
+    weight, so a subset costs a few big-int operations.  By Schur's bound
+    (`semigroup_bits`) a number above max(a)**2 lies in the semigroup iff
+    the gcd of the a_I divides it, so only sums up to min(d, max(a)**2)
+    are tabulated; past `SEMIGROUP_TABLE_LIMIT` bits that is a ValueError,
+    which names the limit.
     """
     a, d, nv = fam.weights, fam.degree, fam.nvars
     top = min(d, max(a) ** 2)
@@ -93,16 +91,11 @@ def semigroup_subset_condition(fam: WeightedFamily) -> bool:
             f"the semigroup tables of {fam} need {top + 1} bits, "
             f"past SEMIGROUP_TABLE_LIMIT = {SEMIGROUP_TABLE_LIMIT}"
         )
-    table = (1 << top + 1) - 1  # the bits 0..top
     reach, gcds = [1] * (1 << nv), [0] * (1 << nv)  # the empty subset reaches 0 alone
     for mask in range(1, 1 << nv):
         low = mask & -mask
         w = a[low.bit_length() - 1]
-        r, step = reach[mask ^ low], w
-        while step <= top:  # r += {0, step}: now every multiple of w up to 2 * step - w
-            r |= r << step & table
-            step <<= 1
-        reach[mask] = r
+        r = reach[mask] = semigroup_bits((w,), top, reach[mask ^ low])
         g = gcds[mask] = math.gcd(gcds[mask ^ low], w)
 
         def holds(n: int) -> bool:

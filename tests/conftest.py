@@ -10,7 +10,7 @@ import numpy as np
 
 from wpsauto import WeightedFamily
 from wpsauto.ambient import well_formed
-from wpsauto.arith import as_prime_power, gcd_all, semigroup_reachable
+from wpsauto.arith import as_prime_power, gcd_all
 from wpsauto.errors import CoefficientCollision
 from wpsauto.orders import FamilyAnalysis, _canonical_rows, as_analysis
 
@@ -49,6 +49,18 @@ def brute_semigroup_contains(gens: set[int], target: int) -> bool:
         return False
 
     return rec(0, target)
+
+
+def semigroup_reachable(generators, limit: int) -> list[bool]:
+    """Table t with t[k] true iff k <= limit is a sum of the generators:
+    plain unbounded-coin dynamic programming, O(len * limit)."""
+    table = [False] * (limit + 1)
+    table[0] = True
+    for g in sorted(set(generators)):
+        for k in range(g, limit + 1):
+            if table[k - g]:
+                table[k] = True
+    return table
 
 
 def reference_semigroup_subset_condition(fam: WeightedFamily) -> bool:

@@ -12,6 +12,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Optional
 
 import pytest
@@ -44,6 +45,7 @@ from wpsauto.klein import (
 )
 from wpsauto.orders import (
     _FIRST_PREFIX,
+    CycleChain,
     FamilyAnalysis,
     OrderVerdict,
     _chain_criteria,
@@ -400,6 +402,47 @@ def test_anchor_determinants_match_brute_force(corpus):
         fam = an.family
         assert an.anchor_determinants == brute_anchor_determinants(an.system.monomials, fam.nvars), fam
     assert len(analyses) >= 500
+
+
+@pytest.mark.parametrize("d", range(3, 9))
+@pytest.mark.parametrize("nv", (3, 4, 5))
+def test_smooth_case_anchor_determinants(nv, d):
+    # With every weight 1 the anchors of x_v are x_v^d (a root) and
+    # x_v^(d-1) * x_t (an edge v -> t), so every functional graph is a
+    # choice, and det K = d^roots * (d-1)^(tree edges) times, per cycle, the
+    # determinant of its chain, (d-1)^len - (-1)^len
+    want = set()
+    for target in product(*([-1] + [t for t in range(nv) if t != v] for v in range(nv))):
+        cycles = set()
+        for v in range(nv):
+            walk = [v]
+            while target[walk[-1]] not in (-1, v) and len(walk) <= nv:
+                walk.append(target[walk[-1]])
+            if target[walk[-1]] == v:  # v lies on a cycle; keep it from its least vertex
+                start = walk.index(min(walk))
+                cycles.add(tuple(walk[start:] + walk[:start]))
+        roots = target.count(-1)
+        tree_edges = nv - roots - sum(map(len, cycles))
+        chains = math.prod(CycleChain(c, (d - 1,) * len(c)).determinant for c in cycles)
+        want.add(abs(d**roots * (d - 1) ** tree_edges * chains))
+    assert family_analysis(WeightedFamily((1,) * nv, d)).anchor_determinants == want
+
+
+def test_chain_determinant_is_the_signed_product_test(corpus):
+    # q divides a chain's determinant prod(m) - (-1)^len exactly when its
+    # signed product (-1)^len * prod(m) is 1 mod q, the congruence of the
+    # chain criteria, on every chain of the corpus families and every q
+    records, _ = corpus
+    chains = {chain for an in dict.fromkeys(rec.an for rec in records) for chain in an._chains[0]}
+    dividing = 0
+    for chain in chains:
+        signed = chain.product() if len(chain.indices) % 2 == 0 else -chain.product()
+        for q in CORPUS_QS:
+            assert (chain.determinant % q == 0) == (signed % q == 1), (chain, q)
+            dividing += chain.determinant % q == 0
+    # both outcomes occur thousands of times among the (chain, q) pairs
+    pairs = len(chains) * len(CORPUS_QS)
+    assert len(chains) >= 1900 and 4000 <= dividing <= pairs - 4000, (len(chains), dividing)
 
 
 def test_determinant_gate_refutes_as_the_scan(corpus):

@@ -11,7 +11,7 @@ from wpsauto.arith import (
     prime_power_decompose,
     prime_powers_up_to,
     primes_up_to,
-    semigroup_reachable,
+    semigroup_bits,
 )
 from wpsauto.errors import EmptyInput, NotAPrimePower
 
@@ -92,8 +92,8 @@ class TestGcdAll:
 
 
 def semigroup_contains(generators, target):
-    """Whether target is a sum of the generators, read off `semigroup_reachable`."""
-    return semigroup_reachable(generators, target)[target]
+    """Whether target is a sum of the generators, read off `semigroup_bits`."""
+    return semigroup_bits(generators, target) >> target & 1 == 1
 
 
 class TestSemigroupContains:
@@ -118,6 +118,35 @@ class TestSemigroupContains:
                 assert semigroup_contains(gens, target) == brute_semigroup_contains(
                     gens, target
                 ), (gens, target)
+
+    def test_starting_bitset(self):
+        # {0, 2} closed under 3 and 7, cut at 40: k is in it iff k or k - 2
+        # is a sum of 3 and 7
+        got = semigroup_bits((3, 7), 40, bits=0b101)
+        for k in range(41):
+            want = brute_semigroup_contains({3, 7}, k) or k >= 2 and brute_semigroup_contains({3, 7}, k - 2)
+            assert (got >> k & 1 == 1) == want, k
+        assert got >> 41 == 0
+
+    def test_starting_bits_past_top_are_cut(self):
+        assert semigroup_bits((5,), 3, bits=0b110001) == 1
+
+    def test_past_schur_bound_the_gcd_decides(self):
+        # g * (s - 1) * (t - 1) for s, t the least and largest generator
+        # over their gcd g: the table up to it, and divisibility past it,
+        # give every sum
+        for gens in [(4, 6, 9), (6, 10, 15), (8, 12), (5, 7), (9, 12, 15)]:
+            g = gcd_all(gens)
+            top = g * (min(gens) // g - 1) * (max(gens) // g - 1)
+            assert top <= max(gens) ** 2
+            bits = semigroup_bits(gens, top)
+            for k in range(top + 60):
+                got = bits >> k & 1 == 1 if k <= top else k % g == 0
+                assert got == brute_semigroup_contains(set(gens), k), (gens, k)
+
+    def test_nonpositive_generator(self):
+        with pytest.raises(ValueError):
+            semigroup_bits((3, 0), 10)
 
 
 class TestEffectiveOrder:

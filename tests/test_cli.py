@@ -20,6 +20,7 @@ from conftest import reference_semigroup_subset_condition
 import wpsauto.ambient
 import wpsauto.cli
 from wpsauto import orders
+from wpsauto.checks import CHECK_NAMES
 from wpsauto.cli import main
 from wpsauto.orders import _canonical_rows as canonical_rows
 
@@ -74,15 +75,33 @@ def test_orders_byte_identical(capsys):
     assert out1 == out2
 
 
+def test_orders_timings(capsys):
+    args = ("orders", "--weights", "1,1,1", "--degree", "4", "--max-order", "7")
+    code, out, _ = run_cli(capsys, *args, "--timings")
+    assert code == 0
+    report = json.loads(out)
+    jsonschema.validate(report, SCHEMA)
+    timings = report.pop("timings")
+    assert list(timings) == ["total_s"]
+    assert type(timings["total_s"]) in (int, float) and timings["total_s"] >= 0
+    # without its timings, the report is that of the request without the flag
+    code, plain, _ = run_cli(capsys, *args)
+    assert (code, report) == (0, json.loads(plain))
+
+
 def test_monomial_budget_applies_to_its_own_call_only(capsys):
     # the budget stops this family's Klein eigenspace counts, so `orders`
-    # prints no report at all: the message goes to stderr alone
+    # prints the sections before them, the message as "error" and no verdicts
     code, out, err = run_cli(
         capsys, "orders", "--weights", "1,1,2,3", "--degree", "7", "--max-order", "8",
         "--monomial-budget", "3",
     )
-    assert (code, out) == (2, "")
-    assert "more than 3 monomials" in err
+    assert code == 2
+    report = json.loads(out)
+    jsonschema.validate(report, SCHEMA)
+    assert (report["error"], report["verdicts"]) == ("more than 3 monomials", [])
+    assert "klein" not in report and "bounds" in report
+    assert err == "budget exhausted: more than 3 monomials\n"
     family = ("orders", "--weights", "1,1,2,5", "--degree", "11", "--max-order", "8")
     code, out, _ = run_cli(capsys, *family)
     assert code == 0
@@ -463,11 +482,14 @@ def test_verify_list(capsys):
     assert "counterexample-chain" in out.splitlines()
 
 
-def test_verify_injected_failure(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--inject-failure", "klein-quartic-curve")
+@pytest.mark.parametrize("name", CHECK_NAMES)
+def test_verify_injected_failure(capsys, name):
+    code, out, _ = run_cli(capsys, "verify", "--inject-failure", name)
     assert code == 3
-    assert "FAIL klein-quartic-curve" in out
+    fails = [line for line in out.splitlines() if line.startswith("FAIL ")]
+    assert fails == [f"FAIL {name}"]
     assert "expected:" in out
+    assert f"{len(CHECK_NAMES) - 1}/{len(CHECK_NAMES)} checks passed" in out
 
 
 def test_usage_error_exit_64(capsys):
@@ -646,9 +668,11 @@ def test_all_chains_past_the_cycle_budget_exits_2(capsys):
 
 def test_klein_counts_cycles_under_a_raised_cycle_budget(capsys):
     # (1^10) d=3 has 9! = 362880 Hamiltonian cycles: the default budget
-    # stops their count, a raised one lets the report through
+    # stops their count, and with it the report, a raised one lets it through
     argv = ("orders", "--weights", ",".join(["1"] * 10), "--degree", "3", "--max-order", "2")
-    assert run_cli(capsys, *argv) == (2, "", "budget exhausted: more than 100000 cycles\n")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (2, "budget exhausted: more than 100000 cycles\n")
+    assert "klein" not in json.loads(out) and json.loads(out)["error"] == "more than 100000 cycles"
     code, out, err = run_cli(capsys, *argv, "--cycle-budget", "1000000")
     assert (code, err) == (0, "")
     assert json.loads(out)["klein"]["cycle_count"] == 362880
@@ -682,12 +706,13 @@ def test_degree_beyond_int64_is_an_error(capsys):
 
 
 def test_monomial_budget_zero_is_honoured(capsys):
-    code, out, err = run_cli(
-        capsys, "orders", "--weights", "1,1,1", "--degree", "4", "--max-order", "5",
-        "--monomial-budget", "0",
-    )
-    assert (code, out) == (2, "")
+    budget = ("--max-order", "5", "--monomial-budget", "0")
+    code, out, err = run_cli(capsys, "orders", "--weights", "1,1,1", "--degree", "4", *budget)
+    assert code == 2
     assert "more than 0 monomials" in err
+    jsonschema.validate(json.loads(out), SCHEMA)
+    # the stopped report is the family's scan record, byte for byte
+    assert run_cli(capsys, "scan", "--dim", "1", "--max-weight", "1", "--degree", "4", *budget) == (2, out, "")
 
 
 @pytest.mark.parametrize(

@@ -794,7 +794,7 @@ def test_analysis_reads_the_enumerated_matrix():
 def test_bucket_members_exact_at_the_int64_edge():
     # the largest prime q with q**3 < 2**62, the oracle's range guard at three
     # variables: bucket sums reach 3 * (q - 1)**2, about 2**43, and the
-    # float64 membership must agree with Python integers on every pair.  Half
+    # int64 membership must agree with Python integers on every pair.  Half
     # of the buckets are those of a row, so that members occur
     q = 1664501
     assert q**3 < 2**62 < (q + 10) ** 3
@@ -804,7 +804,7 @@ def test_bucket_members_exact_at_the_int64_edge():
     rows = rng.integers(0, len(table), len(sigma))
     own = [sum(s * e for s, e in zip(sig, table[r].tolist())) % q for sig, r in zip(sigma.tolist(), rows)]
     h = np.where(np.arange(len(sigma)) % 2, own, rng.integers(0, q, len(sigma)))
-    got = _bucket_members(sigma, table.T.astype(np.float64), h, q)
+    got = _bucket_members(sigma, table.T, h, q)
     want = [
         [sum(s * x for s, x in zip(sig, e)) % q == b for e in table.tolist()]
         for sig, b in zip(sigma.tolist(), h.tolist())

@@ -35,7 +35,7 @@ from wpsauto.arith import (
     effective_order,
     gcd_all,
     prime_power_decompose,
-    semigroup_reachable,
+    semigroup_bits,
 )
 from wpsauto.errors import BudgetExceeded, NotAPrimePower, NotNormalizable
 from wpsauto.orders import (
@@ -75,10 +75,14 @@ def test_prime_power_recomposition(q):
     assert pp.p**pp.r == q
 
 
-@given(st.sets(st.integers(1, 12), min_size=1, max_size=4), st.integers(0, 60))
+@given(st.sets(st.integers(1, 12), min_size=1, max_size=4), st.integers(0, 60), st.integers(1, 255))
+@example({3, 7}, 11, 1)
 @settings(max_examples=150, deadline=None)
-def test_semigroup_matches_bruteforce(gens, target):
-    assert semigroup_reachable(gens, target)[target] == brute_semigroup_contains(gens, target)
+def test_semigroup_matches_bruteforce(gens, target, start):
+    # the closure of the starting set (bit b for b) holds target iff some
+    # start b <= target leaves a sum of the generators
+    want = any(start >> b & 1 and brute_semigroup_contains(gens, target - b) for b in range(min(8, target + 1)))
+    assert (semigroup_bits(gens, target, start) >> target & 1 == 1) == want
 
 
 @given(st.lists(st.integers(1, 7), min_size=3, max_size=6), st.integers(1, 60))
