@@ -15,7 +15,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .arith import gcd_all, semigroup_bits
+from .arith import exact_dot, gcd_all, semigroup_bits
 from .errors import BudgetExceeded, NotNormalizable
 
 __all__ = [
@@ -96,9 +96,10 @@ class MonomialSystem:
     their families and their rows, in order, are.  Each entry is checked for
     its arity, its signs, its weighted degree and for repeating an earlier
     entry; each check yields one mask over the whole table, and the first
-    entry failing a check is named, with the first check it fails.  Rows in
-    increasing order, as enumerated tables and witnesses come, repeat none,
-    and are not sorted to look for repeats.
+    entry failing a check is named, with the first check it fails.  The
+    weighted degrees are exact (`exact_dot`), whatever the size of the
+    entries and the weights.  Rows in increasing order, as enumerated tables
+    and witnesses come, repeat none, and are not sorted to look for repeats.
     """
 
     def __init__(self, family: WeightedFamily, monomials: "Sequence[Sequence[int]] | np.ndarray") -> None:
@@ -117,11 +118,7 @@ class MonomialSystem:
         failing = np.zeros((4, n + 1), dtype=bool)
         failing[0, n] = n < len(given)
         failing[1, :n] = (table < 0).any(axis=1)
-        failing[2, :n] = table @ np.array(fam.weights, dtype=np.int64) != fam.degree
-        if n and int(table.max()) * max(fam.weights) * fam.nvars >= 2**63:
-            # the int64 products may have wrapped (to d, even): sum them exactly
-            degrees = [sum(x * w for x, w in zip(e, fam.weights)) for e in table.tolist()]
-            failing[2, :n] = [degree != fam.degree for degree in degrees]
+        failing[2, :n] = exact_dot(table, fam.weights) != fam.degree
         if not rows_increase(table):  # else no entry repeats another
             ranked = table[np.lexsort(table.T)]  # equal entries end up next to each other
             if (ranked[1:] == ranked[:-1]).all(axis=1).any():  # then some entry repeats an earlier one
@@ -271,42 +268,51 @@ def _sum_test(generators: Sequence[int], d: int):
     return lambda r: np.where(r < cap, table[np.minimum(r, top)], r % g == 0)
 
 
-def enumerate_monomials(fam: WeightedFamily, budget: "int | None" = None) -> MonomialSystem:
+def enumerate_monomials(fam: WeightedFamily, budget: int = MONOMIAL_BUDGET) -> MonomialSystem:
     """All exponent vectors of weighted degree d, in ascending lexicographic order.
 
     The exponents are chosen one variable at a time, for all partial vectors
     at once.  An exponent is kept only when the degree left over is a sum of
-    the later weights (`_sum_test` of each suffix of the weights), so no
-    partial vector that cannot reach d is extended, and the last exponent is
-    the leftover degree divided by the last weight.  Every partial vector
-    kept completes to a monomial, so BudgetExceeded is raised exactly when
-    the count exceeds the budget (the module-level default when not given
-    explicitly); choices are tried `_EXTEND_CHUNK` at a time, so the budget
-    is checked before a large table is held.
+    the later weights (`_sum_test` of each proper suffix of the weights), so
+    no partial vector that cannot reach d is extended (nor d itself, when it
+    is no sum of the weights), and the last exponent is the leftover degree
+    divided by the last weight.  Every partial vector kept completes to a
+    monomial, so BudgetExceeded is raised exactly when the count exceeds the
+    budget.  Choices are tried `_EXTEND_CHUNK` at a time, so the budget is
+    checked before a large table is held, and in rounds of at most
+    `_EXTEND_CHUNK` exponents per partial vector, so every count of choices,
+    and their running sum, is exact in int64 whatever the degree.
     """
-    limit = MONOMIAL_BUDGET if budget is None else budget
     a, d = fam.weights, fam.degree
-    sums = [_sum_test(a[k:], d) for k in range(fam.nvars)]
-    left = np.array([d] if sums[0](np.array(d)) else [], dtype=np.int64)
+    sums = [_sum_test(a[k + 1 :], d) for k in range(fam.nvars - 1)]
+    left = np.array([d], dtype=np.int64)
     # per variable but the last: the partial vector each kept exponent extends
     steps: list[tuple[np.ndarray, np.ndarray]] = []
     for k in range(fam.nvars - 1):
-        options = left // a[k] + 1  # exponents 0 .. left // a_k
-        ends = np.cumsum(options)
+        top = left // a[k]  # the largest exponent of x_k, per partial vector
+        most = int(top.max()) if len(top) else -1
         none = np.zeros(0, dtype=np.int64)
         kept = [(none, none, none)]
         count = 0
-        for start in range(0, int(ends[-1]) if len(ends) else 0, _EXTEND_CHUNK):
-            choice = np.arange(start, min(start + _EXTEND_CHUNK, int(ends[-1])))
-            parent = np.searchsorted(ends, choice, side="right")
-            exponent = choice - (ends - options)[parent]
-            rest = left[parent] - a[k] * exponent
-            keep = sums[k + 1](rest)
-            count += np.count_nonzero(keep)
-            if count > limit:
-                raise BudgetExceeded(limit, "monomials")
-            kept.append((parent[keep], exponent[keep], rest[keep]))
+        # a round tries the exponents low .. low + _EXTEND_CHUNK - 1 of each partial vector
+        for low in range(0, most + 1, _EXTEND_CHUNK):
+            options = (top - low).clip(-1, _EXTEND_CHUNK - 1) + 1
+            ends = np.cumsum(options)
+            starts = ends - options
+            for start in range(0, int(ends[-1]), _EXTEND_CHUNK):
+                choice = np.arange(start, min(start + _EXTEND_CHUNK, int(ends[-1])))
+                parent = np.searchsorted(ends, choice, side="right")
+                exponent = low + (choice - starts[parent])
+                rest = left[parent] - a[k] * exponent
+                keep = sums[k](rest)
+                count += np.count_nonzero(keep)
+                if count > budget:
+                    raise BudgetExceeded(budget, "monomials")
+                kept.append((parent[keep], exponent[keep], rest[keep]))
         parent, exponent, left = (np.concatenate(part) for part in zip(*kept))
+        if most >= _EXTEND_CHUNK:  # kept round by round: back to increasing order
+            order = np.argsort(parent, kind="stable")
+            parent, exponent, left = parent[order], exponent[order], left[order]
         steps.append((parent, exponent))
     columns = [left // a[-1]]
     index = np.arange(len(left))

@@ -1,4 +1,4 @@
-"""Exact integer primitives: primality, prime powers, gcd, numerical semigroups.
+"""Exact integer primitives: primality, prime powers, gcd, semigroups, dot products.
 
 Everything here is plain integer arithmetic.  The falsifier's float64 log
 sums are exact where read: integers below 2^53 (`quasismooth._LogSpace`).
@@ -11,6 +11,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import EmptyInput, NotAPrimePower
 
 __all__ = [
@@ -20,7 +22,9 @@ __all__ = [
     "PRIMALITY_LIMIT",
     "prime_power_decompose",
     "gcd_all",
+    "exact_dot",
     "semigroup_bits",
+    "SEMIGROUP_TABLE_LIMIT",
     "effective_order",
     "linear_congruence_solutions",
     "primes_up_to",
@@ -32,6 +36,9 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 #: `is_prime` decides every n below this, and raises ValueError from it on.
 PRIMALITY_LIMIT = 3_317_044_064_679_887_385_961_981
+
+#: Bits of the tables `semigroup_bits` may build.
+SEMIGROUP_TABLE_LIMIT = 1 << 20
 
 
 def is_prime(n: int) -> bool:
@@ -140,17 +147,31 @@ def gcd_all(xs: Sequence[int]) -> int:
     return g
 
 
+def exact_dot(rows: np.ndarray, vector: Sequence[int]) -> np.ndarray:
+    """rows @ vector for an integer matrix and integers, exact: one int64
+    product while max(|rows|, 1) * sum |vector| < 2**63 (a bound on every
+    partial sum and every entry of the vector), else one in Python ints."""
+    vector = [int(v) for v in vector]
+    top = max(int(rows.max()), -int(rows.min()), 1) if rows.size else 1
+    if top * sum(map(abs, vector)) < 2**63:
+        return rows.astype(np.int64, copy=False) @ np.array(vector, dtype=np.int64)
+    return rows.astype(object) @ np.array(vector, dtype=object)
+
+
 def semigroup_bits(generators: Iterable[int], top: int, bits: int = 1) -> int:
     """The set `bits` (bit k for k) closed under adding the generators, cut
     at `top`: bit k <= top is set iff k is a member of `bits` plus a sum of
     the generators.  The default {0} gives the numerical semigroup.  Each
     generator w is added by doubling shifts, by w, 2w, 4w, ... up to top.
+    A table past `SEMIGROUP_TABLE_LIMIT` bits is a ValueError naming it.
 
     Schur's bound on the Frobenius number: with g the gcd of the generators
     and s, t the least and the largest over g, every multiple of g from
     g * (s - 1) * (t - 1) <= max**2 on is a sum.  So past such a top, a
     number is a sum iff g divides it.
     """
+    if top >= SEMIGROUP_TABLE_LIMIT:
+        raise ValueError(f"a semigroup table of {top + 1} bits is past SEMIGROUP_TABLE_LIMIT = {SEMIGROUP_TABLE_LIMIT}")
     table = (1 << top + 1) - 1  # the bits 0..top
     bits &= table
     for w in generators:

@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .ambient import WeightedFamily
-from .arith import PRIMALITY_LIMIT, is_prime
+from .arith import PRIMALITY_LIMIT, exact_dot, is_prime
 from .cycles import CYCLE_BUDGET, simple_cycles
 from .errors import HypothesisViolated, NoKleinHypersurface
 from .orders import CycleChain, FamilyAnalysis, as_analysis, chain_from_cycle, signature_from_chain
@@ -204,11 +204,10 @@ def eigenspace_filter(fam: "WeightedFamily | FamilyAnalysis", p: int) -> tuple[i
 
 def _invariant_rows(an: FamilyAnalysis, p: int) -> np.ndarray:
     """The rows of the monomial table fixed by the Klein chain's signature
-    mod p: one product with the exponent matrix, made anew in each call."""
+    mod p: one exact product with the exponent matrix (`exact_dot`), made
+    anew in each call."""
     data = an.klein
     if data is None:
         raise NoKleinHypersurface(f"no full cyclic ordering for {an.family}")
     sigma = signature_from_chain(an.family, CycleChain(data.ordering, data.exponents), p).sigma
-    # a row's exponents sum to at most d, so its dot product is below d * p
-    exact = np.int64 if an.family.degree * p < 2**63 else object
-    return np.flatnonzero(an.exponents.astype(exact, copy=False) @ np.array(sigma, dtype=exact) % p == 0)
+    return np.flatnonzero(exact_dot(an.exponents, sigma) % p == 0)

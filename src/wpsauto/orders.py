@@ -92,6 +92,7 @@ from .arith import (
     PrimePowerOrder,
     as_prime_power,
     effective_order,
+    exact_dot,
     is_prime,
     prime_powers_up_to,
 )
@@ -367,19 +368,17 @@ def _chain_criteria(
     A family with no quasi-smooth member (`FamilyAnalysis.quasi_smooth` is
     False) skips the sufficient half and builds no monomial table: every
     witness is a subset of the table, which fails the subset criterion, so
-    none passes.  Its chains are still walked to the end, so that the first
-    chain, and the BudgetExceeded of a truncated walk, are the loop's own."""
+    none passes.  Its chains are still walked to the end, so that a
+    truncated walk raises BudgetExceeded as any other does."""
     qq = pp.q
     fam = an.family
     _check_degree_and_linearity(an)
-    chains = an.qualifying_chains(pp)
-    if an.quasi_smooth is False:  # no witness passes; a truncated walk raises here
-        chains = list(chains)
-        return None, chains[0] if chains else None
     nv = fam.nvars
     first = None
-    for chain in chains:
+    for chain in an.qualifying_chains(pp):
         first = first or chain
+        if an.quasi_smooth is False:  # no witness passes
+            continue
         comp = [i for i in range(nv) if i not in chain.indices]
         # the cycle monomials pass on the chain's own variables (the lemma in
         # `klein_quasismooth`); only the rows off it, if any, are tested
@@ -415,19 +414,16 @@ def _verified_certificate(
 ) -> OrderVerdict:
     """The one way to a certified verdict: the witness monomials (tuples, or
     the rows of an integer matrix) must pass the subset criterion and share
-    one bucket sigma . e mod q, and sigma must induce order exactly q, else
-    AssertionError (an unsound criterion).  The signature is stored reduced
-    mod q, the witness sorted and deduplicated."""
+    one bucket sigma . e mod q (`exact_dot`), and sigma must induce order
+    exactly q, else AssertionError (an unsound criterion).  The signature is
+    stored reduced mod q, the witness sorted and deduplicated."""
     table = np.asarray(monomials, dtype=np.int64).reshape(len(monomials), fam.nvars)
     if not subset_criterion(table, fam.nvars):
         raise AssertionError(f"constructed witness for q={q} fails the subset criterion")
     if effective_order(sigma, fam.weights, q) != q:
         raise AssertionError(f"constructed signature for q={q} has the wrong induced order")
     sig = Signature(q, tuple(s % q for s in sigma))
-    if fam.nvars * q * q < 2**62:  # sums of residue products stay exact in int64
-        buckets = table % q @ np.array(sig.sigma, dtype=np.int64) % q
-    else:
-        buckets = np.array([sum(s * x for s, x in zip(sig.sigma, e)) % q for e in table.tolist()])
+    buckets = exact_dot(table, sig.sigma) % q
     if (buckets != buckets[0]).any():
         raise AssertionError(f"constructed witness for q={q} spans several eigenvalue buckets")
     if not rows_increase(table):  # rows gathered from a monomial table already do
@@ -626,7 +622,7 @@ class FamilyAnalysis:
         """Whether the family has a quasi-smooth member: the semigroup subset
         condition (`semigroup_subset_condition`), the subset criterion of the
         whole monomial table read off (a, d), with no table built.  None when
-        its semigroup tables would pass `SEMIGROUP_TABLE_LIMIT` bits."""
+        `semigroup_bits` refuses a table past `SEMIGROUP_TABLE_LIMIT` bits."""
         try:
             return semigroup_subset_condition(self.family)
         except ValueError:
@@ -1017,8 +1013,8 @@ def oracle_exists_order(fam: "WeightedFamily | FamilyAnalysis", q: "int | PrimeP
     consulted before the quotient gate, the int64 range and the class
     budget, so such a family builds no monomial table, no determinant table
     and no slice, and its orders past the budget are refuted, not left
-    unresolved.  Where the condition's tables would pass
-    `SEMIGROUP_TABLE_LIMIT` bits it is None, and the gate is passed over.
+    unresolved.  Where `semigroup_bits` refuses one of its tables (past
+    `SEMIGROUP_TABLE_LIMIT` bits), it is None, and the gate is passed over.
 
     The quotient gate reads the anchor
     determinants (`FamilyAnalysis.anchor_determinants`).  Let a class sigma

@@ -40,7 +40,7 @@ import numpy as np
 
 from . import ambient
 from .ambient import Monomial, MonomialSystem, WeightedFamily
-from .arith import is_prime, semigroup_bits
+from .arith import SEMIGROUP_TABLE_LIMIT, is_prime, semigroup_bits
 from .errors import CoefficientCollision, EmptySystem, NotWellFormed
 
 __all__ = [
@@ -59,11 +59,8 @@ __all__ = [
     "random_member",
     "FIELD_PRIME_LIMIT",
     "SEMIGROUP_TABLE_LIMIT",
+    "CLOSURE_ROW_LIMIT",
 ]
-
-
-#: Bits of the semigroup tables `semigroup_subset_condition` may build.
-SEMIGROUP_TABLE_LIMIT = 1 << 20
 
 
 def semigroup_subset_condition(fam: WeightedFamily) -> bool:
@@ -81,16 +78,11 @@ def semigroup_subset_condition(fam: WeightedFamily) -> bool:
     weight, so a subset costs a few big-int operations.  By Schur's bound
     (`semigroup_bits`) a number above max(a)**2 lies in the semigroup iff
     the gcd of the a_I divides it, so only sums up to min(d, max(a)**2)
-    are tabulated; past `SEMIGROUP_TABLE_LIMIT` bits that is a ValueError,
-    which names the limit.
+    are tabulated; `semigroup_bits` refuses a table past
+    `SEMIGROUP_TABLE_LIMIT` bits with a ValueError.
     """
     a, d, nv = fam.weights, fam.degree, fam.nvars
     top = min(d, max(a) ** 2)
-    if top >= SEMIGROUP_TABLE_LIMIT:
-        raise ValueError(
-            f"the semigroup tables of {fam} need {top + 1} bits, "
-            f"past SEMIGROUP_TABLE_LIMIT = {SEMIGROUP_TABLE_LIMIT}"
-        )
     reach, gcds = [1] * (1 << nv), [0] * (1 << nv)  # the empty subset reaches 0 alone
     for mask in range(1, 1 << nv):
         low = mask & -mask
@@ -126,6 +118,10 @@ def exists_quasismooth(fam: WeightedFamily) -> bool:
 #: pattern codes is k x (nvars + 1) * 2**nvars, and so are its temporaries.
 _CLOSURE_ELEMENTS = 1 << 16
 
+#: Entries of one closed row, (nvars + 1) * 2**nvars, that `subset_closures`
+#: may build: 20 variables fit, 21 (a row of 176 MiB) do not.
+CLOSURE_ROW_LIMIT = 1 << 25
+
 
 def pattern_codes(exponents: np.ndarray) -> np.ndarray:
     """One integer per row of an exponent matrix: bit j is set when x_j occurs
@@ -159,8 +155,15 @@ def subset_closures(codes: np.ndarray, nvars: int) -> tuple[np.ndarray, ...]:
     `subset_criterion_batch` sums, as float32 0/1 matrices over consecutive
     codes of at most `_CLOSURE_ELEMENTS` entries each.  Over the masks I, the
     row of a code with support s holds [s inside I] (t = 0) and then, per
-    variable j, [x_j has exponent 1, and s inside I | {j}] (t = 1 + j)."""
+    variable j, [x_j has exponent 1, and s inside I | {j}] (t = 1 + j).
+    A row past `CLOSURE_ROW_LIMIT` entries is a ValueError, raised before
+    any is built."""
     size = 1 << nvars
+    if (nvars + 1) * size > CLOSURE_ROW_LIMIT:
+        raise ValueError(
+            f"a closed row of {nvars} variables has {(nvars + 1) * size} entries, "
+            f"past CLOSURE_ROW_LIMIT = {CLOSURE_ROW_LIMIT}"
+        )
     dtype = np.min_scalar_type(2 * size - 1)  # the masks, with room for bit nvars
     outside = ~np.arange(size).astype(dtype)  # per mask I, the bits outside it
     added = np.concatenate([[0], 1 << np.arange(nvars, dtype=np.int64)])  # per t

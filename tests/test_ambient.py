@@ -7,6 +7,7 @@ import pytest
 
 from conftest import brute_monomials, brute_semigroup_contains, families, series_monomial_count
 
+from wpsauto import ambient
 from wpsauto.ambient import (
     MonomialSystem,
     _sum_test,
@@ -18,6 +19,7 @@ from wpsauto.ambient import (
     well_form_normalize,
     well_formed,
 )
+from wpsauto.arith import SEMIGROUP_TABLE_LIMIT
 from wpsauto.errors import BudgetExceeded, NotNormalizable
 from wpsauto.orders import order_verdict
 
@@ -227,6 +229,38 @@ class TestEnumerateMonomials:
         with pytest.raises(BudgetExceeded, match="more than 10 monomials"):
             enumerate_monomials(WeightedFamily((1, 1, 1), 10**9), budget=10)
 
+    @pytest.mark.parametrize(
+        "weights, degree, budget",
+        [
+            # d // 1 + 1 = 2**63 choices for x_0, a count that int64 wraps to -2**63
+            ((1, 1, 1), 2**63 - 1, 10),
+            # 2**23 partial vectors whose choices for x_1, near 2**62 each,
+            # have a running sum that int64 wraps negative
+            ((2**40, 1, 1), 2**40 * (2**23 - 1), 2**23),
+        ],
+    )
+    def test_counts_past_int64_leave_no_table_short(self, weights, degree, budget):
+        # each table once came out empty, although x_0^a x_1^b x_2^c of every
+        # degree d exists; the budget stops them as any large table
+        with pytest.raises(BudgetExceeded, match=f"more than {budget} monomials"):
+            enumerate_monomials(WeightedFamily(weights, degree), budget=budget)
+
+    @pytest.mark.parametrize("weights, degree", [((1, 1, 1), 20), ((1, 6, 9), 40), ((1, 1, 4, 6), 23), ((2, 3, 5), 31)])
+    def test_rounds_of_a_few_exponents_give_the_same_table(self, monkeypatch, weights, degree):
+        # with 3 exponents per round, partial vectors take several rounds
+        # each, and their kept exponents are put back in increasing order
+        fam = WeightedFamily(weights, degree)
+        whole = enumerate_monomials(fam)
+        monkeypatch.setattr(ambient, "_EXTEND_CHUNK", 3)
+        assert enumerate_monomials(fam) == whole
+        assert list(whole.monomials) == sorted(brute_monomials(weights, degree))
+
+    def test_a_sum_table_past_the_limit_is_a_value_error(self):
+        # the suffix (2**31, 2**31 + 1) needs a table up to its Schur bound
+        fam = WeightedFamily((1, 2**31, 2**31 + 1), 2**62)
+        with pytest.raises(ValueError, match=f"past SEMIGROUP_TABLE_LIMIT = {SEMIGROUP_TABLE_LIMIT}$"):
+            enumerate_monomials(fam)
+
     def test_suffix_sum_test_matches_search(self):
         for gens in [(1,), (4,), (2, 2), (3, 5), (6, 10, 15), (4, 6, 9), (7, 11, 12, 15)]:
             for d in (0, 1, 17, 60, 140):
@@ -289,6 +323,15 @@ class TestMonomialSystem:
         message = f"monomial {monomial} does not have weighted degree {degree}"
         with pytest.raises(ValueError, match=re.escape(message) + "$"):
             MonomialSystem(fam, (monomial,))
+
+    def test_weights_past_int64(self):
+        # x_2 has weight 2**64, past any int64; only its zero exponent fits d
+        fam = WeightedFamily((1, 1, 2**64), 5)
+        assert MonomialSystem(fam, ((5, 0, 0), (2, 3, 0))).monomials == ((5, 0, 0), (2, 3, 0))
+        for monomial in ((4, 0, 0), (0, 0, 1)):
+            message = f"monomial {monomial} does not have weighted degree 5"
+            with pytest.raises(ValueError, match=re.escape(message) + "$"):
+                MonomialSystem(fam, ((5, 0, 0), monomial))
 
     def test_stores_plain_integer_tuples(self):
         fam = WeightedFamily((1, 1, 2), 4)

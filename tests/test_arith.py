@@ -1,10 +1,13 @@
+import numpy as np
 import pytest
 
 from conftest import brute_is_prime, brute_semigroup_contains
 
 from wpsauto.arith import (
+    SEMIGROUP_TABLE_LIMIT,
     PrimePowerOrder,
     effective_order,
+    exact_dot,
     gcd_all,
     is_prime,
     linear_congruence_solutions,
@@ -147,6 +150,33 @@ class TestSemigroupContains:
     def test_nonpositive_generator(self):
         with pytest.raises(ValueError):
             semigroup_bits((3, 0), 10)
+
+    def test_a_table_past_the_limit_is_a_value_error(self):
+        assert semigroup_bits((1,), SEMIGROUP_TABLE_LIMIT - 1) == (1 << SEMIGROUP_TABLE_LIMIT) - 1
+        with pytest.raises(ValueError, match=f"past SEMIGROUP_TABLE_LIMIT = {SEMIGROUP_TABLE_LIMIT}$"):
+            semigroup_bits((3,), SEMIGROUP_TABLE_LIMIT)
+
+
+class TestExactDot:
+    def test_int64_while_every_partial_sum_fits(self):
+        # 3037000499**2 < 2**63 <= 3037000500**2
+        got = exact_dot(np.array([[3037000499]]), [3037000499])
+        assert (got.dtype, got.tolist()) == (np.int64, [3037000499**2])
+        got = exact_dot(np.array([[3037000500]]), [3037000500])
+        assert (got.dtype, got.tolist()) == (object, [3037000500**2])
+
+    def test_a_wrapping_sum_is_taken_in_python_ints(self):
+        # each product fits, but the sum 2**64 + 5 wraps to 5 in int64
+        got = exact_dot(np.array([[2**62, 2**62, 2**62, 2**62, 5]]), [1, 1, 1, 1, 1])
+        assert got.tolist() == [2**64 + 5]
+
+    def test_a_vector_past_int64(self):
+        assert exact_dot(np.array([[5, 0, 0], [0, 0, 1]]), [1, 1, 2**64]).tolist() == [5, 2**64]
+        assert exact_dot(np.zeros((2, 1), dtype=np.int64), [2**70]).tolist() == [0, 0]
+
+    def test_no_rows(self):
+        got = exact_dot(np.zeros((0, 3), dtype=np.int64), [1, 2, 3])
+        assert got.shape == (0,)
 
 
 class TestEffectiveOrder:

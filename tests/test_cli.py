@@ -705,6 +705,53 @@ def test_degree_beyond_int64_is_an_error(capsys):
     assert (code, out, err) == (1, "", "error: degree must be below 2**63\n")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "--weights", "1,1,1", "--degree", str(2**63 - 1), "--order", "3"),
+        ("scan", "--dim", "1", "--max-weight", "1", "--degree", str(2**63 - 1), "--max-order", "2"),
+        ("check", "--weights", f"{2**40},1,1", "--degree", str(2**40 * (2**23 - 1)), "--order", "2"),
+    ],
+    ids=["check-ones", "scan-ones", "check-2^40"],
+)
+def test_counts_past_int64_leave_the_order_unresolved(capsys, argv):
+    # the monomial tables of these families once came out empty, and every
+    # order was refuted; the budget stops them, as at d = 2**63 - 2
+    code, out, err = run_cli(capsys, *argv)
+    (verdict,) = json.loads(out)["verdicts"]
+    assert (code, err) == (2, "")
+    assert (verdict["status"], verdict["notes"]) == ("unresolved", ["more than 10000000 monomials"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "--weights", "1,2147483648,2147483649", "--degree", str(2**62), "--order", "2"),
+        ("orders", "--weights", "1,2147483648,2147483649", "--degree", str(2**62), "--max-order", "3"),
+    ],
+    ids=["check", "orders"],
+)
+def test_a_semigroup_table_past_the_limit_is_an_error(capsys, argv):
+    # the suffix (2**31, 2**31 + 1) of the weights would need a table of
+    # about 2**62 bits: once a MemoryError traceback
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: a semigroup table of ")
+    assert err.endswith(f"past SEMIGROUP_TABLE_LIMIT = {1 << 20}\n")
+
+
+@pytest.mark.parametrize("nvars", [21, 24])
+def test_a_closed_row_past_the_limit_is_an_error(nvars):
+    # one closed row of the subset criterion, (nvars + 1) * 2**nvars float32
+    # entries, is 176 MiB at 21 variables: refused before it is allocated
+    argv = ["check", "--weights", ",".join(["1"] * nvars), "--degree", "3", "--order", "2"]
+    env = {**os.environ, "PYTHONPATH": str(Path(wpsauto.cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "wpsauto.cli", *argv], env=env, capture_output=True, text=True)
+    entries = (nvars + 1) << nvars
+    message = f"error: a closed row of {nvars} variables has {entries} entries, past CLOSURE_ROW_LIMIT = {1 << 25}\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", message)
+
+
 def test_monomial_budget_zero_is_honoured(capsys):
     budget = ("--max-order", "5", "--monomial-budget", "0")
     code, out, err = run_cli(capsys, "orders", "--weights", "1,1,1", "--degree", "4", *budget)

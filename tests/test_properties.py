@@ -33,6 +33,7 @@ from wpsauto.ambient import (
 )
 from wpsauto.arith import (
     effective_order,
+    exact_dot,
     gcd_all,
     prime_power_decompose,
     semigroup_bits,
@@ -83,6 +84,38 @@ def test_semigroup_matches_bruteforce(gens, target, start):
     # start b <= target leaves a sum of the generators
     want = any(start >> b & 1 and brute_semigroup_contains(gens, target - b) for b in range(min(8, target + 1)))
     assert (semigroup_bits(gens, target, start) >> target & 1 == 1) == want
+
+
+#: Integers of either sign whose products lie near 2**63, from both sides:
+#: 3037000499**2 < 2**63 < 3037000500**2, and 2**k * 2**(63 - k) = 2**63.
+_near_the_int64_edge = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from([3037000499, 3037000500, 2**31, 2**32, 2**62, 2**63 - 1]).flatmap(
+        lambda x: st.sampled_from([x, -x, x - 1, -x + 1])
+    ),
+    st.integers(-(2**63) + 1, 2**63 - 1),
+)
+
+
+@given(
+    st.integers(1, 8).flatmap(
+        lambda width: st.tuples(
+            st.lists(st.lists(_near_the_int64_edge, min_size=width, max_size=width), max_size=5),
+            st.lists(st.one_of(_near_the_int64_edge, st.integers(-(2**70), 2**70)), min_size=width, max_size=width),
+        )
+    )
+)
+@example(([[3037000499, 0]], [3037000499, 5]))
+@example(([[3037000500, 0]], [3037000500, 5]))
+@example(([[2**62, 2**62, 2**62, 2**62, 5]], [1, 1, 1, 1, 1]))
+@example(([], [2**64]))
+@settings(max_examples=300, deadline=None)
+def test_exact_dot_matches_python_sums(rows_and_vector):
+    rows, vector = rows_and_vector
+    table = np.array(rows, dtype=np.int64).reshape(len(rows), len(vector))
+    got = exact_dot(table, vector)
+    assert got.shape == (len(rows),)
+    assert [int(x) for x in got] == [sum(x * v for x, v in zip(row, vector)) for row in rows]
 
 
 @given(st.lists(st.integers(1, 7), min_size=3, max_size=6), st.integers(1, 60))

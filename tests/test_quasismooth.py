@@ -6,9 +6,11 @@ import pytest
 
 from conftest import brute_eval_batch, families
 
+from wpsauto import arith
 from wpsauto.ambient import MonomialSystem, WeightedFamily, enumerate_monomials, is_linear_cone
 from wpsauto.errors import CoefficientCollision, EmptySystem, NotWellFormed
 from wpsauto.quasismooth import (
+    CLOSURE_ROW_LIMIT,
     FIELD_PRIME_LIMIT,
     SEMIGROUP_TABLE_LIMIT,
     ExplicitPolynomial,
@@ -19,6 +21,7 @@ from wpsauto.quasismooth import (
     random_member,
     required_monomial,
     singular_point_search,
+    subset_closures,
     subset_criterion,
 )
 
@@ -53,6 +56,23 @@ class TestExistsQuasismooth:
         # min(d, max(a)**2) = d here, far past the limit on the tables' bits
         with pytest.raises(ValueError, match=f"SEMIGROUP_TABLE_LIMIT = {SEMIGROUP_TABLE_LIMIT}"):
             exists_quasismooth(WeightedFamily(weights, degree))
+
+    def test_the_limit_is_the_one_semigroup_bits_checks(self):
+        assert SEMIGROUP_TABLE_LIMIT is arith.SEMIGROUP_TABLE_LIMIT
+
+
+class TestClosureRowLimit:
+    def test_twenty_variables_fit_and_twenty_one_do_not(self):
+        # a closed row holds (nvars + 1) * 2**nvars entries
+        assert 21 << 20 <= CLOSURE_ROW_LIMIT < 22 << 21
+
+    @pytest.mark.parametrize("nvars", [21, 24])
+    def test_a_row_past_the_limit_is_a_value_error(self, nvars):
+        message = f"a closed row of {nvars} variables has {(nvars + 1) << nvars} entries, past CLOSURE_ROW_LIMIT"
+        with pytest.raises(ValueError, match=message):
+            subset_closures(np.array([0]), nvars)
+        with pytest.raises(ValueError, match=message):
+            subset_criterion([[3] + [0] * (nvars - 1)], nvars)
 
 
 class TestGeneralMemberQuasismooth:
