@@ -258,8 +258,13 @@ def _sum_test(generators: Sequence[int], d: int):
 
     With g their gcd, every multiple of g from Schur's bound on is a sum
     (`semigroup_bits`), so a `semigroup_bits` table is kept only below it
-    and the rest is a divisibility test.
+    and the rest is a divisibility test.  A generator above d is in no sum
+    up to d, so it is left out (no int64 need hold it); with none left, 0
+    alone is a sum.
     """
+    generators = [w for w in generators if w <= d]
+    if not generators:
+        return lambda r: r == 0
     g = gcd_all(generators)
     cap = min(d + 1, g * (min(generators) // g - 1) * (max(generators) // g - 1))
     top = max(cap - 1, 0)
@@ -281,7 +286,9 @@ def enumerate_monomials(fam: WeightedFamily, budget: int = MONOMIAL_BUDGET) -> M
     budget.  Choices are tried `_EXTEND_CHUNK` at a time, so the budget is
     checked before a large table is held, and in rounds of at most
     `_EXTEND_CHUNK` exponents per partial vector, so every count of choices,
-    and their running sum, is exact in int64 whatever the degree.
+    and their running sum, is exact in int64 whatever the degree.  A weight
+    above d, which int64 may not hold, is never divided by: its variable
+    takes exponent 0 alone.
     """
     a, d = fam.weights, fam.degree
     sums = [_sum_test(a[k + 1 :], d) for k in range(fam.nvars - 1)]
@@ -289,7 +296,8 @@ def enumerate_monomials(fam: WeightedFamily, budget: int = MONOMIAL_BUDGET) -> M
     # per variable but the last: the partial vector each kept exponent extends
     steps: list[tuple[np.ndarray, np.ndarray]] = []
     for k in range(fam.nvars - 1):
-        top = left // a[k]  # the largest exponent of x_k, per partial vector
+        w = a[k] if a[k] <= d else 0  # 0 for a weight above d, whose only exponent is 0
+        top = left // w if w else np.zeros_like(left)  # the largest exponent of x_k, per partial vector
         most = int(top.max()) if len(top) else -1
         none = np.zeros(0, dtype=np.int64)
         kept = [(none, none, none)]
@@ -303,7 +311,7 @@ def enumerate_monomials(fam: WeightedFamily, budget: int = MONOMIAL_BUDGET) -> M
                 choice = np.arange(start, min(start + _EXTEND_CHUNK, int(ends[-1])))
                 parent = np.searchsorted(ends, choice, side="right")
                 exponent = low + (choice - starts[parent])
-                rest = left[parent] - a[k] * exponent
+                rest = left[parent] - w * exponent
                 keep = sums[k](rest)
                 count += np.count_nonzero(keep)
                 if count > budget:
@@ -314,7 +322,8 @@ def enumerate_monomials(fam: WeightedFamily, budget: int = MONOMIAL_BUDGET) -> M
             order = np.argsort(parent, kind="stable")
             parent, exponent, left = parent[order], exponent[order], left[order]
         steps.append((parent, exponent))
-    columns = [left // a[-1]]
+    # above d, the last weight's suffix test kept only 0 left over
+    columns = [left // a[-1] if a[-1] <= d else np.zeros_like(left)]
     index = np.arange(len(left))
     for parent, exponent in reversed(steps):
         columns.append(exponent[index])

@@ -59,7 +59,13 @@ analysis' budgets; given a family, they build a new analysis under the
 default budgets, so calls that should share one pass it.
 `order_verdict` is the one routing path from (family or analysis, q) to a
 verdict, and `_verified_certificate` the one place that builds a certified
-verdict, after re-checking its witness, induced order and bucket.
+verdict, after re-checking its witness, induced order and bucket.  Each
+order gets one verdict: the routing hands its notes to the oracle
+(`oracle_exists_order(..., notes=...)`), which builds the verdict with
+them, and the routing facts every order reads (the hypothesis notes, the
+prime route, the anchor counts) are worked out once per analysis.
+`admissible_orders` reads the prime powers of a small limit from one
+immutable table per limit, kept for the process.
 The oracle's scan grows with the signature classes it examines, not with q,
 so its class budget bounds it; not so `_canonical_full_signature`, which
 builds a certificate from all q translates in O(q * p**k), p**k < q, but
@@ -70,9 +76,9 @@ canonical signature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -579,7 +585,7 @@ class FamilyAnalysis:
             coprime = bound_coprime(fam)
         return divides, coprime
 
-    @property
+    @cached_property
     def prime_route(self) -> Optional[BoundReport]:
         """The bound that routes prime orders, divides-d first; None without
         the linearity hypothesis, which both routes assume."""
@@ -599,8 +605,14 @@ class FamilyAnalysis:
 
         Without the linearity hypothesis the enumeration still decides existence
         of diagonal automorphisms exactly, but no longer rules out nonlinear
-        ones, so refutations are annotated rather than blocked.
+        ones, so refutations are annotated rather than blocked.  The notes are
+        worked out once per analysis; a family failing a hard precondition
+        keeps no value, so it raises on every call.
         """
+        return self._hypothesis_notes
+
+    @cached_property
+    def _hypothesis_notes(self) -> tuple[str, ...]:
         flags = self.flags
         if self.family.degree < 3:
             raise HypothesisViolated("degree must be at least 3")
@@ -675,6 +687,14 @@ class FamilyAnalysis:
                 anchored.append((tuple(row[:nv]), k, t))
             out.append(tuple(sorted(anchored)))
         return tuple(out)
+
+    @cached_property
+    def anchor_counts(self) -> tuple[int, ...]:
+        """Per variable v, the number of its anchors (`anchor_terms`): its
+        out-edges in the digraph, and one more if a_v divides d; no anchor
+        and no matrix is built to count them."""
+        d = self.family.degree
+        return tuple(len(self.digraph[v]) + (d % w == 0) for v, w in enumerate(self.family.weights))
 
     @cached_property
     def anchors(self) -> tuple[np.ndarray, ...]:
@@ -948,8 +968,17 @@ def _bucket_members(sigma: np.ndarray, table_T: np.ndarray, h: np.ndarray, q: in
     return sigma @ table_T % q == h[:, None]
 
 
-def oracle_exists_order(fam: "WeightedFamily | FamilyAnalysis", q: "int | PrimePowerOrder") -> OrderVerdict:
+def oracle_exists_order(
+    fam: "WeightedFamily | FamilyAnalysis", q: "int | PrimePowerOrder", *, notes: Sequence[str] = ()
+) -> OrderVerdict:
     """Decide order q = p**r by exhausting diagonal signature classes.
+
+    The verdict's notes are `notes` (the routing's own, from `order_verdict`,
+    so that the order gets this one verdict and no copy of it), then the
+    analysis' hypothesis notes (`FamilyAnalysis.oracle_hypotheses`, worked
+    out once per analysis), then the oracle's own note.  Every gate before
+    the scan reads facts the analysis keeps: the anchor counts, whether a
+    quasi-smooth member exists, and the anchor determinants.
 
     Signatures are enumerated modulo translation by (a mod q) and unit
     scaling: representatives are the vectors vanishing at the first
@@ -1000,7 +1029,9 @@ def oracle_exists_order(fam: "WeightedFamily | FamilyAnalysis", q: "int | PrimeP
     reached; a refutation tests them all.
     q is refuted only after every class is ruled out: by the scan, or at
     once by a gate.  In order, a call refutes q when some variable has no
-    anchor (no bucket can hold one of each), then by the quasi-smooth gate,
+    anchor (no bucket can hold one of each; `FamilyAnalysis.anchor_counts`
+    reads it off the digraph and whether a_v divides d, so this gate builds
+    no anchor matrix), then by the quasi-smooth gate,
     then by the quotient gate; it leaves q unresolved past the int64 range
     or the class budget; and it refutes q by the descent gate before it
     scans.  Every gated refutation but the first carries the scan's own
@@ -1011,9 +1042,9 @@ def oracle_exists_order(fam: "WeightedFamily | FamilyAnalysis", q: "int | PrimeP
     monomial table, and the subset criterion only gains from more
     monomials, so when the whole table fails it, every bucket does.  It is
     consulted before the quotient gate, the int64 range and the class
-    budget, so such a family builds no monomial table, no determinant table
-    and no slice, and its orders past the budget are refuted, not left
-    unresolved.  Where `semigroup_bits` refuses one of its tables (past
+    budget, so such a family builds no monomial table, no anchor matrix, no
+    determinant table and no slice, and its orders past the budget are
+    refuted, not left unresolved.  Where `semigroup_bits` refuses one of its tables (past
     `SEMIGROUP_TABLE_LIMIT` bits), it is None, and the gate is passed over.
 
     The quotient gate reads the anchor
@@ -1070,14 +1101,14 @@ def oracle_exists_order(fam: "WeightedFamily | FamilyAnalysis", q: "int | PrimeP
     qq, p = pp.q, pp.p
     an = as_analysis(fam)
     fam = an.family
-    hyp_notes = an.oracle_hypotheses()
+    notes = tuple(notes) + an.oracle_hypotheses()
     nv = fam.nvars
 
     def refuted(note: str) -> OrderVerdict:
         an.oracle_refuted.add(qq)
-        return OrderVerdict(REFUTED, qq, "oracle", notes=hyp_notes + (note,))
+        return OrderVerdict(REFUTED, qq, "oracle", notes=notes + (note,))
 
-    missing = [v for v, rows in enumerate(an.anchors) if not rows.size]
+    missing = [v for v, count in enumerate(an.anchor_counts) if not count]
     if missing:
         return refuted(f"no pure-power or near-power monomial for variables {missing}")
 
@@ -1086,15 +1117,14 @@ def oracle_exists_order(fam: "WeightedFamily | FamilyAnalysis", q: "int | PrimeP
     if an.quasi_smooth is False:
         return refuted(exhausted)
     cap = min(class_count, an.oracle_budget)
-    choices = math.prod(len(rows) for rows in an.anchors)
-    if choices <= cap and all(det // fam.degree % qq for det in an.anchor_determinants):
+    if math.prod(an.anchor_counts) <= cap and all(det // fam.degree % qq for det in an.anchor_determinants):
         return refuted(exhausted)
     if qq ** nv >= 2**62:
         note = f"modulus {qq} too large for exact vectorized enumeration"
-        return OrderVerdict(UNRESOLVED, qq, "oracle", notes=hyp_notes + (note,))
+        return OrderVerdict(UNRESOLVED, qq, "oracle", notes=notes + (note,))
     if class_count > cap:
         note = f"at least {class_count} signature classes exceed the budget of {an.oracle_budget}"
-        return OrderVerdict(UNRESOLVED, qq, "oracle", notes=hyp_notes + (note,))
+        return OrderVerdict(UNRESOLVED, qq, "oracle", notes=notes + (note,))
     if pp.r > 1 and qq // p in an.oracle_refuted:
         return refuted(exhausted)
     i_star = _first_unit_weight_index(fam, p)
@@ -1140,20 +1170,33 @@ def oracle_exists_order(fam: "WeightedFamily | FamilyAnalysis", q: "int | PrimeP
                 exps = an.exponents[won[1]]
                 canon = sigma if i_star == 0 else _canonical_full_signature(fam.weights, sigma, qq)
                 note = f"classes examined: {examined}"
-                return _verified_certificate(fam, qq, "oracle", canon, exps, notes=hyp_notes + (note,))
+                return _verified_certificate(fam, qq, "oracle", canon, exps, notes=notes + (note,))
             start, stop = stop, 4 * stop
 
     return refuted(f"exhausted all {examined} signature classes")
+
+
+#: Largest max_q whose prime powers `admissible_orders` keeps for later calls.
+_PRIME_POWER_TABLE_LIMIT = 1 << 12
+
+
+@lru_cache(maxsize=16)  # the tables of the last 16 limits read
+def _prime_power_table(max_q: int) -> tuple[PrimePowerOrder, ...]:
+    return tuple(prime_powers_up_to(max_q))
 
 
 def admissible_orders(
     fam: "WeightedFamily | FamilyAnalysis", max_q: int
 ) -> list[tuple[PrimePowerOrder, OrderVerdict]]:
     """Tri-state verdict (`order_verdict`) for every prime power q <= max_q,
-    after checking the oracle's hard preconditions once."""
+    after checking the oracle's hard preconditions once.  The prime powers
+    of a max_q up to `_PRIME_POWER_TABLE_LIMIT` are sieved, and each prime
+    proved, once per process: an immutable tuple, kept for the last 16
+    such limits."""
     an = as_analysis(fam)
     an.oracle_hypotheses()
-    return [(pp, order_verdict(an, pp)) for pp in prime_powers_up_to(max_q)]
+    powers = _prime_power_table(max_q) if max_q <= _PRIME_POWER_TABLE_LIMIT else prime_powers_up_to(max_q)
+    return [(pp, order_verdict(an, pp)) for pp in powers]
 
 
 def order_verdict(fam: "WeightedFamily | FamilyAnalysis", q: "int | PrimePowerOrder") -> OrderVerdict:
@@ -1166,6 +1209,12 @@ def order_verdict(fam: "WeightedFamily | FamilyAnalysis", q: "int | PrimePowerOr
     and the oracle settles whatever remains; the oracle's hard preconditions
     bind every route.  Budget exhaustion and violated hypotheses are
     recorded in the verdict, never raised.
+
+    Each order gets one verdict: where the oracle decides, the routing's
+    notes go in through its `notes` argument, called by its module-level
+    name so that a wrapper put there sees every oracle call.  The routing
+    facts (hypothesis notes, prime route, anchor counts) are read off the
+    analysis, which works each out once.
     """
     an = as_analysis(fam)
     pp = as_prime_power(q)
@@ -1191,8 +1240,7 @@ def order_verdict(fam: "WeightedFamily | FamilyAnalysis", q: "int | PrimePowerOr
             notes = ("a qualifying chain exists but no split witness was found; oracle decides",)
         except HypothesisViolated as exc:
             notes = (f"chain criteria not applicable: {exc}",)
-        verdict = oracle_exists_order(an, pp)
-        return replace(verdict, notes=notes + verdict.notes)
+        return oracle_exists_order(an, pp, notes=notes)
     except BudgetExceeded as exc:
         return OrderVerdict(UNRESOLVED, pp.q, "budget", notes=(str(exc),))
     except HypothesisViolated as exc:

@@ -255,6 +255,19 @@ class TestEnumerateMonomials:
         assert enumerate_monomials(fam) == whole
         assert list(whole.monomials) == sorted(brute_monomials(weights, degree))
 
+    @pytest.mark.parametrize(
+        "weights",
+        [(1, 1, 2**63), (1, 1, 2**64), (2**64, 1, 1), (1, 2**64, 1), (2**64, 2**64 + 1, 1), (2**64, 2**64 + 1, 2)],
+    )
+    def test_weights_past_int64_take_exponent_zero(self, weights):
+        # a weight above d = 5 only takes exponent 0, and no int64 holds
+        # 2**63 or 2**64: the table is that of the other variables (an
+        # OverflowError in `_sum_test` and the exponent bound once)
+        system = enumerate_monomials(WeightedFamily(weights, 5))
+        assert list(system.monomials) == sorted(brute_monomials(weights, 5))
+        if weights == (1, 1, 2**64):
+            assert system.monomials == tuple((i, 5 - i, 0) for i in range(6))
+
     def test_a_sum_table_past_the_limit_is_a_value_error(self):
         # the suffix (2**31, 2**31 + 1) needs a table up to its Schur bound
         fam = WeightedFamily((1, 2**31, 2**31 + 1), 2**62)

@@ -633,27 +633,69 @@ NO_QUASI_SMOOTH_MEMBER = [
 
 @pytest.mark.parametrize("argv, code, digest", NO_QUASI_SMOOTH_MEMBER, ids=[argv[0] for argv, _, _ in NO_QUASI_SMOOTH_MEMBER])
 def test_a_family_with_no_quasi_smooth_member_builds_no_table(capsys, monkeypatch, argv, code, digest):
-    # Such a family builds no monomial table and no anchor determinants, so
-    # no class slice either: the oracle's scan reads the table first
+    # Such a family builds no monomial table, no anchor matrices and no
+    # anchor determinants, so no class slice either: the oracle's scan reads
+    # the table first
     def refuse(fam):
         if not reference_semigroup_subset_condition(fam):
             raise AssertionError(f"{fam} has no quasi-smooth member, yet its tables were built")
 
     enumerate_monomials = orders.enumerate_monomials
-    determinants = orders.FamilyAnalysis.anchor_determinants.func
 
     def guarded_enumerate(fam, *args):
         refuse(fam)
         return enumerate_monomials(fam, *args)
 
-    def guarded_determinants(an):
-        refuse(an.family)
-        return determinants(an)
+    def guarded(name):
+        build = getattr(orders.FamilyAnalysis, name).func
+
+        def field(an):
+            refuse(an.family)
+            return build(an)
+
+        return property(field)
 
     monkeypatch.setattr(orders, "enumerate_monomials", guarded_enumerate)
-    monkeypatch.setattr(orders.FamilyAnalysis, "anchor_determinants", property(guarded_determinants))
+    for name in ("anchors", "anchor_determinants"):
+        monkeypatch.setattr(orders.FamilyAnalysis, name, guarded(name))
     got, out, _ = run_cli(capsys, *argv)
     assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+
+
+def test_each_order_gets_one_verdict(capsys, monkeypatch):
+    # the catalog's median request: a family with no quasi-smooth member,
+    # whose nine orders up to 13 the routing hands, but for the chain
+    # refutations, to the oracle; each builds one verdict, not a copy
+    built = []
+    post_init = orders.OrderVerdict.__post_init__
+
+    def counted(verdict):
+        built.append(verdict.q)
+        post_init(verdict)
+
+    monkeypatch.setattr(orders.OrderVerdict, "__post_init__", counted)
+    code, out, _ = run_cli(capsys, "orders", "--weights", "2,3,3,4,4", "--degree", "20", "--max-order", "13")
+    assert code == 0
+    assert built == [v["q"] for v in json.loads(out)["verdicts"]] == [2, 3, 4, 5, 7, 8, 9, 11, 13]
+
+
+def test_the_routing_reaches_the_oracle_by_its_module_name(capsys, monkeypatch):
+    # a wrapper put at `orders.oracle_exists_order`, as the benchmark's
+    # tracer puts one, sees exactly the calls whose verdicts name the oracle;
+    # the counterexample's chain refutations never reach it
+    calls = []
+    oracle = orders.oracle_exists_order
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return oracle(*args, **kwargs)
+
+    monkeypatch.setattr(orders, "oracle_exists_order", counted)
+    code, out, _ = run_cli(capsys, "orders", "--weights", "3,7,2,4,5", "--degree", "37", "--max-order", "37")
+    assert code == 0
+    verdicts = json.loads(out)["verdicts"]
+    assert Counter(v["provenance"] for v in verdicts) == {"oracle": 16, "necessary-condition": 3}
+    assert [pp.q for pp in calls] == [v["q"] for v in verdicts if v["provenance"] == "oracle"]
 
 
 def test_all_chains_past_the_cycle_budget_exits_2(capsys):

@@ -760,6 +760,39 @@ def test_a_bare_family_gets_a_new_analysis():
     assert as_analysis(an) is an
 
 
+@pytest.mark.parametrize(
+    "weights, degree, message",
+    [
+        ((1, 1, 2, 2), 4, "the linear automorphism group is not finite"),
+        ((1, 2, 2, 2), 9, "is not well-formed"),
+        ((1, 1, 1), 2, "degree must be at least 3"),
+    ],
+)
+def test_a_failed_hard_precondition_raises_on_every_call(weights, degree, message):
+    # the hypothesis notes are kept once worked out, but a raise keeps nothing
+    an = family_analysis(WeightedFamily(weights, degree))
+    for _ in range(2):
+        with pytest.raises(HypothesisViolated, match=message):
+            an.oracle_hypotheses()
+        assert order_verdict(an, 5).status == "hypothesis-violated"
+
+
+def test_prime_power_tables_are_kept_per_limit():
+    # limits 64, 13 and 64 in one process list exactly the prime powers up
+    # to each; the kept table is a tuple, and a caller mutating the list it
+    # gets back changes no later call
+    an = family_analysis(WeightedFamily((1, 1, 1), 4))
+    first = None
+    for limit in (64, 13, 64):
+        got = admissible_orders(an, limit)
+        assert [pp for pp, _ in got] == prime_powers_up_to(limit)
+        first = first or got
+        first.clear()
+    table = orders._prime_power_table(64)
+    assert isinstance(table, tuple) and table is orders._prime_power_table(64)
+    assert list(table) == prime_powers_up_to(64)
+
+
 def test_closures_are_built_once_per_analysis(monkeypatch):
     # (1,1,1,1) d=4 fails the linearity hypothesis, so the oracle decides
     # every order of the sweep, and scans several of them
