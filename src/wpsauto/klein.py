@@ -5,10 +5,18 @@ A Klein hypersurface for (a, d) is cut out by the full cyclic polynomial
     x_0^{m_0} x_1 + x_1^{m_1} x_2 + ... + x_{n+1}^{m_{n+1}} x_0
 
 for some ordering of the variables in which a_i * m_i + a_{i+1} = d holds
-cyclically.  When every weight is prime to d, these are the hypersurfaces
-realizing the largest prime that can occur as an automorphism order; the
-candidate value of that prime is (prod(m_i) + (-1)^(n+1)) / d, the Klein
-chain's determinant (`orders.CycleChain.determinant`) over d.
+cyclically: the ordering is a Hamiltonian cycle of the weight digraph, and
+its chain (`orders.CycleChain`) is all the Klein data there is.  Every
+number here reads that chain's one determinant.  With K the chain's matrix
+(m_i at (i, i), 1 at (i, i+1), cyclically), K a = d * 1; as gcd(a) = 1, d
+divides det K and adj(K) * 1 = (det K / d) * a.  So the maximal-prime
+candidate is det K / d = (prod(m_i) + (-1)^(n+1)) / d, and the singularity
+quantity R is (-1)^(n+1) * a_0 * det K / d.
+
+A Klein ordering forces every weight prime to d: a prime dividing a_i and
+d divides a_{i+1} = d - m_i * a_i, and so every weight.  These are the
+hypersurfaces realizing the largest prime that can occur as an
+automorphism order.
 
 The Klein polynomial itself is quasi-smooth unless every m_i is 1 and 4
 divides the number of variables (`klein_quasismooth`, with the proof).
@@ -50,17 +58,26 @@ __all__ = [
 
 @dataclass(frozen=True)
 class KleinData:
-    """A full cyclic ordering of the variables with its exponents and invariants."""
+    """A full cyclic ordering of the variables: its chain, the singularity
+    quantity R read off the chain's determinant, and the number of orderings
+    found."""
 
     family: WeightedFamily
-    ordering: tuple[int, ...]
-    exponents: tuple[int, ...]
+    chain: CycleChain
     R: int
     cycle_count: int
 
     @property
+    def ordering(self) -> tuple[int, ...]:
+        return self.chain.indices
+
+    @property
+    def exponents(self) -> tuple[int, ...]:
+        return self.chain.exponents
+
+    @property
     def monomials(self) -> list[tuple[int, ...]]:
-        return CycleChain(self.ordering, self.exponents).monomials(self.family.nvars)
+        return self.chain.monomials(self.family.nvars)
 
 
 @dataclass(frozen=True)
@@ -68,20 +85,11 @@ class MaxPrimeResult:
     """Outcome of the maximal-prime computation: a value or a reason it fails."""
 
     value: Optional[int]
-    # "not-integral" | "not-prime" | "not-greater-than-d", or "beyond-primality-limit"
-    # for a candidate at or above `arith.PRIMALITY_LIMIT`, which no exact
+    # "not-prime" | "not-greater-than-d", or "beyond-primality-limit" for a
+    # candidate at or above `arith.PRIMALITY_LIMIT`, which no exact
     # primality test here decides
     reason: Optional[str]
-    candidate: Optional[int] = None  # the integer tested, when integral
-
-
-def _singularity_R(exponents: tuple[int, ...], n: int) -> int:
-    """R = 1 + sum_{i=1}^{n+1} (-1)^(n-i) * prod_{j=i}^{n+1} m_j, exactly."""
-    total = 1
-    for i in range(1, n + 2):
-        prod = math.prod(exponents[i:])
-        total += prod if (n - i) % 2 == 0 else -prod
-    return total
+    candidate: int  # the integer tested, det K / d
 
 
 def klein_exists(fam: "WeightedFamily | FamilyAnalysis") -> Optional[KleinData]:
@@ -92,7 +100,8 @@ def klein_exists(fam: "WeightedFamily | FamilyAnalysis") -> Optional[KleinData]:
     imposed here.  The number of distinct cycles found is reported; they are
     counted under the larger of the default cycle budget and the analysis'
     own, so a raised budget lets more be counted and a lowered one changes
-    nothing.
+    nothing.  The first ordering's chain is kept, and R is read off its
+    determinant.
     """
     an = as_analysis(fam)
     fam = an.family
@@ -106,13 +115,10 @@ def klein_exists(fam: "WeightedFamily | FamilyAnalysis") -> Optional[KleinData]:
     if first is None:
         return None
     chain = chain_from_cycle(fam, first)
-    return KleinData(
-        family=fam,
-        ordering=first,
-        exponents=chain.exponents,
-        R=_singularity_R(chain.exponents, fam.n),
-        cycle_count=count,
-    )
+    quotient, rest = divmod(chain.determinant, fam.degree)
+    assert rest == 0  # K a = d * 1 with gcd(a) = 1 (module docstring)
+    R = (-1) ** (fam.n + 1) * fam.weights[first[0]] * quotient
+    return KleinData(family=fam, chain=chain, R=R, cycle_count=count)
 
 
 def klein_quasismooth(fam: "WeightedFamily | FamilyAnalysis") -> bool:
@@ -144,20 +150,26 @@ def klein_quasismooth(fam: "WeightedFamily | FamilyAnalysis") -> bool:
 
 
 def klein_singularity_R(data: KleinData) -> int:
-    """The alternating exponent-product sum whose vanishing signals the
-    potentially singular case; K evaluates to R times a coordinate product
-    at any would-be singular point with all coordinates nonzero."""
+    """The quantity whose vanishing signals the potentially singular case:
+    the Klein polynomial evaluates to R times a coordinate product at any
+    would-be singular point with all coordinates nonzero.  R is the
+    alternating exponent-product sum 1 + sum_{i=1}^{n+1} (-1)^(n-i) *
+    m_i * ... * m_{n+1}, that is (-1)^(n+1) times the first entry of
+    adj(K) * 1, which is (-1)^(n+1) * a_0 * det K / d (module docstring),
+    a_0 the weight of the ordering's first variable."""
     return data.R
 
 
 def klein_max_prime(fam: "WeightedFamily | FamilyAnalysis") -> MaxPrimeResult:
-    """The largest prime order candidate (prod(m) + (-1)^(n+1)) / d, the
-    Klein chain's determinant (`CycleChain.determinant`) over d.
+    """The largest prime order candidate det K / d = (prod(m) + (-1)^(n+1)) / d,
+    read off the Klein chain's determinant (`CycleChain.determinant`); d
+    always divides it (module docstring).
 
-    Requires a Klein ordering and weights coprime to the degree.  Returns
-    the value only when the division is exact and the result is a prime
-    exceeding d; otherwise the reason code tells which test failed, or that
-    the candidate is too large for `is_prime` to decide.
+    Requires a Klein ordering and weights coprime to the degree; a family
+    with a Klein ordering has both, so the coprimality test only picks the
+    exception for one without.  Returns the value only when the candidate is
+    a prime exceeding d; otherwise the reason code tells which test failed,
+    or that the candidate is too large for `is_prime` to decide.
     """
     an = as_analysis(fam)
     fam = an.family
@@ -166,10 +178,7 @@ def klein_max_prime(fam: "WeightedFamily | FamilyAnalysis") -> MaxPrimeResult:
     data = an.klein
     if data is None:
         raise NoKleinHypersurface(f"no full cyclic ordering for {fam}")
-    numer = CycleChain(data.ordering, data.exponents).determinant
-    if numer % fam.degree != 0:
-        return MaxPrimeResult(None, "not-integral")
-    candidate = numer // fam.degree
+    candidate = data.chain.determinant // fam.degree
     if candidate >= PRIMALITY_LIMIT:
         return MaxPrimeResult(None, "beyond-primality-limit", candidate)
     if candidate < 2 or not is_prime(candidate):
@@ -209,5 +218,5 @@ def _invariant_rows(an: FamilyAnalysis, p: int) -> np.ndarray:
     data = an.klein
     if data is None:
         raise NoKleinHypersurface(f"no full cyclic ordering for {an.family}")
-    sigma = signature_from_chain(an.family, CycleChain(data.ordering, data.exponents), p).sigma
+    sigma = signature_from_chain(an.family, data.chain, p).sigma
     return np.flatnonzero(exact_dot(an.exponents, sigma) % p == 0)

@@ -367,9 +367,14 @@ def _chain_criteria(
 ) -> tuple[Optional[OrderVerdict], Optional[CycleChain]]:
     """Both chain criteria in one pass over the chains qualifying for q: the
     sufficient condition's certificate (or None), and the first qualifying
-    chain (None refutes q by the necessary condition).  A chain whose
-    signature induces a lower order is passed over; the certificate of the
-    first one left is built, and re-checked, by `_verified_certificate`.
+    chain (None refutes q by the necessary condition).  The certificate of
+    the first chain whose witness passes is built, and re-checked, by
+    `_verified_certificate`, which raises on an unsound one.  Its padded
+    signature always induces order q: `qualifying_chains` raises where p
+    divides d, and an order below q needs sigma = lambda * a mod p for some
+    lambda, where along the chain sigma_i * m_i + sigma_next = 0 gives
+    lambda * d = 0 mod p, so lambda = 0 mod p, though sigma is 1 at the
+    chain's first variable.
 
     A family with no quasi-smooth member (`FamilyAnalysis.quasi_smooth` is
     False) skips the sufficient half and builds no monomial table: every
@@ -395,8 +400,6 @@ def _chain_criteria(
         ):
             continue
         sigma = signature_from_chain(fam, chain, qq).padded().sigma
-        if effective_order(sigma, fam.weights, qq) != qq:
-            continue
         witness = np.vstack([np.array(chain.monomials(nv), dtype=np.int64), an.exponents[comp_rows]])
         return _verified_certificate(fam, qq, "sufficient-condition", sigma, witness, chain), chain
     return None, first
@@ -490,7 +493,7 @@ def divides_d_criterion(fam: "WeightedFamily | FamilyAnalysis", p: int) -> Order
     for w in sorted(set(a)):
         positions = [i for i, x in enumerate(a) if x == w]
         for length in range(2, len(positions) + 1):
-            chain = CycleChain(tuple(positions[:length]), (d // w - 1,) * length)
+            chain = chain_from_cycle(fam, positions[:length])
             if chain.determinant % p:  # (1 - d/w)^L != 1 mod p
                 continue
             witness = chain.monomials(nv) + [mono for k, mono in enumerate(fermat) if k not in chain.indices]
@@ -618,10 +621,9 @@ class FamilyAnalysis:
             raise HypothesisViolated("degree must be at least 3")
         if not flags["well_formed"]:
             raise HypothesisViolated(f"{self.family} is not well-formed")
+        # lin_finite needs d >= 2 * max(a), so it also rules out a linear cone
         if not flags["lin_finite"]:
             raise HypothesisViolated("the linear automorphism group is not finite")
-        if flags["linear_cone"]:
-            raise HypothesisViolated("linear cones are excluded")
         if not flags["mm_hypothesis"]:
             return (
                 "linearity hypothesis fails (need n >= 3, or n = 2 with weight sum != "

@@ -5,7 +5,9 @@ so identical (arguments, seed, budget) produce byte-identical output.
 Exact rationals are rendered as strings to avoid any float round-trip.
 Every family section is read from the request's `FamilyAnalysis`, so the
 flags, bounds and Klein data are computed once and the Klein eigenspace
-counts honour the request's monomial budget.
+counts honour the request's monomial budget.  The Klein section reads every
+number off the one Klein chain (`klein.KleinData`); a family with a Klein
+ordering meets every hypothesis of `klein_max_prime`, so none is caught.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from fractions import Fraction
 from typing import Any, Optional
 
 from . import __version__
-from .errors import HypothesisViolated
 from .klein import eigenspace_filter, klein_eigenspace_check, klein_max_prime, klein_quasismooth
 from .orders import BoundReport, FamilyAnalysis, OrderVerdict
 
@@ -68,11 +69,7 @@ def klein_section(an: FamilyAnalysis) -> dict[str, Any]:
         "max_prime": None,
         "eigenspace": None,
     }
-    try:
-        result = klein_max_prime(an)
-    except HypothesisViolated as exc:
-        out["max_prime"] = {"value": None, "reason": f"hypothesis: {exc}"}
-        return out
+    result = klein_max_prime(an)  # a Klein ordering makes every weight prime to d
     out["max_prime"] = {"value": result.value, "reason": result.reason}
     if result.value is not None:
         invariant, total = eigenspace_filter(an, result.value)

@@ -330,6 +330,17 @@ def bareiss_determinant(rows) -> int:
     return sign * M[-1][-1]
 
 
+def reference_singularity_R(exponents, n: int) -> int:
+    """The Klein singularity quantity as the alternating exponent-product
+    sum R = 1 + sum_{i=1}^{n+1} (-1)^(n-i) * m_i * ... * m_{n+1}, exactly,
+    for the exponents m_0, ..., m_{n+1} in chain order."""
+    total = 1
+    for i in range(1, n + 2):
+        prod = math.prod(exponents[i:])
+        total += prod if (n - i) % 2 == 0 else -prod
+    return total
+
+
 def brute_anchor_determinants(monos, nvars: int) -> set[int]:
     """The distinct |det K| over every choice of one anchoring monomial per
     variable (`brute_anchors`), K the matrix of the chosen exponent vectors,

@@ -33,7 +33,7 @@ from wpsauto.ambient import (
     mm_hypothesis,
     well_formed,
 )
-from wpsauto.arith import prime_power_decompose, primes_up_to
+from wpsauto.arith import effective_order, prime_power_decompose, primes_up_to
 from wpsauto.cycles import CYCLE_BUDGET
 from wpsauto.errors import BudgetExceeded, HypothesisViolated
 from wpsauto.klein import (
@@ -247,6 +247,26 @@ def test_criterion_5_oracle_equivalence(corpus):
         f"({divides_pairs} criterion, {sufficient_pairs} sufficiency, "
         f"{necessary_pairs} necessity comparisons): PASS ({elapsed:.2f}s)"
     )
+
+
+def test_qualifying_chain_signatures_have_the_full_order(corpus):
+    # the lemma that lets `_chain_criteria` build a certificate from the
+    # first chain whose witness passes: where p does not divide d, the
+    # padded signature of a chain with q | det K induces order exactly q.
+    # Every chain of each corpus family is tried, also where p divides
+    # some d - a_i (where the chain criteria do not apply)
+    records, _ = corpus
+    checked = 0
+    for an in {id(rec.an): rec.an for rec in records}.values():
+        fam = an.family
+        for q in CORPUS_QS:
+            if fam.degree % prime_power_decompose(q).p == 0:
+                continue
+            for chain in an._qualifying(q):
+                sigma = signature_from_chain(fam, chain, q).padded().sigma
+                assert effective_order(sigma, fam.weights, q) == q, (fam, q, chain)
+                checked += 1
+    assert checked == 2715
 
 
 def test_oracle_refutations_count_every_class(corpus):

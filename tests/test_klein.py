@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from conftest import families
+from conftest import families, reference_singularity_R
 
 from wpsauto.ambient import MonomialSystem, WeightedFamily, enumerate_monomials
 from wpsauto.errors import HypothesisViolated, NoKleinHypersurface
@@ -15,7 +15,7 @@ from wpsauto.klein import (
     klein_quasismooth,
     klein_singularity_R,
 )
-from wpsauto.orders import bound_coprime, oracle_exists_order
+from wpsauto.orders import bound_coprime, chain_from_cycle, oracle_exists_order
 from wpsauto.quasismooth import ExplicitPolynomial, singular_point_search, subset_criterion
 
 QUARTIC_CURVE = WeightedFamily((1, 1, 1), 4)
@@ -119,6 +119,21 @@ class TestSingularityR:
             if bilinear and any(w != 1 for w in fam.weights):
                 seen_weighted_case = True
         assert seen_weighted_case
+
+    def test_R_and_the_chain_over_the_klein_corpus(self):
+        # R is read off the chain's determinant (+-a_0 * det K / d); compare
+        # it with the alternating sum, and the kept chain with one built anew.
+        # A Klein ordering makes every weight prime to d
+        checked = 0
+        for fam in families((1, 2, 3, 4, 5), 4, range(2, 60)):
+            data = klein_exists(fam)
+            if data is None:
+                continue
+            assert data.R == reference_singularity_R(data.exponents, fam.n), fam
+            assert data.chain == chain_from_cycle(fam, data.ordering), fam
+            assert all(math.gcd(w, fam.degree) == 1 for w in fam.weights), fam
+            checked += 1
+        assert checked == 1742
 
 
 class TestKleinMaxPrime:
@@ -265,7 +280,7 @@ def test_invariant_monomials_match_the_table_filter():
     # Klein calls leave no attribute on the analysis: they keep no rows, and
     # the oracle's record is the only field an analysis is not built with
     from wpsauto.klein import _invariant_rows
-    from wpsauto.orders import CycleChain, FamilyAnalysis, as_analysis, signature_from_chain
+    from wpsauto.orders import FamilyAnalysis, as_analysis, signature_from_chain
 
     assert [f.name for f in dataclasses.fields(FamilyAnalysis) if not f.init] == ["oracle_refuted"]
 
@@ -274,7 +289,7 @@ def test_invariant_monomials_match_the_table_filter():
         an = as_analysis(fam)
         if an.klein is None:
             continue
-        chain = CycleChain(an.klein.ordering, an.klein.exponents)
+        chain = an.klein.chain
         for p in (2, 7, 101, 2**61 - 1):
             sigma = signature_from_chain(fam, chain, p).sigma
             want = [

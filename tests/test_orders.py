@@ -173,6 +173,20 @@ class TestSufficientCondition:
     def test_counterexample_fails(self):
         assert sufficient_condition(COUNTEREXAMPLE, 23) is None
 
+    def test_an_unsound_chain_signature_raises(self, monkeypatch):
+        # five times a chain signature mod 25 induces order 5; the certificate
+        # check raises on it, as on any unsound certificate, and no chain is
+        # passed over in silence
+        sound = orders.signature_from_chain
+
+        def scaled(fam, chain, q):
+            sig = sound(fam, chain, q)
+            return Signature(sig.q, tuple(None if s is None else 5 * s % sig.q for s in sig.sigma))
+
+        monkeypatch.setattr(orders, "signature_from_chain", scaled)
+        with pytest.raises(AssertionError, match="induced order"):
+            sufficient_condition(WeightedFamily((1, 1, 2, 3), 9), 25)
+
 
 class TestDividesD:
     def test_sextic_seven_case_c(self):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import (
+    bareiss_determinant,
     brute_anchors,
     brute_effective_order,
     brute_eval_batch,
@@ -18,6 +19,7 @@ from conftest import (
     lattice_subset_criterion_batch,
     reference_oracle,
     reference_semigroup_subset_condition,
+    reference_singularity_R,
     series_monomial_count,
 )
 
@@ -259,6 +261,21 @@ def test_cycle_monomials_pass_the_subset_criterion(exponents):
     monomials = CycleChain(tuple(range(L)), tuple(exponents)).monomials(L)
     assert subset_criterion(monomials, L)
     assert brute_subset_criterion(monomials, L)
+
+
+@given(st.lists(st.integers(1, 9), min_size=2, max_size=7))
+@settings(max_examples=300, deadline=None)
+def test_singularity_R_is_the_first_entry_of_adj_K_times_ones(exponents):
+    # the identity behind `KleinData.R`: the alternating sum is (-1)^(N-1)
+    # times (adj(K) * 1)_0, which Cramer's rule gives as det K with column 0
+    # replaced by ones; as adj(K) * 1 = (det K / d) * a, R = +-a_0 * det K / d
+    N = len(exponents)
+    K = [[0] * N for _ in range(N)]
+    for i, m in enumerate(exponents):
+        K[i][i] = m
+        K[i][(i + 1) % N] += 1
+    c0 = bareiss_determinant([[1] + row[1:] for row in K])
+    assert reference_singularity_R(exponents, N - 2) == (-1) ** (N - 1) * c0
 
 
 @given(st.integers(0, 10**12), st.sampled_from(["monomials", "cycles"]))
