@@ -8,6 +8,7 @@ preconditions by the order criteria live here.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -28,6 +29,8 @@ __all__ = [
     "mm_hypothesis",
     "lin_finite",
     "is_linear_cone",
+    "weights_divide_degree",
+    "weights_coprime_to_degree",
     "enumerate_monomials",
     "rows_increase",
 ]
@@ -247,6 +250,16 @@ def lin_finite(fam: WeightedFamily) -> bool:
 def is_linear_cone(fam: WeightedFamily) -> bool:
     """Whether some weight equals the degree (the hypersurface is a cone)."""
     return fam.degree in fam.weights
+
+
+def weights_divide_degree(fam: WeightedFamily) -> bool:
+    """Whether every weight divides the degree (the divides-d case)."""
+    return all(fam.degree % w == 0 for w in fam.weights)
+
+
+def weights_coprime_to_degree(fam: WeightedFamily) -> bool:
+    """Whether every weight is prime to the degree (the coprime case)."""
+    return all(math.gcd(w, fam.degree) == 1 for w in fam.weights)
 
 
 #: Exponent choices `enumerate_monomials` tries at once.

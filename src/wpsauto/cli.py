@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -21,7 +20,7 @@ from itertools import combinations_with_replacement
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .ambient import MONOMIAL_BUDGET, WeightedFamily
+from .ambient import MONOMIAL_BUDGET, WeightedFamily, weights_coprime_to_degree, weights_divide_degree
 from .arith import as_prime_power, gcd_all, linear_congruence_solutions
 from .checks import CHECK_NAMES, run_checks
 from .cycles import CYCLE_BUDGET
@@ -330,11 +329,12 @@ def _scan_families(args) -> list[WeightedFamily]:
         if gcd_all(weights) != 1:
             continue
         for degree in range(lo, hi + 1):
-            if args.divides_d and any(degree % w != 0 for w in weights):
+            fam = WeightedFamily(weights, degree)
+            if args.divides_d and not weights_divide_degree(fam):
                 continue
-            if args.coprime and any(math.gcd(w, degree) != 1 for w in weights):
+            if args.coprime and not weights_coprime_to_degree(fam):
                 continue
-            fams.append(WeightedFamily(weights, degree))
+            fams.append(fam)
     fams.sort(key=lambda f: (f.n, f.weights, f.degree))
     return fams
 

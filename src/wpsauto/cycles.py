@@ -26,10 +26,13 @@ def simple_cycles(
 ) -> Iterator[tuple[int, ...]]:
     """Yield all simple cycles of length min_len..max_len, lexicographically.
 
-    Each cycle is a tuple of distinct vertices starting at its smallest
-    member; self-loops are never reported.  Raises BudgetExceeded when more
-    than `budget` cycles would be emitted.
+    Each cycle is a tuple of at least two distinct vertices starting at its
+    smallest member, so self-loops are never reported, and a min_len below
+    2 is a ValueError.  Raises BudgetExceeded when more than `budget`
+    cycles would be emitted.
     """
+    if min_len < 2:
+        raise ValueError(f"min_len must be at least 2, got {min_len}")
     vertices = sorted(set(adjacency) | {w for vs in adjacency.values() for w in vs})
     if max_len is None:
         max_len = len(vertices)
@@ -38,7 +41,8 @@ def simple_cycles(
     for start in vertices:
         path = [start]
         on_path = {start}
-        # stack of iterators over candidate successors (all > start)
+        # stack of iterators over candidate successors (all > start); explicit,
+        # not recursion, as a path may outgrow the interpreter's recursion limit
         stack = [iter(neighbors[start])]
         while stack:
             advanced = False

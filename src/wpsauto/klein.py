@@ -32,13 +32,12 @@ are computed in each call and kept nowhere.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .ambient import WeightedFamily
+from .ambient import WeightedFamily, weights_coprime_to_degree
 from .arith import PRIMALITY_LIMIT, exact_dot, is_prime
 from .cycles import CYCLE_BUDGET, simple_cycles
 from .errors import HypothesisViolated, NoKleinHypersurface
@@ -144,9 +143,7 @@ def klein_quasismooth(fam: "WeightedFamily | FamilyAnalysis") -> bool:
     fam = an.family
     if fam.degree < 2:
         raise HypothesisViolated("degree must be at least 2")
-    if an.klein is None:
-        raise NoKleinHypersurface(f"no full cyclic ordering for {fam}")
-    return not (set(an.klein.exponents) == {1} and fam.nvars % 4 == 0)
+    return not (set(_klein(an).exponents) == {1} and fam.nvars % 4 == 0)
 
 
 def klein_singularity_R(data: KleinData) -> int:
@@ -173,12 +170,9 @@ def klein_max_prime(fam: "WeightedFamily | FamilyAnalysis") -> MaxPrimeResult:
     """
     an = as_analysis(fam)
     fam = an.family
-    if any(math.gcd(w, fam.degree) != 1 for w in fam.weights):
+    if not weights_coprime_to_degree(fam):
         raise HypothesisViolated("every weight must be coprime to the degree")
-    data = an.klein
-    if data is None:
-        raise NoKleinHypersurface(f"no full cyclic ordering for {fam}")
-    candidate = data.chain.determinant // fam.degree
+    candidate = _klein(an).chain.determinant // fam.degree
     if candidate >= PRIMALITY_LIMIT:
         return MaxPrimeResult(None, "beyond-primality-limit", candidate)
     if candidate < 2 or not is_prime(candidate):
@@ -215,8 +209,12 @@ def _invariant_rows(an: FamilyAnalysis, p: int) -> np.ndarray:
     """The rows of the monomial table fixed by the Klein chain's signature
     mod p: one exact product with the exponent matrix (`exact_dot`), made
     anew in each call."""
-    data = an.klein
-    if data is None:
-        raise NoKleinHypersurface(f"no full cyclic ordering for {an.family}")
-    sigma = signature_from_chain(an.family, data.chain, p).sigma
+    sigma = signature_from_chain(an.family, _klein(an).chain, p).sigma
     return np.flatnonzero(exact_dot(an.exponents, sigma) % p == 0)
+
+
+def _klein(an: FamilyAnalysis) -> KleinData:
+    """The analysis' Klein data; NoKleinHypersurface where there is none."""
+    if an.klein is None:
+        raise NoKleinHypersurface(f"no full cyclic ordering for {an.family}")
+    return an.klein

@@ -40,8 +40,9 @@ a block of candidates in prefixes that grow fourfold, so that a class
 certifying early in its block costs what its prefix costs; within a prefix,
 the eigenvalue buckets of all its classes are formed by one exact int64
 matrix product (`_bucket_members`) and decided together, one float32 product
-per chunk of buckets, against closed rows built once per analysis from the
-pattern codes of the monomial table (`FamilyAnalysis.closures`).
+per chunk of buckets, against one matrix of closed rows built once per
+analysis from the pattern codes of the monomial table
+(`FamilyAnalysis.closures`).
 
 Everything that depends on (a, d) alone lives in one `FamilyAnalysis` per
 family and set of budgets, built by `family_analysis` and held only by its
@@ -92,6 +93,8 @@ from .ambient import (
     lin_finite,
     mm_hypothesis,
     rows_increase,
+    weights_coprime_to_degree,
+    weights_divide_degree,
     well_formed,
 )
 from .arith import (
@@ -146,7 +149,7 @@ _CHUNK = 1 << 16
 #: Elements per (class, bucket) chunk that the oracle tests at once: a chunk
 #: of k buckets builds a k x (monomials) int64 matrix of bucket sums, a
 #: k x (pattern codes) float32 presence matrix and its k x (nvars + 1) *
-#: 2**nvars product with the closed rows; no table has more codes than rows.
+#: 2**nvars product with the closed-row matrix; no table has more codes than rows.
 _BUCKET_ELEMENTS = 1 << 16
 
 #: Classes in the first prefix of a block that the oracle tests; each prefix
@@ -460,10 +463,10 @@ def divides_d_criterion(fam: "WeightedFamily | FamilyAnalysis", p: int) -> Order
     an = as_analysis(fam)
     fam = an.family
     a, d, nv = fam.weights, fam.degree, fam.nvars
-    if any(d % w != 0 for w in a):
+    if not weights_divide_degree(fam):
         raise HypothesisViolated("every weight must divide the degree")
     _check_degree_and_linearity(an)
-    if not well_formed(fam):
+    if not an.flags["well_formed"]:
         raise HypothesisViolated(f"{fam} is not well-formed")
     if an.flags["linear_cone"]:
         raise HypothesisViolated("linear cones are excluded")
@@ -513,7 +516,7 @@ def bound_divides_d(fam: WeightedFamily) -> BoundReport:
     p <= max(d, (d/a_i - 1)^(n_i - 1)) with n_i the multiplicity of a_i."""
     a = fam.weights
     d = fam.degree
-    if any(d % w != 0 for w in a):
+    if not weights_divide_degree(fam):
         raise HypothesisViolated("every weight must divide the degree")
     mults = _multiplicities(fam)
     bound = max([d] + [(d // w - 1) ** (nu - 1) for w, nu in mults])
@@ -525,7 +528,7 @@ def bound_coprime(fam: WeightedFamily) -> BoundReport:
     degree: p < (max(a)/(d - max(a))) * prod((d - a_t)/a_t), an exact rational."""
     a = fam.weights
     d = fam.degree
-    if any(math.gcd(w, d) != 1 for w in a):
+    if not weights_coprime_to_degree(fam):
         raise HypothesisViolated("every weight must be coprime to the degree")
     mx = max(a)
     if d <= mx:
@@ -581,10 +584,9 @@ class FamilyAnalysis:
         """The divides-d and the coprime bound, each None where its hypothesis
         fails (the coprime one also needs d > max(a))."""
         fam = self.family
-        d, a = fam.degree, fam.weights
-        divides = bound_divides_d(fam) if all(d % w == 0 for w in a) else None
+        divides = bound_divides_d(fam) if weights_divide_degree(fam) else None
         coprime = None
-        if all(math.gcd(w, d) == 1 for w in a) and d > max(a):
+        if weights_coprime_to_degree(fam) and fam.degree > max(fam.weights):
             coprime = bound_coprime(fam)
         return divides, coprime
 
@@ -661,13 +663,12 @@ class FamilyAnalysis:
         return codes, np.searchsorted(codes, row_codes).astype(np.min_scalar_type(len(codes)))
 
     @cached_property
-    def closures(self) -> tuple[np.ndarray, ...]:
-        """The closed rows of the distinct pattern codes (`patterns`), as
-        `subset_closures` builds them: read-only, and shared by every oracle
-        call on this analysis."""
+    def closures(self) -> np.ndarray:
+        """The closed rows of the distinct pattern codes (`patterns`), one
+        matrix as `subset_closures` builds it: read-only, and shared by every
+        oracle call on this analysis."""
         out = subset_closures(self.patterns[0], self.family.nvars)
-        for rows in out:
-            rows.flags.writeable = False
+        out.flags.writeable = False
         return out
 
     @cached_property

@@ -109,13 +109,12 @@ def exists_quasismooth(fam: WeightedFamily) -> bool:
     """
     if not ambient.well_formed(fam):
         raise NotWellFormed(f"{fam} is not well-formed")
-    if fam.degree in fam.weights:
-        return True
-    return semigroup_subset_condition(fam)
+    return ambient.is_linear_cone(fam) or semigroup_subset_condition(fam)
 
 
-#: Entries per matrix of closure rows (`subset_closures`): a matrix of k
-#: pattern codes is k x (nvars + 1) * 2**nvars, and so are its temporaries.
+#: Entries of closed rows `subset_closures` builds at a time: a step of k
+#: pattern codes fills k x (nvars + 1) * 2**nvars entries of its matrix, and
+#: its temporaries are that size.
 _CLOSURE_ELEMENTS = 1 << 16
 
 #: Entries of one closed row, (nvars + 1) * 2**nvars, that `subset_closures`
@@ -150,14 +149,14 @@ def _subset_sizes(nvars: int) -> np.ndarray:
     return sizes
 
 
-def subset_closures(codes: np.ndarray, nvars: int) -> tuple[np.ndarray, ...]:
+def subset_closures(codes: np.ndarray, nvars: int) -> np.ndarray:
     """The closed row of each pattern code (`pattern_codes`) that
-    `subset_criterion_batch` sums, as float32 0/1 matrices over consecutive
-    codes of at most `_CLOSURE_ELEMENTS` entries each.  Over the masks I, the
-    row of a code with support s holds [s inside I] (t = 0) and then, per
-    variable j, [x_j has exponent 1, and s inside I | {j}] (t = 1 + j).
-    A row past `CLOSURE_ROW_LIMIT` entries is a ValueError, raised before
-    any is built."""
+    `subset_criterion_batch` sums, as one float32 0/1 matrix, codes x
+    (nvars + 1) * 2**nvars, filled `_CLOSURE_ELEMENTS` entries at a time.
+    Over the masks I, the row of a code with support s holds [s inside I]
+    (t = 0) and then, per variable j, [x_j has exponent 1, and s inside
+    I | {j}] (t = 1 + j).  A row past `CLOSURE_ROW_LIMIT` entries is a
+    ValueError, raised before any is built."""
     size = 1 << nvars
     if (nvars + 1) * size > CLOSURE_ROW_LIMIT:
         raise ValueError(
@@ -167,23 +166,22 @@ def subset_closures(codes: np.ndarray, nvars: int) -> tuple[np.ndarray, ...]:
     dtype = np.min_scalar_type(2 * size - 1)  # the masks, with room for bit nvars
     outside = ~np.arange(size).astype(dtype)  # per mask I, the bits outside it
     added = np.concatenate([[0], 1 << np.arange(nvars, dtype=np.int64)])  # per t
-    step = max(1, _CLOSURE_ELEMENTS // ((nvars + 1) * size))
-    out = []
+    out = np.empty((len(codes), (nvars + 1) * size), dtype=np.float32)
+    step = max(1, _CLOSURE_ELEMENTS // out.shape[1])
     for start in range(0, len(codes), step):
         block = codes[start : start + step, None]
         applies = (block >> nvars) & added | (added == 0)  # t = 0, or exponent 1 at x_j
         # the support that must lie inside I; bit nvars, inside no I, where t does not apply
         rest = np.where(applies != 0, block & (size - 1) & ~added, size).astype(dtype)
-        rows = (rest[:, :, None] & outside) == 0
-        out.append(rows.reshape(len(block), -1).astype(np.float32))
-    return tuple(out)
+        out[start : start + step] = ((rest[:, :, None] & outside) == 0).reshape(len(block), -1)
+    return out
 
 
-def subset_criterion_batch(closures: Sequence[np.ndarray], presence: np.ndarray, nvars: int) -> np.ndarray:
+def subset_criterion_batch(closures: np.ndarray, presence: np.ndarray, nvars: int) -> np.ndarray:
     """The subset criterion (see `subset_criterion`) for many monomial sets at
     once: row b of the float32 0/1 matrix `presence` holds the set whose
-    monomials have the pattern codes c with presence[b, c], and `closures`
-    are those codes' rows (`subset_closures`), in the same order.
+    monomials have the pattern codes c with presence[b, c], and row c of
+    `closures` is that code's closed row (`subset_closures`).
 
     For each set, f[t, s] marks a present pattern with support s, where t = 0
     takes any pattern and t = 1 + j only those with exponent 1 at x_j.  Its
@@ -194,18 +192,12 @@ def subset_criterion_batch(closures: Sequence[np.ndarray], presence: np.ndarray,
     present patterns, so G[0, I] = F[0, I] and G[1 + j, I] = F[1 + j, I | {j}]
     are the OR, over the set's codes, of each code's own closed row: [s inside
     I], and [exponent 1 at x_j, and s inside I | {j}].  So G is presence @
-    rows > 0, one float32 product: every term is 0 or 1, and a sum of
+    closures > 0, one float32 product: every term is 0 or 1, and a sum of
     nonnegative terms is positive exactly when one of them is, whatever the
     rounding and the order of summation.  Then I passes when G[0, I] holds or
     at least |I| of the G[1 + j, I] do.
     """
-    width = (nvars + 1) << nvars
-    total = np.zeros((len(presence), width), dtype=np.float32)
-    start = 0
-    for rows in closures:
-        total += presence[:, start : start + len(rows)] @ rows
-        start += len(rows)
-    G = (total > 0).reshape(len(presence), nvars + 1, 1 << nvars)
+    G = (presence @ closures > 0).reshape(len(presence), nvars + 1, 1 << nvars)
     counted = G[:, 1:, :].sum(axis=1)
     return (G[:, 0, :] | (counted >= _subset_sizes(nvars)))[:, 1:].all(axis=1)
 

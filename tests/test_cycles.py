@@ -1,3 +1,4 @@
+import inspect
 from itertools import permutations
 
 import pytest
@@ -35,6 +36,20 @@ def test_lexicographic_emission():
 def test_no_self_loops():
     adj = {0: [0, 1], 1: [0]}
     assert list(simple_cycles(adj)) == [(0, 1)]
+
+
+@pytest.mark.parametrize("min_len", [1, 0, -3])
+def test_a_min_len_below_two_is_rejected(min_len):
+    # a cycle has at least two vertices: at min_len 1 the self-loop (0,) was reported
+    assert inspect.isgeneratorfunction(simple_cycles)
+    with pytest.raises(ValueError, match=f"min_len must be at least 2, got {min_len}"):
+        list(simple_cycles({0: [0, 1], 1: [0]}, min_len))
+
+
+def test_a_cycle_longer_than_the_recursion_limit():
+    # the walk keeps its own stack, so a path of 1100 vertices recurses nowhere
+    n = 1100
+    assert list(simple_cycles({i: [(i + 1) % n] for i in range(n)})) == [tuple(range(n))]
 
 
 def test_matches_brute_force():

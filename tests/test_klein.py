@@ -170,7 +170,7 @@ class TestKleinMaxPrime:
         assert result.candidate == 3
 
     def test_coprimality_required(self):
-        with pytest.raises(HypothesisViolated):
+        with pytest.raises(HypothesisViolated, match="every weight must be coprime to the degree"):
             klein_max_prime(WeightedFamily((1, 1, 2), 4))
 
     def test_division_always_exact_under_coprimality(self):

@@ -212,7 +212,7 @@ class TestDividesD:
                 assert required_monomial(verdict.witness_system, i) is not None
 
     def test_hypothesis_weights_divide(self):
-        with pytest.raises(HypothesisViolated):
+        with pytest.raises(HypothesisViolated, match="every weight must divide the degree"):
             divides_d_criterion(COUNTEREXAMPLE, 23)
 
     def test_rejects_a_linear_cone(self):
@@ -247,8 +247,12 @@ class TestBounds:
         assert bound_coprime(WeightedFamily((1, 1, 1, 1), 5)).bound == Fraction(4**4, 4) == 64
 
     def test_coprime_hypothesis(self):
-        with pytest.raises(HypothesisViolated):
+        with pytest.raises(HypothesisViolated, match="every weight must be coprime to the degree"):
             bound_coprime(SEXTIC)
+
+    def test_divides_d_hypothesis(self):
+        with pytest.raises(HypothesisViolated, match="every weight must divide the degree"):
+            bound_divides_d(COUNTEREXAMPLE)
 
 
 class TestOracle:
@@ -827,7 +831,7 @@ def test_closures_are_built_once_per_analysis(monkeypatch):
     assert {v.provenance for _, v in verdicts} == {"oracle"}
     assert len(scanned) >= 3
     assert built == [4]
-    assert all(not rows.flags.writeable for rows in an.closures)
+    assert not an.closures.flags.writeable
 
 
 def test_analysis_reads_the_enumerated_matrix():

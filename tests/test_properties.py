@@ -30,6 +30,8 @@ from wpsauto.ambient import (
     is_linear_cone,
     lin_finite,
     rows_increase,
+    weights_coprime_to_degree,
+    weights_divide_degree,
     well_form_normalize,
     well_formed,
 )
@@ -40,6 +42,7 @@ from wpsauto.arith import (
     prime_power_decompose,
     semigroup_bits,
 )
+from wpsauto import quasismooth
 from wpsauto.errors import BudgetExceeded, NotAPrimePower, NotNormalizable
 from wpsauto.orders import (
     CycleChain,
@@ -51,7 +54,6 @@ from wpsauto.orders import (
     weight_digraph,
 )
 from wpsauto.quasismooth import (
-    _CLOSURE_ELEMENTS,
     ExplicitPolynomial,
     _LogSpace,
     distinct_codes,
@@ -306,7 +308,7 @@ def test_batched_criterion_decides_each_row(case):
     # retained lattice kernel and the definition.  The codes are every set's
     # codes in turn, so a code repeats within a set and across sets, and a
     # set holds each column of one of its codes; at 6 and 7 variables the
-    # closed rows span several matrices
+    # closed rows are filled in several steps
     sets, nvars = case
     per_set = [pattern_codes(np.array(rows, dtype=np.int64).reshape(len(rows), nvars)) for rows in sets]
     codes = np.concatenate(per_set)
@@ -317,21 +319,38 @@ def test_batched_criterion_decides_each_row(case):
     assert got.tolist() == want
 
 
-def test_closed_rows_span_bounded_matrices():
+def test_closed_rows_are_one_matrix(monkeypatch):
     # every code of 7 variables, 3**7 of them as the ones lie in the support:
-    # their closed rows span several matrices, none over the cap, and sets of
-    # about 2 to 220 codes each are decided as the lattice kernel decides them
+    # their closed rows are one float32 matrix, the same whatever the step
+    # that fills it, and sets of about 2 to 220 codes each are decided as the
+    # lattice kernel decides them
     nvars = 7
     codes = np.arange(4**nvars)
     codes = codes[(codes >> nvars) & ~codes & (2**nvars - 1) == 0]
     closures = subset_closures(codes, nvars)
-    assert len(codes) == 3**nvars and len(closures) > 1
-    assert max(rows.size for rows in closures) <= _CLOSURE_ELEMENTS
+    assert type(closures) is np.ndarray and closures.dtype == np.float32
+    assert closures.shape == (3**nvars, (nvars + 1) << nvars)
+    monkeypatch.setattr(quasismooth, "_CLOSURE_ELEMENTS", 1)  # one code per step
+    assert np.array_equal(subset_closures(codes, nvars), closures)
     rng = np.random.default_rng(0)
     presence = rng.random((40, len(codes))) < np.linspace(0.001, 0.1, 40)[:, None]
     got = subset_criterion_batch(closures, presence.astype(np.float32), nvars)
     assert got.tolist() == lattice_subset_criterion_batch(codes, presence, nvars).tolist()
     assert 0 < got.sum() < len(got)
+
+
+@given(st.lists(st.integers(1, 30), min_size=3, max_size=6).filter(lambda ws: gcd_all(ws) == 1), st.integers(1, 400))
+@example([1, 1, 1], 1)
+@example([2, 3, 6], 6)
+@example([2, 3, 5], 30)
+@example([1, 2, 9], 3)
+@settings(max_examples=300, deadline=None)
+def test_degree_case_predicates_match_their_definitions(ws, d):
+    # d is a multiple of each weight; no k > 1 divides both a weight and d
+    fam = WeightedFamily(tuple(ws), d)
+    assert weights_divide_degree(fam) == all(d in range(w, d + 1, w) for w in ws)
+    common = [k for w in ws for k in range(2, w + 1) if w % k == 0 and d % k == 0]
+    assert weights_coprime_to_degree(fam) == (not common)
 
 
 def test_subset_criterion_edge_cases():
