@@ -39,10 +39,9 @@ class certifying p**r reduces to one certifying p**(r-1).  It tests
 a block of candidates in prefixes that grow fourfold, so that a class
 certifying early in its block costs what its prefix costs; within a prefix,
 the eigenvalue buckets of all its classes are formed by one exact int64
-matrix product (`_bucket_members`) and decided together, one float32 product
-per chunk of buckets, against one matrix of closed rows built once per
-analysis from the pattern codes of the monomial table
-(`FamilyAnalysis.closures`).
+matrix product (`_bucket_members`) and decided together, one call per chunk
+of buckets to the subset test of the monomial table, built once per
+analysis (`FamilyAnalysis.subset_test`).
 
 Everything that depends on (a, d) alone lives in one `FamilyAnalysis` per
 family and set of budgets, built by `family_analysis` and held only by its
@@ -50,10 +49,9 @@ caller: the hypothesis flags, the bounds and the prime routing they decide,
 whether a quasi-smooth member exists, the monomial table, the weight
 digraph with its cycle chains, the anchors (read off the digraph and the
 pure powers, never off the table) and their determinants, and the Klein
-data.  The process-wide caches hold only what
-no family owns (class slices, for one).  Only the oracle's bucket test
-reads the table rows' pattern codes (their support and exponent-one
-bitmasks) and their closed rows.  The three budgets (monomials, cycles,
+data.  The process-wide caches hold only what no family owns (class
+slices, for one).  Only the oracle's bucket test reads the table's subset
+test (`FamilyAnalysis.subset_test`).  The three budgets (monomials, cycles,
 oracle classes) are fields of the analysis, never process-wide settings.
 Functions taking a family also accept its analysis, and then use the
 analysis' budgets; given a family, they build a new analysis under the
@@ -80,6 +78,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import groupby, pairwise
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -107,14 +106,7 @@ from .arith import (
 )
 from .cycles import CYCLE_BUDGET, simple_cycles
 from .errors import BudgetExceeded, HypothesisViolated
-from .quasismooth import (
-    distinct_codes,
-    pattern_codes,
-    semigroup_subset_condition,
-    subset_closures,
-    subset_criterion,
-    subset_criterion_batch,
-)
+from .quasismooth import SubsetTest, semigroup_subset_condition, subset_criterion
 
 __all__ = [
     "CycleChain",
@@ -147,9 +139,8 @@ ORACLE_CLASS_BUDGET = 2_000_000
 _CHUNK = 1 << 16
 
 #: Elements per (class, bucket) chunk that the oracle tests at once: a chunk
-#: of k buckets builds a k x (monomials) int64 matrix of bucket sums, a
-#: k x (pattern codes) float32 presence matrix and its k x (nvars + 1) *
-#: 2**nvars product with the closed-row matrix; no table has more codes than rows.
+#: of k buckets builds a k x (monomials) int64 matrix of bucket sums, and its
+#: `SubsetTest` call arrays of at most k x max(monomials, `SubsetTest.width`).
 _BUCKET_ELEMENTS = 1 << 16
 
 #: Classes in the first prefix of a block that the oracle tests; each prefix
@@ -550,8 +541,8 @@ class FamilyAnalysis:
     read off (a, d), before any table: where it has none, the oracle and the
     chain walk decide every order without building one.
     The anchors come from the digraph, not from the monomial table, whose
-    pattern codes and their closed rows serve only the oracle's bucket
-    test; `anchor_terms` writes each anchor once, as its monomial with its
+    subset test (`subset_test`) serves only the oracle's bucket test;
+    `anchor_terms` writes each anchor once, as its monomial with its
     (k, t), and every reader takes those, so no row is parsed back.  Get
     instances from `family_analysis`.  `oracle_refuted` is the only state a
     call leaves here: not a field of the family but a record of the
@@ -654,22 +645,10 @@ class FamilyAnalysis:
         return self.system.exponents
 
     @cached_property
-    def patterns(self) -> tuple[np.ndarray, np.ndarray]:
-        """(codes, index): the distinct `pattern_codes` of the table rows in
-        increasing order, and the position in `codes` of each row's code;
-        the oracle's bucket test reads them."""
-        row_codes = pattern_codes(self.exponents)
-        codes = distinct_codes(row_codes)
-        return codes, np.searchsorted(codes, row_codes).astype(np.min_scalar_type(len(codes)))
-
-    @cached_property
-    def closures(self) -> np.ndarray:
-        """The closed rows of the distinct pattern codes (`patterns`), one
-        matrix as `subset_closures` builds it: read-only, and shared by every
-        oracle call on this analysis."""
-        out = subset_closures(self.patterns[0], self.family.nvars)
-        out.flags.writeable = False
-        return out
+    def subset_test(self) -> SubsetTest:
+        """The subset criterion over sets of the table's rows (`SubsetTest`),
+        built once and shared by every oracle call on this analysis."""
+        return SubsetTest(self.exponents)
 
     @cached_property
     def anchor_terms(self) -> tuple[tuple[tuple[tuple[int, ...], int, int], ...], ...]:
@@ -861,21 +840,16 @@ def _candidate_segments(q: int, p: int, r: int, m: int):
     k < r; each list holds the ranges inside one block of `_CHUNK` ranks.
     With L entries after it, such an entry holds the ranks p**k * q**L up to
     (p**k + 1) * q**L."""
-    segments: list[tuple[int, int, int]] = []
-    for length in range(m):
-        size = q**length
-        for k in range(r):
-            lo = p**k * size
-            hi = lo + size
-            while lo < hi:
-                if segments and lo // _CHUNK > segments[-1][0] // _CHUNK:
-                    yield segments
-                    segments = []
-                stop = min(hi, (lo // _CHUNK + 1) * _CHUNK)
-                segments.append((lo, stop, p**k))
-                lo = stop
-    if segments:
-        yield segments
+
+    def pieces():  # each range, split at the multiples of _CHUNK
+        for length in range(m):
+            for k in range(r):
+                lo, hi = p**k * q**length, (p**k + 1) * q**length
+                cuts = [lo, *range((lo // _CHUNK + 1) * _CHUNK, hi, _CHUNK), hi]
+                yield from ((start, stop, p**k) for start, stop in pairwise(cuts))
+
+    for _, block in groupby(pieces(), key=lambda piece: piece[0] // _CHUNK):
+        yield list(block)
 
 
 #: Bytes of canonical-row blocks that `_canonical_rows` keeps across calls.
@@ -1013,10 +987,9 @@ def oracle_exists_order(
     The hit (class, h) pairs of a prefix are decided together, in chunks of
     at most about `_BUCKET_ELEMENTS` array elements.  A chunk's bucket
     members come from one int64 product of its classes and the table's
-    exponents reduced mod q (`_bucket_members`); which pattern codes each
-    bucket holds is then decided by one `subset_criterion_batch` call, a
-    float32 product with the closed rows of the table's distinct codes
-    (`FamilyAnalysis.closures`), built once per analysis.  The winner is
+    exponents reduced mod q (`_bucket_members`), and one call to the
+    table's subset test (`FamilyAnalysis.subset_test`, built once per
+    analysis) decides which of its buckets pass.  The winner is
     the first passing pair in increasing class rank and then increasing h,
     as if buckets were tried one by one: prefixes, chunks and the pairs in
     them all follow that order, so the first prefix with a passing pair
@@ -1133,10 +1106,9 @@ def oracle_exists_order(
     i_star = _first_unit_weight_index(fam, p)
     free = [v for v in range(nv) if v != i_star]
     E_T = (an.exponents[:, free].astype(np.int64) % qq).T
-    codes, code_of_row = an.patterns
     # the variable with the fewest anchors first: its buckets are the candidates
     base_T, *others_T = sorted((rows[:, free].T % qq for rows in an.anchors), key=lambda a: a.shape[1])
-    chunk = max(1, _BUCKET_ELEMENTS // max(E_T.shape[1], (nv + 1) << nv))
+    chunk = max(1, _BUCKET_ELEMENTS // max(E_T.shape[1], an.subset_test.width))
 
     def first_winner(S: np.ndarray) -> Optional[tuple[int, np.ndarray]]:
         """(row of S, its bucket's members) of the first passing pair, if any."""
@@ -1153,10 +1125,7 @@ def oracle_exists_order(
         for start in range(0, len(classes), chunk):
             cls, h = classes[start : start + chunk], buckets[start : start + chunk]
             members = _bucket_members(S[cls], E_T, h, qq)  # (pairs, rows)
-            presence = np.zeros((len(cls), len(codes)), dtype=np.float32)
-            pair, row = np.nonzero(members)
-            presence[pair, code_of_row[row]] = 1
-            passed = np.flatnonzero(subset_criterion_batch(an.closures, presence, nv))
+            passed = np.flatnonzero(an.subset_test(members))
             if passed.size:
                 return cls[passed[0]], members[passed[0]]
         return None

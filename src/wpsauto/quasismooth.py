@@ -32,7 +32,7 @@ import math
 import operator
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from typing import Optional, Sequence
 
@@ -50,8 +50,7 @@ __all__ = [
     "semigroup_subset_condition",
     "general_member_quasismooth",
     "subset_criterion",
-    "subset_criterion_batch",
-    "subset_closures",
+    "SubsetTest",
     "pattern_codes",
     "distinct_codes",
     "required_monomial",
@@ -112,12 +111,12 @@ def exists_quasismooth(fam: WeightedFamily) -> bool:
     return ambient.is_linear_cone(fam) or semigroup_subset_condition(fam)
 
 
-#: Entries of closed rows `subset_closures` builds at a time: a step of k
+#: Entries of closed rows `SubsetTest.closed` builds at a time: a step of k
 #: pattern codes fills k x (nvars + 1) * 2**nvars entries of its matrix, and
 #: its temporaries are that size.
 _CLOSURE_ELEMENTS = 1 << 16
 
-#: Entries of one closed row, (nvars + 1) * 2**nvars, that `subset_closures`
+#: Entries of one closed row, (nvars + 1) * 2**nvars, that `SubsetTest.closed`
 #: may build: 20 variables fit, 21 (a row of 176 MiB) do not.
 CLOSURE_ROW_LIMIT = 1 << 25
 
@@ -149,41 +148,15 @@ def _subset_sizes(nvars: int) -> np.ndarray:
     return sizes
 
 
-def subset_closures(codes: np.ndarray, nvars: int) -> np.ndarray:
-    """The closed row of each pattern code (`pattern_codes`) that
-    `subset_criterion_batch` sums, as one float32 0/1 matrix, codes x
-    (nvars + 1) * 2**nvars, filled `_CLOSURE_ELEMENTS` entries at a time.
-    Over the masks I, the row of a code with support s holds [s inside I]
-    (t = 0) and then, per variable j, [x_j has exponent 1, and s inside
-    I | {j}] (t = 1 + j).  A row past `CLOSURE_ROW_LIMIT` entries is a
-    ValueError, raised before any is built."""
-    size = 1 << nvars
-    if (nvars + 1) * size > CLOSURE_ROW_LIMIT:
-        raise ValueError(
-            f"a closed row of {nvars} variables has {(nvars + 1) * size} entries, "
-            f"past CLOSURE_ROW_LIMIT = {CLOSURE_ROW_LIMIT}"
-        )
-    dtype = np.min_scalar_type(2 * size - 1)  # the masks, with room for bit nvars
-    outside = ~np.arange(size).astype(dtype)  # per mask I, the bits outside it
-    added = np.concatenate([[0], 1 << np.arange(nvars, dtype=np.int64)])  # per t
-    out = np.empty((len(codes), (nvars + 1) * size), dtype=np.float32)
-    step = max(1, _CLOSURE_ELEMENTS // out.shape[1])
-    for start in range(0, len(codes), step):
-        block = codes[start : start + step, None]
-        applies = (block >> nvars) & added | (added == 0)  # t = 0, or exponent 1 at x_j
-        # the support that must lie inside I; bit nvars, inside no I, where t does not apply
-        rest = np.where(applies != 0, block & (size - 1) & ~added, size).astype(dtype)
-        out[start : start + step] = ((rest[:, :, None] & outside) == 0).reshape(len(block), -1)
-    return out
+class SubsetTest:
+    """The subset criterion (see `subset_criterion`) for sets of the rows of
+    one exponent matrix, built once per matrix.  `test(members)`, members[b, r]
+    set when row r is in set b, returns which sets pass; `test()` decides the
+    one set of every row.
 
-
-def subset_criterion_batch(closures: np.ndarray, presence: np.ndarray, nvars: int) -> np.ndarray:
-    """The subset criterion (see `subset_criterion`) for many monomial sets at
-    once: row b of the float32 0/1 matrix `presence` holds the set whose
-    monomials have the pattern codes c with presence[b, c], and row c of
-    `closures` is that code's closed row (`subset_closures`).
-
-    For each set, f[t, s] marks a present pattern with support s, where t = 0
+    Only two patterns of a row matter: its support, and the variables it
+    holds to exactly the first power, one code per row (`pattern_codes`).
+    For a set, f[t, s] marks a present pattern with support s, where t = 0
     takes any pattern and t = 1 + j only those with exponent 1 at x_j.  Its
     closure over the subset lattice, F[t, I] = OR of f[t, s] over s inside I,
     gives (a) as F[0, I], and j outside I counts for (b) exactly when
@@ -192,14 +165,63 @@ def subset_criterion_batch(closures: np.ndarray, presence: np.ndarray, nvars: in
     present patterns, so G[0, I] = F[0, I] and G[1 + j, I] = F[1 + j, I | {j}]
     are the OR, over the set's codes, of each code's own closed row: [s inside
     I], and [exponent 1 at x_j, and s inside I | {j}].  So G is presence @
-    closures > 0, one float32 product: every term is 0 or 1, and a sum of
-    nonnegative terms is positive exactly when one of them is, whatever the
-    rounding and the order of summation.  Then I passes when G[0, I] holds or
-    at least |I| of the G[1 + j, I] do.
+    closed > 0, one float32 product, with presence[b, c] = 1 when set b holds
+    a row of code c: every term is 0 or 1, and a sum of nonnegative terms is
+    positive exactly when one of them is, whatever the rounding and the order
+    of summation.  Then I passes when G[0, I] holds or at least |I| of the
+    G[1 + j, I] do.
+
+    `closed` is that matrix, one read-only float32 0/1 row of `width` =
+    (nvars + 1) * 2**nvars entries per distinct code, in increasing order of
+    code.  Over the masks I, the row of a code with support s holds [s inside
+    I] (t = 0) and then, per variable j, [x_j has exponent 1, and s inside
+    I | {j}] (t = 1 + j); it is filled `_CLOSURE_ELEMENTS` entries at a
+    time.  A row past `CLOSURE_ROW_LIMIT` entries is a ValueError, raised
+    before any is built.  The map from rows to codes is built on the first
+    call given members, so `test()` never forms it.
     """
-    G = (presence @ closures > 0).reshape(len(presence), nvars + 1, 1 << nvars)
-    counted = G[:, 1:, :].sum(axis=1)
-    return (G[:, 0, :] | (counted >= _subset_sizes(nvars)))[:, 1:].all(axis=1)
+
+    def __init__(self, exponents: np.ndarray) -> None:
+        self.nvars = nvars = exponents.shape[1]
+        self.width = (nvars + 1) << nvars
+        if self.width > CLOSURE_ROW_LIMIT:
+            raise ValueError(
+                f"a closed row of {nvars} variables has {self.width} entries, "
+                f"past CLOSURE_ROW_LIMIT = {CLOSURE_ROW_LIMIT}"
+            )
+        self._row_codes = pattern_codes(exponents)
+        # the distinct codes, at most 3**nvars of them, as the ones lie in the support
+        self._codes = codes = distinct_codes(self._row_codes)
+        size = 1 << nvars
+        dtype = np.min_scalar_type(2 * size - 1)  # the masks, with room for bit nvars
+        outside = ~np.arange(size).astype(dtype)  # per mask I, the bits outside it
+        added = np.concatenate([[0], 1 << np.arange(nvars, dtype=np.int64)])  # per t
+        self.closed = np.empty((len(codes), self.width), dtype=np.float32)
+        step = max(1, _CLOSURE_ELEMENTS // self.width)
+        for start in range(0, len(codes), step):
+            block = codes[start : start + step, None]
+            applies = (block >> nvars) & added | (added == 0)  # t = 0, or exponent 1 at x_j
+            # the support that must lie inside I; bit nvars, inside no I, where t does not apply
+            rest = np.where(applies != 0, block & (size - 1) & ~added, size).astype(dtype)
+            self.closed[start : start + step] = ((rest[:, :, None] & outside) == 0).reshape(len(block), -1)
+        self.closed.flags.writeable = False  # shared by every later test
+
+    @cached_property
+    def _code_of_row(self) -> np.ndarray:
+        """The position in the distinct codes of each row's code."""
+        return np.searchsorted(self._codes, self._row_codes).astype(np.min_scalar_type(len(self._codes)))
+
+    def __call__(self, members: Optional[np.ndarray] = None) -> np.ndarray:
+        if members is None:
+            presence = np.ones((1, len(self._codes)), dtype=np.float32)
+        else:
+            presence = np.zeros((len(members), len(self._codes)), dtype=np.float32)
+            pair, row = np.nonzero(members)
+            presence[pair, self._code_of_row[row]] = 1
+        nvars = self.nvars
+        G = (presence @ self.closed > 0).reshape(len(presence), nvars + 1, 1 << nvars)
+        counted = G[:, 1:, :].sum(axis=1)
+        return (G[:, 0, :] | (counted >= _subset_sizes(nvars)))[:, 1:].all(axis=1)
 
 
 def subset_criterion(exponents: Sequence[Sequence[int]], nvars: int) -> bool:
@@ -210,11 +232,9 @@ def subset_criterion(exponents: Sequence[Sequence[int]], nvars: int) -> bool:
     (b) at least |I| distinct indices j outside I such that some monomial is
         a monomial in the I-variables times x_j to the first power.
 
-    Only two patterns of each monomial matter: its support, and the
-    variables it holds to exactly the first power.  The test runs on these
-    patterns through `subset_criterion_batch`.  An empty system fails for
-    every I, hence returns False; rows of other than `nvars` entries are a
-    ValueError.
+    The test runs through `SubsetTest`, on the one set of every row.  An
+    empty system fails for every I, hence returns False; rows of other than
+    `nvars` entries are a ValueError.
     """
     if nvars < 1:
         raise ValueError("need at least one variable")
@@ -223,10 +243,7 @@ def subset_criterion(exponents: Sequence[Sequence[int]], nvars: int) -> bool:
     table = np.array(exponents, dtype=np.int64).reshape(len(exponents), -1)
     if table.shape[1] != nvars:
         raise ValueError(f"rows have {table.shape[1]} entries, not nvars = {nvars}")
-    # the distinct codes, at most 3**nvars of them, as the ones lie in the support
-    codes = distinct_codes(pattern_codes(table))
-    presence = np.ones((1, len(codes)), dtype=np.float32)
-    return bool(subset_criterion_batch(subset_closures(codes, nvars), presence, nvars)[0])
+    return bool(SubsetTest(table)()[0])
 
 
 def general_member_quasismooth(fam: WeightedFamily, system: MonomialSystem) -> bool:

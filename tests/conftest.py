@@ -189,7 +189,7 @@ def brute_subset_criterion(exponents, nvars: int) -> bool:
 
 def lattice_subset_criterion_batch(codes: np.ndarray, presence: np.ndarray, nvars: int) -> np.ndarray:
     """The subset criterion for many monomial sets at once by the closure over
-    the subset lattice, the kernel the closed rows of `subset_closures`
+    the subset lattice, the kernel the closed rows of `SubsetTest`
     replaced: row b of the boolean matrix `presence` holds the set whose
     monomials have the pattern codes `codes[c]` with presence[b, c].
 

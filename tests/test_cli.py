@@ -1003,6 +1003,23 @@ def test_cli_imports_no_private_names():
     assert private == []
 
 
+def test_module_boundaries():
+    # no module imports another's private names (a dunder such as
+    # __version__ is public), and the subset criterion's own format stays
+    # in quasismooth: orders reads it only through these three names
+    private, from_quasismooth = [], set()
+    for path in sorted(Path(wpsauto.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ImportFrom) or not (node.level or node.module.startswith("wpsauto")):
+                continue
+            names = {alias.name for alias in node.names}
+            private += [(path.name, name) for name in names if name.startswith("_") and not name.endswith("__")]
+            if path.name == "orders.py" and node.module in ("quasismooth", "wpsauto.quasismooth"):
+                from_quasismooth |= names
+    assert private == []
+    assert from_quasismooth == {"SubsetTest", "semigroup_subset_condition", "subset_criterion"}
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -40,7 +40,7 @@ from wpsauto.orders import (
     sufficient_condition,
     weight_digraph,
 )
-from wpsauto.quasismooth import general_member_quasismooth, required_monomial, subset_closures
+from wpsauto.quasismooth import SubsetTest, general_member_quasismooth, required_monomial
 
 COUNTEREXAMPLE = WeightedFamily((3, 7, 2, 4, 5), 37)
 SEXTIC = WeightedFamily((1, 1, 1, 2, 3), 6)
@@ -816,22 +816,22 @@ def test_closures_are_built_once_per_analysis(monkeypatch):
     # every order of the sweep, and scans several of them
     built, scanned = [], []
 
-    def counted_closures(codes, nvars):
-        built.append(nvars)
-        return subset_closures(codes, nvars)
+    def counted_test(exponents):
+        built.append(exponents.shape[1])
+        return SubsetTest(exponents)
 
     def counted_rows(*args):
         scanned.append(args)
         return _canonical_rows(*args)
 
-    monkeypatch.setattr(orders, "subset_closures", counted_closures)
+    monkeypatch.setattr(orders, "SubsetTest", counted_test)
     monkeypatch.setattr(orders, "_canonical_rows", counted_rows)
     an = orders.FamilyAnalysis(WeightedFamily((1, 1, 1, 1), 4), 10**6, 10**4, ORACLE_CLASS_BUDGET)
     verdicts = admissible_orders(an, 13)
     assert {v.provenance for _, v in verdicts} == {"oracle"}
     assert len(scanned) >= 3
     assert built == [4]
-    assert not an.closures.flags.writeable
+    assert not an.subset_test.closed.flags.writeable
 
 
 def test_analysis_reads_the_enumerated_matrix():

@@ -1,5 +1,6 @@
 """Property-based checks of the arithmetic and combinatorial invariants."""
 
+import itertools
 import math
 import pickle
 
@@ -55,14 +56,13 @@ from wpsauto.orders import (
 )
 from wpsauto.quasismooth import (
     ExplicitPolynomial,
+    SubsetTest,
     _LogSpace,
     distinct_codes,
     pattern_codes,
     semigroup_subset_condition,
     singular_point_search,
-    subset_closures,
     subset_criterion,
-    subset_criterion_batch,
 )
 from wpsauto.cycles import simple_cycles
 
@@ -304,37 +304,39 @@ def criterion_batches(draw):
 @given(criterion_batches())
 @settings(max_examples=200, deadline=None)
 def test_batched_criterion_decides_each_row(case):
-    # one kernel call over up to 40 sets of the same variables, against the
-    # retained lattice kernel and the definition.  The codes are every set's
-    # codes in turn, so a code repeats within a set and across sets, and a
-    # set holds each column of one of its codes; at 6 and 7 variables the
+    # one subset-test call over up to 40 sets of the same variables, against
+    # the retained lattice kernel and the definition.  The rows are every
+    # set's rows in turn, so a code repeats within a set and across sets, and
+    # a set holds each row of one of its codes; at 6 and 7 variables the
     # closed rows are filled in several steps
     sets, nvars = case
-    per_set = [pattern_codes(np.array(rows, dtype=np.int64).reshape(len(rows), nvars)) for rows in sets]
-    codes = np.concatenate(per_set)
-    presence = np.array([np.isin(codes, own) for own in per_set]).reshape(len(sets), len(codes))
+    per_set = [np.array(rows, dtype=np.int64).reshape(len(rows), nvars) for rows in sets]
+    table = np.concatenate(per_set)
+    codes = pattern_codes(table)
+    presence = np.array([np.isin(codes, pattern_codes(own)) for own in per_set]).reshape(len(sets), len(codes))
     want = [brute_subset_criterion(rows, nvars) for rows in sets]
     assert lattice_subset_criterion_batch(codes, presence, nvars).tolist() == want
-    got = subset_criterion_batch(subset_closures(codes, nvars), presence.astype(np.float32), nvars)
-    assert got.tolist() == want
+    assert SubsetTest(table)(presence).tolist() == want
 
 
 def test_closed_rows_are_one_matrix(monkeypatch):
-    # every code of 7 variables, 3**7 of them as the ones lie in the support:
-    # their closed rows are one float32 matrix, the same whatever the step
-    # that fills it, and sets of about 2 to 220 codes each are decided as the
-    # lattice kernel decides them
+    # every code of 7 variables, 3**7 of them as the ones lie in the support,
+    # one row each (exponents 0, 1 or 2): their closed rows are one read-only
+    # float32 matrix, the same whatever the step that fills it, and sets of
+    # about 2 to 220 rows each are decided as the lattice kernel decides them
     nvars = 7
-    codes = np.arange(4**nvars)
-    codes = codes[(codes >> nvars) & ~codes & (2**nvars - 1) == 0]
-    closures = subset_closures(codes, nvars)
-    assert type(closures) is np.ndarray and closures.dtype == np.float32
-    assert closures.shape == (3**nvars, (nvars + 1) << nvars)
+    table = np.array(list(itertools.product(range(3), repeat=nvars)), dtype=np.int64)
+    codes = pattern_codes(table)
+    assert len(distinct_codes(codes)) == 3**nvars
+    test = SubsetTest(table)
+    closed = test.closed
+    assert type(closed) is np.ndarray and closed.dtype == np.float32 and not closed.flags.writeable
+    assert closed.shape == (3**nvars, (nvars + 1) << nvars) and test.width == closed.shape[1]
     monkeypatch.setattr(quasismooth, "_CLOSURE_ELEMENTS", 1)  # one code per step
-    assert np.array_equal(subset_closures(codes, nvars), closures)
+    assert np.array_equal(SubsetTest(table).closed, closed)
     rng = np.random.default_rng(0)
     presence = rng.random((40, len(codes))) < np.linspace(0.001, 0.1, 40)[:, None]
-    got = subset_criterion_batch(closures, presence.astype(np.float32), nvars)
+    got = test(presence)
     assert got.tolist() == lattice_subset_criterion_batch(codes, presence, nvars).tolist()
     assert 0 < got.sum() < len(got)
 

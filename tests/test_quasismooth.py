@@ -14,6 +14,7 @@ from wpsauto.quasismooth import (
     FIELD_PRIME_LIMIT,
     SEMIGROUP_TABLE_LIMIT,
     ExplicitPolynomial,
+    SubsetTest,
     _LogSpace,
     exists_quasismooth,
     general_member_quasismooth,
@@ -21,7 +22,6 @@ from wpsauto.quasismooth import (
     random_member,
     required_monomial,
     singular_point_search,
-    subset_closures,
     subset_criterion,
 )
 
@@ -70,7 +70,7 @@ class TestClosureRowLimit:
     def test_a_row_past_the_limit_is_a_value_error(self, nvars):
         message = f"a closed row of {nvars} variables has {(nvars + 1) << nvars} entries, past CLOSURE_ROW_LIMIT"
         with pytest.raises(ValueError, match=message):
-            subset_closures(np.array([0]), nvars)
+            SubsetTest(np.zeros((1, nvars), dtype=np.int64))
         with pytest.raises(ValueError, match=message):
             subset_criterion([[3] + [0] * (nvars - 1)], nvars)
 
